@@ -54,17 +54,15 @@ from .harness import (
 )
 from .metrics import (
     VARIANTS,
-    BatchStats,
     MetricPanel,
     alt_score,
     alt_scores,
-    batch_stats,
     compute_panel,
     efficiency,
     fairness,
-    iter_batch_stats,
     reward_fairness,
     tt_fairness,
+    window_betas,
 )
 from .policies import (
     QLearningConfig,

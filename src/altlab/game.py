@@ -16,6 +16,7 @@ it was last time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Protocol, Sequence
@@ -213,6 +214,10 @@ class EpisodeOutcome:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed episode record: {exc}") from exc
+        if not all(math.isfinite(r) and r >= 0.0 for r in outcome.rewards):
+            raise DataError(f"rewards must be finite and >= 0, got {list(outcome.rewards)}")
+        if outcome.steps_used < 1:
+            raise DataError(f"steps must be >= 1, got {outcome.steps_used}")
         if outcome.capped and outcome.arrivals:
             raise DataError("capped episode cannot have arrivals")
         if len(outcome.arrivals) == 1:

@@ -40,7 +40,7 @@ from .game import (
     next_prev_winners,
     run_episode,
 )
-from .metrics import MetricPanel, alt_score, compute_panel, efficiency
+from .metrics import MetricPanel, _shifted_mean, compute_panel, efficiency, window_betas
 from .policies import (
     QLearningConfig,
     QLearningPolicy,
@@ -375,12 +375,15 @@ def _training_curve(
     marks = list(range(stride, total_episodes + 1, stride))
     if marks[-1] != total_episodes:
         marks.append(total_episodes)
+    n = game.n_agents
+    batch_calt = window_betas(outcomes, n)["calt"]
     points = []
     for mark in marks:
-        window = outcomes[max(0, mark - CURVE_WINDOW) : mark]
-        if len(window) >= game.n_agents:
-            calt = alt_score(window, game.n_agents, "calt")
-            eff = efficiency(window, game.r_high)
+        start = max(0, mark - CURVE_WINDOW)
+        if mark - start >= n:
+            # The batches that lie wholly inside episodes start .. mark - 1.
+            calt = _shifted_mean(batch_calt[start : mark - n + 1])
+            eff = efficiency(outcomes[start:mark], game.r_high)
         else:
             calt = eff = None
         points.append(

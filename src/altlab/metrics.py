@@ -9,7 +9,6 @@ Each batch yields counting statistics:
     tau  total arrivals in the batch, summed over episodes
     w    episodes in the batch with an exclusive winner
     g    agents with exactly one exclusive win in the batch
-    y    per-episode arrival counts
 
 Six per-batch alternation scores are derived from these counts, each in
 [0, 1] with 1 attained exactly by perfect alternation (every agent wins
@@ -19,11 +18,16 @@ exclusively once per batch):
     qfalt  (f / tau)^2
     ealt   w * f / n^2
     qealt  (w * f / n^2)^2
-    calt   [sum_l (n - y_l)] * qfalt / (n * (n - 1))
+    calt   [sum_l (n - y_l)] * qfalt / (n * (n - 1)), clamped to <= 1
     aalt   g / tau
 
-A batch with no arrivals (all capped) scores 0 on all six.  A run-level
-score is the mean over all batches.
+where y_l counts the arrivals of episode l, so the tie-sum
+sum_l (n - y_l) equals n^2 - tau.  A batch with no arrivals (all capped)
+scores 0 on all six.  A run-level score is the mean over all batches.
+
+Every batch count is a difference of two cumulative sums over per-episode
+columns (arrivals per agent, exclusive wins per agent), so one vectorized
+pass scores every batch of a log.
 
 Traditional metrics summarize whole logs: win-count fairness, reward
 efficiency, turn-taking fairness over per-agent total arrivals, and
@@ -34,225 +38,138 @@ reported as None.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
-from .errors import ConfigError, InsufficientDataError
+import numpy as np
+
+from .errors import ConfigError, DataError, InsufficientDataError
 from .game import EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    """Counting statistics of one batch of n consecutive episodes."""
-
-    f: int
-    tau: int
-    w: int
-    g: int
-    y: tuple[int, ...]
-
-
-def batch_stats(episodes: Sequence[EpisodeOutcome], n: int) -> BatchStats:
-    """Statistics of a single batch; the slice must hold exactly n episodes."""
-    if len(episodes) != n:
-        raise ConfigError(f"batch must hold exactly {n} episodes, got {len(episodes)}")
-    arrival_counts: dict[int, int] = {}
-    win_counts: dict[int, int] = {}
-    w = 0
-    for ep in episodes:
-        for agent in ep.arrivals:
-            arrival_counts[agent] = arrival_counts.get(agent, 0) + 1
-        if ep.exclusive_winner is not None:
-            w += 1
-            win_counts[ep.exclusive_winner] = win_counts.get(ep.exclusive_winner, 0) + 1
-    return BatchStats(
-        f=len(arrival_counts),
-        tau=sum(len(ep.arrivals) for ep in episodes),
-        w=w,
-        g=sum(1 for c in win_counts.values() if c == 1),
-        y=tuple(len(ep.arrivals) for ep in episodes),
-    )
-
-
-def iter_batch_stats(episodes: Sequence[EpisodeOutcome], n: int) -> Iterator[BatchStats]:
-    """Yield :class:`BatchStats` for every window of n consecutive episodes.
-
-    Counters roll forward as the window slides, so a full scan costs
-    O(total arrivals) instead of O(nu * n).
-    """
+def _columns(
+    episodes: Sequence[EpisodeOutcome], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival matrix bool[nu, n], exclusive-winner index int[nu] (-1 for
+    none) and reward matrix float[nu, n] of a log, built in one pass."""
     if n < 2:
         raise ConfigError(f"need at least 2 agents, got {n}")
-    if len(episodes) < n:
+    counts: list[int] = []
+    ids: list[int] = []
+    winners: list[int] = []
+    rewards: list[tuple[float, ...]] = []
+    for ep in episodes:
+        if len(ep.rewards) != n:
+            raise DataError(
+                f"episode {ep.episode_index}: {len(ep.rewards)} rewards for {n} agents"
+            )
+        counts.append(len(ep.arrivals))
+        ids += ep.arrivals
+        winners.append(-1 if ep.exclusive_winner is None else ep.exclusive_winner)
+        rewards.append(ep.rewards)
+    for what, values, low in (("arrival", ids, 0), ("exclusive winner", winners, -1)):
+        if values and not (low <= min(values) and max(values) < n):
+            bad = next(v for v in values if not low <= v < n)
+            raise DataError(f"{what} id {bad} out of range for {n} agents")
+    nu = len(counts)
+    arrived = np.zeros((nu, n), dtype=bool)
+    arrived[np.repeat(np.arange(nu), counts), ids] = True
+    return arrived, np.array(winners, dtype=np.intp), np.array(rewards, dtype=float).reshape(nu, n)
+
+
+def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
+    """Sums over every run of n consecutive rows of x."""
+    # int32 holds every count of a log that fits in memory (< 2**31 arrivals).
+    c = np.zeros((len(x) + 1, *x.shape[1:]), dtype=np.int32)
+    np.cumsum(x, axis=0, dtype=np.int32, out=c[1:])
+    return c[n:] - c[:-n]
+
+
+def _betas(arrived: np.ndarray, winner: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    if len(winner) < n:
         raise InsufficientDataError(
-            f"log of {len(episodes)} episodes is shorter than the batch size {n}"
+            f"log of {len(winner)} episodes is shorter than the batch size {n}"
         )
-    arrival_counts: dict[int, int] = {}
-    win_counts: dict[int, int] = {}
-    f = tau = w = g = 0
-    y: deque[int] = deque()
-    window: deque[EpisodeOutcome] = deque()
-
-    def add(ep: EpisodeOutcome) -> None:
-        nonlocal f, tau, w, g
-        for agent in ep.arrivals:
-            c = arrival_counts.get(agent, 0)
-            if c == 0:
-                f += 1
-            arrival_counts[agent] = c + 1
-        tau += len(ep.arrivals)
-        if ep.exclusive_winner is not None:
-            w += 1
-            c = win_counts.get(ep.exclusive_winner, 0)
-            if c == 0:
-                g += 1
-            elif c == 1:
-                g -= 1
-            win_counts[ep.exclusive_winner] = c + 1
-        y.append(len(ep.arrivals))
-        window.append(ep)
-
-    def drop() -> None:
-        nonlocal f, tau, w, g
-        ep = window.popleft()
-        for agent in ep.arrivals:
-            c = arrival_counts[agent] - 1
-            if c == 0:
-                f -= 1
-                del arrival_counts[agent]
-            else:
-                arrival_counts[agent] = c
-        tau -= len(ep.arrivals)
-        if ep.exclusive_winner is not None:
-            w -= 1
-            c = win_counts[ep.exclusive_winner] - 1
-            if c == 0:
-                g -= 1
-                del win_counts[ep.exclusive_winner]
-            else:
-                if c == 1:
-                    g += 1
-                win_counts[ep.exclusive_winner] = c
-        y.popleft()
-
-    for ep in episodes[: n - 1]:
-        add(ep)
-    for ep in episodes[n - 1 :]:
-        add(ep)
-        yield BatchStats(f=f, tau=tau, w=w, g=g, y=tuple(y))
-        drop()
+    f = (_window_sums(arrived, n) > 0).sum(axis=1)
+    g = (_window_sums(winner[:, None] == np.arange(n), n) == 1).sum(axis=1)
+    tau = _window_sums(arrived.sum(axis=1), n)
+    w = _window_sums(winner >= 0, n)
+    some = tau > 0
+    falt = np.divide(f, tau, out=np.zeros(len(tau)), where=some)
+    qfalt = falt * falt
+    ealt = w * f / (n * n)
+    # Dividing the integer tie-sum first keeps perfect-alternation and
+    # fixed-rotation batches exact (the tie-sum is n * (n - 1) there).
+    # Capped episodes push it higher, hence the clamp.
+    calt = np.where(some, np.minimum(1.0, ((n * n - tau) / (n * (n - 1))) * qfalt), 0.0)
+    return {
+        "falt": falt,
+        "qfalt": qfalt,
+        "ealt": ealt,
+        "qealt": ealt * ealt,
+        "calt": calt,
+        "aalt": np.divide(g, tau, out=np.zeros(len(tau)), where=some),
+    }
 
 
-def beta_falt(stats: BatchStats) -> float:
-    """f / tau, or 0 for an empty batch."""
-    return stats.f / stats.tau if stats.tau else 0.0
+def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
+    """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
+    arrived, winner, _ = _columns(episodes, n)
+    return _betas(arrived, winner, n)
 
 
-def beta_qfalt(stats: BatchStats) -> float:
-    """(f / tau)^2."""
-    b = beta_falt(stats)
-    return b * b
-
-
-def beta_ealt(stats: BatchStats, n: int) -> float:
-    """w * f / n^2."""
-    return stats.w * stats.f / (n * n)
-
-
-def beta_qealt(stats: BatchStats, n: int) -> float:
-    """(w * f / n^2)^2."""
-    b = beta_ealt(stats, n)
-    return b * b
-
-
-def beta_calt(stats: BatchStats, n: int) -> float:
-    """Tie-discounted qfalt: [sum_l (n - y_l)] * qfalt / (n * (n - 1)).
-
-    Capped episodes push the tie-sum above n * (n - 1), so the score is
-    clamped to keep it within [0, 1].
-    """
-    if stats.tau == 0:
-        return 0.0
-    tie_sum = sum(n - count for count in stats.y)
-    # Dividing the integer tie_sum first keeps perfect-alternation and
-    # fixed-rotation batches exact (tie_sum == n * (n - 1) there).
-    return min(1.0, (tie_sum / (n * (n - 1))) * beta_qfalt(stats))
-
-
-def beta_aalt(stats: BatchStats) -> float:
-    """g / tau, or 0 for an empty batch."""
-    return stats.g / stats.tau if stats.tau else 0.0
-
-
-def _shifted_mean(values: Sequence[float]) -> float:
+def _shifted_mean(values: np.ndarray) -> float:
     # Mean as base + mean deviation: exact when all values coincide,
     # which run-level scores of perfectly alternating logs rely on.
-    base = values[0]
-    return base + math.fsum(v - base for v in values) / len(values)
+    base = float(values[0])
+    return base + math.fsum((values - base).tolist()) / len(values)
 
 
 def alt_scores(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, float]:
     """All six run-level alternation scores in a single scan of the log."""
-    betas: dict[str, list[float]] = {v: [] for v in VARIANTS}
-    for stats in iter_batch_stats(episodes, n):
-        betas["falt"].append(beta_falt(stats))
-        betas["qfalt"].append(beta_qfalt(stats))
-        betas["ealt"].append(beta_ealt(stats, n))
-        betas["qealt"].append(beta_qealt(stats, n))
-        betas["calt"].append(beta_calt(stats, n))
-        betas["aalt"].append(beta_aalt(stats))
-    return {v: _shifted_mean(vals) for v, vals in betas.items()}
+    return {v: _shifted_mean(b) for v, b in window_betas(episodes, n).items()}
 
 
 def alt_score(episodes: Sequence[EpisodeOutcome], n: int, variant: str) -> float:
     """Run-level score of one variant (falt, qfalt, ealt, qealt, calt, aalt)."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return alt_scores(episodes, n)[variant]
+    return _shifted_mean(window_betas(episodes, n)[variant])
 
 
-def per_agent_tallies(
-    episodes: Iterable[EpisodeOutcome], n: int
-) -> tuple[list[int], list[int], list[float]]:
-    """Per-agent exclusive wins, total arrivals, and total payoffs."""
-    wins = [0] * n
-    turns = [0] * n
-    payoffs = [0.0] * n
-    for ep in episodes:
-        if ep.exclusive_winner is not None:
-            wins[ep.exclusive_winner] += 1
-        for agent in ep.arrivals:
-            turns[agent] += 1
-        for agent, r in enumerate(ep.rewards):
-            payoffs[agent] += r
-    return wins, turns, payoffs
-
-
-def _min_max_ratio(values: Sequence[float]) -> float | None:
-    top = max(values)
+def _min_max_ratio(values: np.ndarray) -> float | None:
+    top = values.max()
     if top == 0:
         return None
-    return min(values) / top
+    return float(values.min() / top)
+
+
+def _fairness_ratios(
+    arrived: np.ndarray, winner: np.ndarray, rewards: np.ndarray, n: int
+) -> dict[str, float | None]:
+    # Summing down axis 0 adds each agent's payoffs in episode order.
+    return {
+        "fairness": _min_max_ratio(np.bincount(winner[winner >= 0], minlength=n)),
+        "tt_fairness": _min_max_ratio(arrived.sum(axis=0)),
+        "reward_fairness": _min_max_ratio(rewards.sum(axis=0)),
+    }
 
 
 def fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
     """min_i w_i / max_i w_i over exclusive win counts; None if nobody won."""
-    wins, _, _ = per_agent_tallies(episodes, n)
-    return _min_max_ratio(wins)
+    return _fairness_ratios(*_columns(episodes, n), n)["fairness"]
 
 
 def tt_fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
     """min_i t_i / max_i t_i over per-agent total arrivals; None if none."""
-    _, turns, _ = per_agent_tallies(episodes, n)
-    return _min_max_ratio(turns)
+    return _fairness_ratios(*_columns(episodes, n), n)["tt_fairness"]
 
 
 def reward_fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
     """min_i p_i / max_i p_i over accumulated payoffs; None if all zero."""
-    _, _, payoffs = per_agent_tallies(episodes, n)
-    return _min_max_ratio(payoffs)
+    return _fairness_ratios(*_columns(episodes, n), n)["reward_fairness"]
 
 
 def efficiency(
@@ -291,32 +208,18 @@ class MetricPanel:
     aalt: float
 
     def as_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "batches": self.batches,
-            "fairness": self.fairness,
-            "efficiency": self.efficiency,
-            "tt_fairness": self.tt_fairness,
-            "reward_fairness": self.reward_fairness,
-            "falt": self.falt,
-            "qfalt": self.qfalt,
-            "ealt": self.ealt,
-            "qealt": self.qealt,
-            "calt": self.calt,
-            "aalt": self.aalt,
-        }
+        return asdict(self)
 
 
 def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> MetricPanel:
     """Alternation scores plus traditional metrics for one log."""
     episodes = list(episodes)
-    scores = alt_scores(episodes, n)
+    arrived, winner, rewards = _columns(episodes, n)
+    betas = _betas(arrived, winner, n)
     return MetricPanel(
         nu=len(episodes),
         batches=len(episodes) - n + 1,
-        fairness=fairness(episodes, n),
         efficiency=efficiency(episodes, r_high),
-        tt_fairness=tt_fairness(episodes, n),
-        reward_fairness=reward_fairness(episodes, n),
-        **scores,
+        **_fairness_ratios(arrived, winner, rewards, n),
+        **{v: _shifted_mean(b) for v, b in betas.items()},
     )

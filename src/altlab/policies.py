@@ -236,7 +236,8 @@ def train_run(
         prev = next_prev_winners(outcome, cfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
     for p in policies:
-        assert p.q.max_abs_value() <= bound, "Q-values escaped the discounted-return bound"
+        if not p.q.max_abs_value() <= bound:
+            raise DataError(f"Q-values escaped the discounted-return bound {bound}")
     return TrainRun(
         outcomes=outcomes,
         tables=[p.q for p in policies],

@@ -74,6 +74,39 @@ def test_metrics_rejects_short_and_malformed_logs(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("log_agents, read_agents", [(3, 2), (2, 3)])
+def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, read_agents):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        "".join(
+            json.dumps(make_outcome(i, log_agents, {i % log_agents}).to_record()) + "\n"
+            for i in range(12)
+        )
+    )
+    assert main(["metrics", "--log", str(log), "--agents", str(read_agents)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda r: r.update(rewards=[float("inf"), 0.0]),
+        lambda r: r.update(rewards=[float("nan"), 0.0]),
+        lambda r: r.update(rewards=[-100.0, 0.0]),
+        lambda r: r.update(steps=0),
+        lambda r: r.update(steps=-2),
+    ],
+    ids=["inf-reward", "nan-reward", "negative-reward", "zero-steps", "negative-steps"],
+)
+def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
+    records = [make_outcome(i, 2, {i % 2}).to_record() for i in range(12)]
+    corrupt(records[5])
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["metrics", "--log", str(log), "--agents", "2"]) == 3
+    assert "line 6" in capsys.readouterr().err
+
+
 def test_simulate_qlearning_run(tmp_path, capsys):
     out = tmp_path / "runs"
     code = main(

@@ -1,5 +1,8 @@
 """Alternation and traditional metrics against independent oracles."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,26 +15,21 @@ from conftest import (
 )
 
 from altlab.analysis import synth_pa_mixture
-from altlab.errors import ConfigError, InsufficientDataError
+from altlab.errors import ConfigError, DataError, InsufficientDataError
+from altlab.game import EpisodeOutcome, GameConfig, StateType
+from altlab.harness import ExperimentSpec, run_training
 from altlab.metrics import (
     VARIANTS,
-    BatchStats,
     alt_score,
     alt_scores,
-    batch_stats,
-    beta_aalt,
-    beta_calt,
-    beta_ealt,
-    beta_falt,
-    beta_qealt,
-    beta_qfalt,
     compute_panel,
     efficiency,
     fairness,
-    iter_batch_stats,
     reward_fairness,
     tt_fairness,
+    window_betas,
 )
+from altlab.policies import run_random
 
 
 @st.composite
@@ -50,6 +48,26 @@ def outcome_logs(draw):
     return n, episodes
 
 
+def betas_of_counts(f, tau, w, g, n):
+    """Per-window scores of the counts (f, tau, w, g), by the README formulas."""
+    falt = f / tau
+    ealt = w * f / (n * n)
+    return {
+        "falt": falt,
+        "qfalt": falt * falt,
+        "ealt": ealt,
+        "qealt": ealt * ealt,
+        "calt": min(1.0, ((n * n - tau) / (n * (n - 1))) * (falt * falt)),
+        "aalt": g / tau,
+    }
+
+
+def only_window(window, n):
+    betas = window_betas(window, n)
+    assert all(len(b) == 1 for b in betas.values())
+    return {v: b[0] for v, b in betas.items()}
+
+
 def test_batch_stats_counts():
     # three episodes for three agents: win by 0, tie {0,1}, win by 0
     window = [
@@ -57,58 +75,81 @@ def test_batch_stats_counts():
         make_outcome(1, 3, {0, 1}),
         make_outcome(2, 3, {0}),
     ]
-    stats = batch_stats(window, 3)
-    assert stats == BatchStats(f=2, tau=4, w=2, g=0, y=(1, 2, 1))
+    assert only_window(window, 3) == betas_of_counts(f=2, tau=4, w=2, g=0, n=3)
 
 
 def test_batch_stats_requires_exact_window():
-    with pytest.raises(ConfigError):
-        batch_stats([make_outcome(0, 2, {0})], 2)
+    with pytest.raises(InsufficientDataError):
+        window_betas([make_outcome(0, 2, {0})], 2)
+    # a log of exactly n episodes is one batch
+    assert all(len(b) == 1 for b in window_betas([make_outcome(0, 2, {0})] * 2, 2).values())
 
 
 def test_beta_values_hand_computed():
-    stats = BatchStats(f=3, tau=4, w=2, g=2, y=(1, 2, 1))
-    assert beta_falt(stats) == pytest.approx(0.75)
-    assert beta_qfalt(stats) == pytest.approx(0.5625)
-    assert beta_ealt(stats, 3) == pytest.approx(2 / 3)
-    assert beta_qealt(stats, 3) == pytest.approx(4 / 9)
+    # f = 3 distinct arrivers, tau = 4 arrivals, w = 2 exclusive episodes,
+    # g = 2 agents with one exclusive win each
+    window = [
+        make_outcome(0, 3, {0}),
+        make_outcome(1, 3, {1, 2}),
+        make_outcome(2, 3, {1}),
+    ]
+    betas = only_window(window, 3)
+    assert betas == betas_of_counts(f=3, tau=4, w=2, g=2, n=3)
+    assert betas["falt"] == pytest.approx(0.75)
+    assert betas["qfalt"] == pytest.approx(0.5625)
+    assert betas["ealt"] == pytest.approx(2 / 3)
+    assert betas["qealt"] == pytest.approx(4 / 9)
     # tie_sum = (3-1) + (3-2) + (3-1) = 5
-    assert beta_calt(stats, 3) == pytest.approx(5 * 0.5625 / 6)
-    assert beta_aalt(stats) == pytest.approx(0.5)
+    assert betas["calt"] == pytest.approx(5 * 0.5625 / 6)
+    assert betas["aalt"] == pytest.approx(0.5)
 
 
 def test_empty_batch_scores_zero():
-    stats = BatchStats(f=0, tau=0, w=0, g=0, y=(0, 0))
-    assert beta_falt(stats) == 0.0
-    assert beta_qfalt(stats) == 0.0
-    assert beta_ealt(stats, 2) == 0.0
-    assert beta_calt(stats, 2) == 0.0
-    assert beta_aalt(stats) == 0.0
+    capped = [make_outcome(0, 2, set()), make_outcome(1, 2, set())]
+    assert only_window(capped, 2) == dict.fromkeys(VARIANTS, 0.0)
 
 
 def test_calt_is_clamped_when_capped_episodes_inflate_ties():
     # capped episode contributes n to the tie sum, pushing the raw value
     # past 1 next to an exclusive win
     window = [make_outcome(0, 2, set()), make_outcome(1, 2, {0})]
-    stats = batch_stats(window, 2)
-    assert stats.tau == 1 and stats.f == 1
-    assert beta_calt(stats, 2) == 1.0
+    betas = only_window(window, 2)
+    assert betas["falt"] == 1.0  # tau == f == 1, so the raw calt is 3 / 2
+    assert betas["calt"] == 1.0
 
 
-def test_iter_batch_stats_short_log_and_bad_n():
+def test_window_betas_short_log_and_bad_n():
     with pytest.raises(InsufficientDataError):
-        list(iter_batch_stats([make_outcome(0, 3, {0})], 3))
+        window_betas([make_outcome(0, 3, {0})], 3)
     with pytest.raises(ConfigError):
-        list(iter_batch_stats([make_outcome(0, 1, {0})], 1))
+        window_betas([make_outcome(0, 1, {0})], 1)
+
+
+@pytest.mark.parametrize(
+    "episode",
+    [
+        EpisodeOutcome(0, frozenset({2}), 2, (0.0, 100.0), 2, False),
+        EpisodeOutcome(0, frozenset({-1}), -1, (0.0, 100.0), 2, False),
+        EpisodeOutcome(0, frozenset({0}), 5, (100.0, 0.0), 2, False),
+        EpisodeOutcome(0, frozenset({0}), 0, (100.0, 0.0, 0.0), 2, False),
+    ],
+    ids=["arrival-too-high", "arrival-negative", "winner-out-of-range", "reward-length"],
+)
+def test_columns_reject_ids_and_rewards_that_do_not_fit_n(episode):
+    log = [make_outcome(0, 2, {1}), episode, make_outcome(2, 2, {1})]
+    with pytest.raises(DataError):
+        compute_panel(log, 2, 100.0)
+    with pytest.raises(DataError):
+        window_betas(log, 2)
 
 
 @given(outcome_logs())
 @settings(max_examples=80, deadline=None)
 def test_rolling_windows_match_direct_slices(data):
     n, episodes = data
-    rolled = list(iter_batch_stats(episodes, n))
-    direct = [batch_stats(episodes[i : i + n], n) for i in range(len(episodes) - n + 1)]
-    assert rolled == direct
+    rolled = window_betas(episodes, n)
+    for i in range(len(episodes) - n + 1):
+        assert {v: b[i] for v, b in rolled.items()} == only_window(episodes[i : i + n], n)
 
 
 @given(outcome_logs())
@@ -125,13 +166,13 @@ def test_scores_match_exact_fraction_oracle(data):
 @settings(max_examples=80, deadline=None)
 def test_scores_are_bounded(data):
     n, episodes = data
-    for stats in iter_batch_stats(episodes, n):
-        assert 0.0 <= beta_falt(stats) <= 1.0
-        assert beta_qfalt(stats) <= beta_falt(stats)
-        assert 0.0 <= beta_ealt(stats, n) <= 1.0
-        assert beta_qealt(stats, n) <= beta_ealt(stats, n)
-        assert 0.0 <= beta_calt(stats, n) <= 1.0
-        assert 0.0 <= beta_aalt(stats) <= 1.0
+    betas = window_betas(episodes, n)
+    assert np.all((0.0 <= betas["falt"]) & (betas["falt"] <= 1.0))
+    assert np.all(betas["qfalt"] <= betas["falt"])
+    assert np.all((0.0 <= betas["ealt"]) & (betas["ealt"] <= 1.0))
+    assert np.all(betas["qealt"] <= betas["ealt"])
+    assert np.all((0.0 <= betas["calt"]) & (betas["calt"] <= 1.0))
+    assert np.all((0.0 <= betas["aalt"]) & (betas["aalt"] <= 1.0))
     for value in alt_scores(episodes, n).values():
         assert 0.0 <= value <= 1.0
 
@@ -148,6 +189,31 @@ def test_scores_invariant_under_agent_relabeling(data, rnd):
     assert fairness(shuffled, n) == fairness(episodes, n)
     assert tt_fairness(shuffled, n) == tt_fairness(episodes, n)
     assert reward_fairness(shuffled, n) == reward_fairness(episodes, n)
+
+
+@given(outcome_logs())
+@settings(max_examples=50, deadline=None)
+def test_fairness_ratios_match_sequential_tallies(data):
+    # Reference: per-agent tallies accumulated episode by episode, which
+    # fixes the order in which each agent's payoffs are added.
+    n, episodes = data
+    wins, turns, payoffs = [0] * n, [0] * n, [0.0] * n
+    for ep in episodes:
+        if ep.exclusive_winner is not None:
+            wins[ep.exclusive_winner] += 1
+        for agent in ep.arrivals:
+            turns[agent] += 1
+        for agent, r in enumerate(ep.rewards):
+            payoffs[agent] += r
+
+    def ratio(values):
+        return min(values) / max(values) if max(values) else None
+
+    assert fairness(episodes, n) == ratio(wins)
+    assert tt_fairness(episodes, n) == ratio(turns)
+    assert reward_fairness(episodes, n) == ratio(payoffs)
+    for value in (fairness(episodes, n), tt_fairness(episodes, n), reward_fairness(episodes, n)):
+        assert value is None or type(value) is float
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -266,3 +332,84 @@ def test_constant_window_mean_is_exact():
     ) / float(per_window["calt"].denominator)
     assert alt_score(log, n, "calt") == (3 / 4) ** 2
     assert alt_score(log, n, "falt") == 0.75
+
+
+# Golden values: repr of every panel field of seeded random-play logs.
+# The third log (path_length = step_cap = 5) caps about 70 % of its
+# episodes, so it holds an all-capped window and many clamped calt
+# windows.  Any change to the scoring arithmetic shows up here.
+GOLDEN_PANELS = [
+    (
+        GameConfig(2),
+        21,
+        {
+            "nu": "400",
+            "batches": "399",
+            "fairness": "0.9872611464968153",
+            "efficiency": "0.78",
+            "tt_fairness": "0.9918367346938776",
+            "reward_fairness": "0.9872611464968153",
+            "falt": "0.7096908939014202",
+            "qfalt": "0.5439292676134782",
+            "ealt": "0.6303258145363408",
+            "qealt": "0.4630325814536341",
+            "calt": "0.452729044834308",
+            "aalt": "0.41938178780284047",
+        },
+    ),
+    (
+        GameConfig(5, state_type=StateType.TYPE_B),
+        22,
+        {
+            "nu": "400",
+            "batches": "396",
+            "fairness": "0.8333333333333334",
+            "efficiency": "0.725",
+            "tt_fairness": "0.8926174496644296",
+            "reward_fairness": "0.9169435215946844",
+            "falt": "0.5286418407630529",
+            "qfalt": "0.29182829005586086",
+            "ealt": "0.3986868686868687",
+            "qealt": "0.19676363636363636",
+            "calt": "0.24758531654402247",
+            "aalt": "0.2108711504544838",
+        },
+    ),
+    (
+        GameConfig(10, path_length=5, step_cap=5),
+        23,
+        {
+            "nu": "400",
+            "batches": "391",
+            "fairness": "0.25",
+            "efficiency": "0.25975",
+            "tt_fairness": "0.25",
+            "reward_fairness": "0.25",
+            "falt": "0.8800795680591077",
+            "qfalt": "0.8036041663042028",
+            "ealt": "0.08677749360613811",
+            "qealt": "0.013655498721227621",
+            "calt": "0.8148400261876088",
+            "aalt": "0.6066861527219584",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, seed, expected", GOLDEN_PANELS, ids=["n2-A", "n5-B", "n10-capped"])
+def test_golden_panels_of_seeded_random_logs(cfg, seed, expected):
+    log = run_random(cfg, 400, seed)
+    panel = compute_panel(log, cfg.n_agents, cfg.r_high)
+    assert {k: repr(v) for k, v in panel.as_dict().items()} == expected
+
+
+def test_golden_training_curve_calt(tmp_path):
+    spec = ExperimentSpec(
+        game=GameConfig(5), policy="qlearning", episodes=600, seed=24, run_id="golden"
+    )
+    calts = [p.windowed_calt for p in run_training(spec, tmp_path).curve]
+    assert len(calts) == 200
+    assert calts[:3] == [None, 0.24502797067901233, 0.38425417296548253]
+    assert calts[-1] == 0.034505276878064046
+    digest = hashlib.sha256("\n".join(map(repr, calts)).encode()).hexdigest()
+    assert digest == "80785b488cd56a3a37822124e1cc3543d96ce5576923f1b5c5bb7951b39052d8"

@@ -163,6 +163,15 @@ def test_trained_q_values_respect_return_bound():
     assert all(len(t) > 0 for t in result.tables)
 
 
+def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
+    cfg = GameConfig(n_agents=2)
+    qcfg = QLearningConfig()
+    bound = cfg.r_high / (1.0 - qcfg.gamma)
+    monkeypatch.setattr(QTable, "max_abs_value", lambda self: bound * 1.01)
+    with pytest.raises(DataError, match="bound"):
+        train_run(cfg, qcfg, 20, seed_or_rng=9)
+
+
 def test_pinned_epsilon_training_matches_random_play():
     # with epsilon held at 1.0 throughout, training behaves like the
     # random baseline up to sampling noise
