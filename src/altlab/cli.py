@@ -8,7 +8,6 @@ insufficient data, 4 sweep finished with some runs failed.  The
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import statistics
 import sys
@@ -181,181 +180,116 @@ def _pstdev(values) -> float | None:
     return statistics.pstdev(values) if len(values) > 1 else 0.0
 
 
-def _opt(row: dict, column: str) -> float | None:
-    text = row[column]
-    return None if text == "" else float(text)
+def _report_tables(summary: list[harness.SummaryRow], out_dir: Path, sweep_root: Path) -> None:
+    ns = sorted({r.n for r in summary})
 
+    def group(n, policy, **where):
+        return [
+            r
+            for r in summary
+            if (r.n, r.policy) == (n, policy)
+            and all(getattr(r, k) == v for k, v in where.items())
+        ]
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-    print(f"wrote {path}")
+    def mean(rows, column):
+        return _mean(getattr(r, column) for r in rows)
 
+    def baseline_panel(n):
+        rand = group(n, "random")
+        if not rand:
+            return []
+        ilf, iqf = (group(n, "random", reward_scheme=s) for s in ("ilf", "iqf"))
+        return [
+            (n, *(mean(rand, c) for c in ("calt", "falt", "ealt")), mean(ilf, "efficiency"),
+             mean(iqf, "efficiency"), mean(rand, "fairness"))
+        ]
 
-def _report_tables(summary: list[dict], out_dir: Path, sweep_root: Path) -> None:
-    baselines = [r for r in summary if r["policy"] == "random"]
-    trained = [r for r in summary if r["policy"] == "qlearning"]
-    ns = sorted({int(r["n"]) for r in summary})
+    def compared(n, metric):
+        q, b = mean(group(n, "qlearning"), metric), mean(group(n, "random"), metric)
+        if q is None or b is None:
+            return q, b, None, None, "missing_run" if q is None else "missing_baseline"
+        try:
+            return q, b, analysis.relative_change(q, b), analysis.coordination_score(q, b), ""
+        except ComparisonError:
+            return q, b, None, None, "degenerate_baseline"
 
-    rows = []
-    for n in ns:
-        group = [r for r in baselines if int(r["n"]) == n]
-        if not group:
-            continue
-        rows.append(
-            [
-                n,
-                _mean(_opt(r, "calt") for r in group),
-                _mean(_opt(r, "falt") for r in group),
-                _mean(_opt(r, "ealt") for r in group),
-                _mean(_opt(r, "efficiency") for r in group if r["reward_scheme"] == "ilf"),
-                _mean(_opt(r, "efficiency") for r in group if r["reward_scheme"] == "iqf"),
-                _mean(_opt(r, "fairness") for r in group),
-            ]
-        )
-    _write_csv(
-        out_dir / "table2.csv",
-        ("n", "calt", "falt", "ealt", "efficiency_ilf", "efficiency_iqf", "fairness"),
-        rows,
-    )
+    def equivalents(n, scheme):
+        rows, status = group(n, "qlearning", reward_scheme=scheme, state_type="B"), ""
+        if not rows:
+            rows, status = group(n, "qlearning", reward_scheme=scheme), "no_type_b"
+        if not rows:
+            return []
+        calt = mean(rows, "calt")
+        pa = analysis.pa_equivalent(analysis.alt_ratio_from_calt(calt), n)
+        return [(n, scheme, calt, pa.alt_ratio, pa.pa_equiv_agents, pa.pct_of_perfect, status)]
 
-    rows = []
-    for n in ns:
-        ql = [r for r in trained if int(r["n"]) == n]
-        rand = [r for r in baselines if int(r["n"]) == n]
-        for metric in ("calt", "ealt", "aalt", "falt"):
-            q = _mean(_opt(r, metric) for r in ql)
-            b = _mean(_opt(r, metric) for r in rand)
-            status = ""
-            rel = coord = None
-            if q is None:
-                status = "missing_run"
-            elif b is None:
-                status = "missing_baseline"
-            else:
-                try:
-                    rel = analysis.relative_change(q, b)
-                    coord = analysis.coordination_score(q, b)
-                except ComparisonError:
-                    status = "degenerate_baseline"
-            rows.append([n, metric, q, b, rel, coord, status])
-    _write_csv(
-        out_dir / "table3.csv",
-        ("n", "metric", "qlearning", "random", "rel_change_pct", "coord_score_pct", "status"),
-        rows,
-    )
+    def calt_spread(n, policy):
+        values = [r.calt for r in group(n, policy)]
+        return _mean(values), _pstdev(values)
 
-    rows = []
-    for n in ns:
-        for scheme in ("ilf", "iqf"):
-            group = [
-                r
-                for r in trained
-                if int(r["n"]) == n and r["reward_scheme"] == scheme and r["state_type"] == "B"
-            ]
-            status = ""
-            if not group:
-                group = [
-                    r for r in trained if int(r["n"]) == n and r["reward_scheme"] == scheme
-                ]
-                status = "no_type_b"
-            if not group:
-                continue
-            calt = _mean(_opt(r, "calt") for r in group)
-            ratio = analysis.alt_ratio_from_calt(calt)
-            pa = analysis.pa_equivalent(ratio, n)
-            rows.append(
-                [n, scheme, calt, pa.alt_ratio, pa.pa_equiv_agents, pa.pct_of_perfect, status]
-            )
-    _write_csv(
-        out_dir / "table5.csv",
-        ("n", "reward_scheme", "calt", "alt_ratio", "pa_equiv_agents", "pct_of_perfect", "status"),
-        rows,
-    )
+    def pct_range(n, policy):
+        values = [100.0 * r.alt_ratio for r in group(n, policy)]
+        return _mean(values), min(values, default=None), max(values, default=None)
 
-    rows = []
-    for n in ns:
-        ql = [_opt(r, "calt") for r in trained if int(r["n"]) == n]
-        rand = [_opt(r, "calt") for r in baselines if int(r["n"]) == n]
-        rows.append([n, _mean(ql), _pstdev(ql), _mean(rand), _pstdev(rand)])
-    _write_csv(
-        out_dir / "fig1.csv",
-        ("n", "calt_qlearning_mean", "calt_qlearning_std", "calt_random_mean", "calt_random_std"),
-        rows,
-    )
+    def outcomes(n, policy):
+        rows = group(n, policy)
+        columns = ("efficiency", "reward_fairness", "calt")
+        return [(n, policy, *(mean(rows, c) for c in columns))] if rows else []
 
-    rows = []
-    for n in ns:
-        ql = [100.0 * _opt(r, "alt_ratio") for r in trained if int(r["n"]) == n]
-        rand = [100.0 * _opt(r, "alt_ratio") for r in baselines if int(r["n"]) == n]
-        rows.append(
-            [
-                n,
-                _mean(ql),
-                min(ql, default=None),
-                max(ql, default=None),
-                _mean(rand),
-                min(rand, default=None),
-                max(rand, default=None),
-            ]
-        )
-    _write_csv(
-        out_dir / "fig2.csv",
-        (
-            "n",
-            "pct_of_perfect_qlearning_mean",
-            "pct_of_perfect_qlearning_min",
-            "pct_of_perfect_qlearning_max",
-            "pct_of_perfect_random_mean",
-            "pct_of_perfect_random_min",
-            "pct_of_perfect_random_max",
+    policies = ("qlearning", "random")
+    tables = {
+        "table2.csv": (
+            ("n", "calt", "falt", "ealt", "efficiency_ilf", "efficiency_iqf", "fairness"),
+            [row for n in ns for row in baseline_panel(n)],
         ),
-        rows,
-    )
+        "table3.csv": (
+            ("n", "metric", "qlearning", "random", "rel_change_pct", "coord_score_pct", "status"),
+            [(n, m, *compared(n, m)) for n in ns for m in ("calt", "ealt", "aalt", "falt")],
+        ),
+        "table5.csv": (
+            ("n", "reward_scheme", "calt", "alt_ratio", "pa_equiv_agents", "pct_of_perfect",
+             "status"),
+            [row for n in ns for s in ("ilf", "iqf") for row in equivalents(n, s)],
+        ),
+        "fig1.csv": (
+            ("n", "calt_qlearning_mean", "calt_qlearning_std", "calt_random_mean",
+             "calt_random_std"),
+            [(n, *calt_spread(n, "qlearning"), *calt_spread(n, "random")) for n in ns],
+        ),
+        "fig2.csv": (
+            ("n", "pct_of_perfect_qlearning_mean", "pct_of_perfect_qlearning_min",
+             "pct_of_perfect_qlearning_max", "pct_of_perfect_random_mean",
+             "pct_of_perfect_random_min", "pct_of_perfect_random_max"),
+            [(n, *pct_range(n, "qlearning"), *pct_range(n, "random")) for n in ns],
+        ),
+        "fig3.csv": (
+            ("n", "policy", "efficiency_mean", "reward_fairness_mean", "calt_mean"),
+            [row for n in ns for p in policies for row in outcomes(n, p)],
+        ),
+    }
+    for name, (columns, rows) in tables.items():
+        harness.write_table(out_dir / name, columns, rows)
+        print(f"wrote {out_dir / name}")
 
-    rows = []
-    for n in ns:
-        for policy, group_all in (("qlearning", trained), ("random", baselines)):
-            group = [r for r in group_all if int(r["n"]) == n]
-            if not group:
-                continue
-            rows.append(
-                [
-                    n,
-                    policy,
-                    _mean(_opt(r, "efficiency") for r in group),
-                    _mean(_opt(r, "reward_fairness") for r in group),
-                    _mean(_opt(r, "calt") for r in group),
-                ]
-            )
-    _write_csv(
-        out_dir / "fig3.csv",
-        ("n", "policy", "efficiency_mean", "reward_fairness_mean", "calt_mean"),
-        rows,
+    trained = sorted(
+        (r for r in summary if r.policy == "qlearning"),
+        key=lambda r: (r.n, r.state_type != "A", r.reward_scheme != "ilf", r.run_id),
     )
-
-    curve_rows = []
-    candidates = sorted(
-        (r for r in trained if (sweep_root / "runs" / r["run_id"] / "curve.csv").exists()),
-        key=lambda r: (int(r["n"]), r["state_type"] != "A", r["reward_scheme"] != "ilf", r["run_id"]),
-    )
-    if candidates:
-        source = sweep_root / "runs" / candidates[0]["run_id"] / "curve.csv"
-        for point in harness.read_curve_csv(source):
-            curve_rows.append(
-                [point.episode, point.epsilon, point.windowed_calt, point.windowed_efficiency]
-            )
-    else:
+    curves = [p for r in trained if (p := sweep_root / "runs" / r.run_id / "curve.csv").exists()]
+    if not curves:
         print("gap: no training run with a curve, fig5.csv is header-only")
-    _write_csv(out_dir / "fig5.csv", harness.CURVE_COLUMNS, curve_rows)
+    fig5 = out_dir / "fig5.csv"
+    harness.write_curve_csv(harness.read_curve_csv(curves[0]) if curves else [], fig5)
+    print(f"wrote {fig5}")
 
 
 def cmd_report(args) -> int:
     sweep_root = Path(args.sweep_dir)
-    summary = harness.read_summary(sweep_root / "summary.csv")
+    summary = harness.read_table(
+        sweep_root / "summary.csv",
+        harness.SUMMARY_COLUMNS,
+        lambda row: harness.parse_fields(harness.SummaryRow, row),
+    )
     out_dir = Path(args.out) if args.out else sweep_root / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
     _report_tables(summary, out_dir, sweep_root)

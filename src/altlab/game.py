@@ -161,15 +161,12 @@ def assign_rewards(arrival_ids: frozenset[int], cfg: GameConfig) -> tuple[float,
     return tuple(rewards)
 
 
-def encode_state(state: GameState, agent: int, cfg: GameConfig) -> tuple[int, ...]:
-    """Observation key for one agent.
+def encode_state(state: GameState, cfg: GameConfig) -> tuple[int, ...]:
+    """Observation key of a state.
 
-    Both encodings are symmetric across agents, so the key is identical
-    for every agent in a given state; the ``agent`` argument exists so
-    asymmetric encodings could slot in later.
+    Both encodings are symmetric across agents, so one key serves every
+    agent.
     """
-    if agent < 0 or agent >= cfg.n_agents:
-        raise ConfigError(f"agent {agent} out of range for n={cfg.n_agents}")
     if cfg.state_type is StateType.TYPE_A:
         return state.positions
     return state.positions + state.prev_winners
@@ -225,6 +222,19 @@ class EpisodeOutcome:
                 raise DataError("exclusive_winner does not match the sole arrival")
         elif outcome.exclusive_winner is not None:
             raise DataError("exclusive_winner set on a non-exclusive episode")
+        # A sole winner or a partial tie pays its arrivers one equal share;
+        # a full tie or a capped episode pays nobody.
+        rewards, n, k = outcome.rewards, len(outcome.rewards), len(outcome.arrivals)
+        if 0 < k < n:
+            shares = {rewards[i] if 0 <= i < n else 0.0 for i in outcome.arrivals}
+            paid = len(shares) == 1 and min(shares) > 0.0 and rewards.count(0.0) == n - k
+        else:
+            paid = not any(rewards)
+        if not paid:
+            raise DataError(
+                f"rewards {list(outcome.rewards)} do not pay the arrivals "
+                f"{sorted(outcome.arrivals)} one equal share each"
+            )
         return outcome
 
 
@@ -266,14 +276,13 @@ def run_episode(
     state = initial_state(cfg, prev_winners)
     zero_rewards = (0.0,) * cfg.n_agents
     while True:
-        # Symmetric encodings: one key serves every agent this step.
-        key = encode_state(state, 0, cfg)
+        key = encode_state(state, cfg)
         actions = tuple(p.act(key, epsilon, rng) for p in policies)
         state = step(state, actions, cfg)
         terminal = is_terminal(state, cfg)
         arrival_ids = arrivals(state, cfg) if terminal else frozenset()
         rewards = assign_rewards(arrival_ids, cfg) if terminal else zero_rewards
-        next_key = encode_state(state, 0, cfg)
+        next_key = encode_state(state, cfg)
         for i, p in enumerate(policies):
             p.observe(key, actions[i], rewards[i], next_key, terminal)
         if terminal:

@@ -14,6 +14,14 @@ random-policy baseline with the same game settings, and writes one
 summary.csv row per run.  Baselines share their seed across reward
 schemes, so their win patterns (and hence all alternation scores) are
 identical between ilf and iqf cells.
+
+Every CSV goes through one codec, :func:`write_table` / :func:`read_table`:
+a fixed header that reading checks, floats as their shortest round-trip
+``repr``, and an empty cell for an undefined value.  Column tuples come
+from dataclass fields, and :func:`parse_fields` rebuilds a dataclass from text
+or JSON values by each field's annotation, so panel.csv, curve.csv,
+summary.csv and spec.snapshot share one parser.  An unreadable or
+unparsable input raises :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ import csv
 import hashlib
 import json
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, make_dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -51,48 +60,6 @@ from .policies import (
 )
 
 SCHEMA_VERSION = "altlab-run@1"
-
-PANEL_COLUMNS = (
-    "window",
-    "nu",
-    "batches",
-    "fairness",
-    "efficiency",
-    "tt_fairness",
-    "reward_fairness",
-    "falt",
-    "qfalt",
-    "ealt",
-    "qealt",
-    "calt",
-    "aalt",
-)
-
-CURVE_COLUMNS = ("episode", "epsilon", "windowed_calt", "windowed_efficiency")
-
-SUMMARY_COLUMNS = (
-    "run_id",
-    "n",
-    "state_type",
-    "reward_scheme",
-    "policy",
-    "nu",
-    "fairness",
-    "efficiency",
-    "tt_fairness",
-    "reward_fairness",
-    "falt",
-    "qfalt",
-    "ealt",
-    "qealt",
-    "calt",
-    "aalt",
-    "calt_rel_change_pct",
-    "calt_coord_score_pct",
-    "alt_ratio",
-    "pa_equiv_agents",
-    "generated_at",
-)
 
 CURVE_WINDOW = 500
 CURVE_SAMPLES = 200
@@ -134,6 +101,31 @@ class CurvePoint:
     windowed_efficiency: float | None
 
 
+# One summary.csv row: the run, its panel without the batch count, the
+# calt comparison against its baseline, and a trailing timestamp.
+SummaryRow = make_dataclass(
+    "SummaryRow",
+    [
+        ("run_id", "str"),
+        ("n", "int"),
+        ("state_type", "str"),
+        ("reward_scheme", "str"),
+        ("policy", "str"),
+        *((f.name, f.type) for f in fields(MetricPanel) if f.name != "batches"),
+        ("calt_rel_change_pct", "float | None"),
+        ("calt_coord_score_pct", "float | None"),
+        ("alt_ratio", "float"),
+        ("pa_equiv_agents", "float"),
+        ("generated_at", "str"),
+    ],
+    frozen=True,
+)
+
+PANEL_COLUMNS = ("window", *(f.name for f in fields(MetricPanel)))
+CURVE_COLUMNS = tuple(f.name for f in fields(CurvePoint))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+
 @dataclass
 class RunResult:
     """Computed metrics of one executed (or reloaded) run."""
@@ -160,8 +152,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_opt_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+# Field annotations (as written, under postponed evaluation) to parsers of
+# a CSV cell or a JSON value.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda v: None if v in ("", None) else float(v),
+    "StateType": StateType,
+    "RewardScheme": RewardScheme,
+}
+
+
+def parse_fields(cls, values):
+    """The dataclass ``cls`` rebuilt from ``values``, keyed by exactly its field names."""
+    names = [f.name for f in fields(cls)]
+    try:
+        if unknown := set(values).difference(names):
+            raise ValueError(f"unknown fields {sorted(unknown)}")
+        return cls(**{f.name: _PARSERS[f.type](values[f.name]) for f in fields(cls)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad {cls.__name__}: {exc}") from exc
+
+
+def write_table(path: Path, columns: Sequence[str], rows) -> None:
+    """Write a CSV file: the header ``columns``, then one line per row of values."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def read_table(path: Path, columns: Sequence[str], build=None) -> list:
+    """Rows of a CSV file whose header must be ``columns``: ``str`` dicts, or
+    ``build(row)`` of each.  A row with more or fewer cells than ``columns``,
+    or one that ``build`` rejects, raises :class:`DataError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != tuple(columns):
+                raise DataError(f"unexpected columns {reader.fieldnames}")
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():
+                    raise DataError(f"line {reader.line_num}: expected {len(columns)} cells")
+                rows.append(row if build is None else build(row))
+            return rows
+    except (OSError, UnicodeError, csv.Error, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
@@ -172,82 +210,49 @@ def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
 
 
 def read_episode_log(path: Path) -> list[EpisodeOutcome]:
+    """Episodes of a log.jsonl file; the ``episode`` field must count up from 0."""
     outcomes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                outcomes.append(EpisodeOutcome.from_record(record))
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    outcome = EpisodeOutcome.from_record(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                except DataError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                if outcome.episode_index != len(outcomes):
+                    raise DataError(
+                        f"{path}: line {lineno}: episode {outcome.episode_index} out of "
+                        f"sequence, expected {len(outcomes)}"
+                    )
+                outcomes.append(outcome)
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"{path}: unreadable log: {exc}") from exc
     return outcomes
 
 
 def write_panel_csv(rows: Sequence[tuple[str, MetricPanel]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_COLUMNS)
-        for window, panel in rows:
-            data = panel.as_dict()
-            writer.writerow([window] + [_fmt(data[c]) for c in PANEL_COLUMNS[1:]])
+    write_table(path, PANEL_COLUMNS, [(w, *p.as_dict().values()) for w, p in rows])
+
+
+def _panel_row(row: dict[str, str]) -> tuple[str, MetricPanel]:
+    return row.pop("window"), parse_fields(MetricPanel, row)
 
 
 def read_panel_csv(path: Path) -> dict[str, MetricPanel]:
-    panels = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != PANEL_COLUMNS:
-            raise DataError(f"{path}: unexpected panel columns {reader.fieldnames}")
-        for row in reader:
-            panels[row["window"]] = MetricPanel(
-                nu=int(row["nu"]),
-                batches=int(row["batches"]),
-                fairness=_parse_opt_float(row["fairness"]),
-                efficiency=float(row["efficiency"]),
-                tt_fairness=_parse_opt_float(row["tt_fairness"]),
-                reward_fairness=_parse_opt_float(row["reward_fairness"]),
-                falt=float(row["falt"]),
-                qfalt=float(row["qfalt"]),
-                ealt=float(row["ealt"]),
-                qealt=float(row["qealt"]),
-                calt=float(row["calt"]),
-                aalt=float(row["aalt"]),
-            )
-    return panels
+    return dict(read_table(path, PANEL_COLUMNS, _panel_row))
 
 
 def write_curve_csv(points: Sequence[CurvePoint], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for p in points:
-            writer.writerow(
-                [p.episode, _fmt(p.epsilon), _fmt(p.windowed_calt), _fmt(p.windowed_efficiency)]
-            )
+    write_table(path, CURVE_COLUMNS, map(astuple, points))
 
 
 def read_curve_csv(path: Path) -> list[CurvePoint]:
-    points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CURVE_COLUMNS:
-            raise DataError(f"{path}: unexpected curve columns {reader.fieldnames}")
-        for row in reader:
-            points.append(
-                CurvePoint(
-                    episode=int(row["episode"]),
-                    epsilon=float(row["epsilon"]),
-                    windowed_calt=_parse_opt_float(row["windowed_calt"]),
-                    windowed_efficiency=_parse_opt_float(row["windowed_efficiency"]),
-                )
-            )
-    return points
+    return read_table(path, CURVE_COLUMNS, partial(parse_fields, CurvePoint))
 
 
 def write_snapshot(spec: ExperimentSpec, path: Path) -> None:
@@ -257,23 +262,8 @@ def write_snapshot(spec: ExperimentSpec, path: Path) -> None:
         "policy": spec.policy,
         "episodes": spec.episodes,
         "seed": spec.seed,
-        "game": {
-            "n_agents": spec.game.n_agents,
-            "state_type": spec.game.state_type.value,
-            "reward_scheme": spec.game.reward_scheme.value,
-            "path_length": spec.game.path_length,
-            "r_high": spec.game.r_high,
-            "step_cap": spec.game.step_cap,
-        },
-        "qlearning": None
-        if spec.qcfg is None
-        else {
-            "gamma": spec.qcfg.gamma,
-            "alpha": spec.qcfg.alpha,
-            "epsilon_initial": spec.qcfg.epsilon_initial,
-            "epsilon_min": spec.qcfg.epsilon_min,
-            "decay_end_fraction": spec.qcfg.decay_end_fraction,
-        },
+        "game": asdict(spec.game),
+        "qlearning": None if spec.qcfg is None else asdict(spec.qcfg),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -286,30 +276,20 @@ def read_snapshot(path: Path) -> ExperimentSpec:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable snapshot: {exc}") from exc
-    schema = payload.get("schema")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{path}: snapshot schema {schema!r} is not supported, expected {SCHEMA_VERSION!r}"
         )
     try:
-        g = payload["game"]
-        game = GameConfig(
-            n_agents=int(g["n_agents"]),
-            state_type=StateType(g["state_type"]),
-            reward_scheme=RewardScheme(g["reward_scheme"]),
-            path_length=int(g["path_length"]),
-            r_high=float(g["r_high"]),
-            step_cap=int(g["step_cap"]),
-        )
         qdata = payload["qlearning"]
-        qcfg = None if qdata is None else QLearningConfig(**qdata)
         return ExperimentSpec(
-            game=game,
+            game=parse_fields(GameConfig, payload["game"]),
             policy=payload["policy"],
             episodes=int(payload["episodes"]),
             seed=int(payload["seed"]),
             run_id=payload["run_id"],
-            qcfg=qcfg,
+            qcfg=None if qdata is None else parse_fields(QLearningConfig, qdata),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed snapshot: {exc}") from exc
@@ -406,7 +386,7 @@ def run_training(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False)
     """
     if spec.policy != "qlearning":
         raise ConfigError(f"run_training needs a qlearning spec, got {spec.policy!r}")
-    qcfg = spec.qcfg or QLearningConfig()
+    qcfg = spec.qcfg
     run_dir = _prepare_run_dir(runs_root, spec.run_id, overwrite)
     rng = np.random.default_rng(spec.seed)
     trained: TrainRun = train_run(spec.game, qcfg, spec.episodes, rng)
@@ -476,60 +456,40 @@ def _execute_task(task) -> tuple[str, RunResult | None, str | None]:
         return spec.run_id, None, traceback.format_exc()
 
 
-def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[dict]:
+def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[SummaryRow]:
     """One summary.csv row per run, with the timestamp confined to the
     trailing metadata column."""
     rows = []
     for result in results:
         spec = result.spec
-        panel = result.panel
-        ratio = analysis.alt_ratio_from_calt(panel.calt)
-        pa = analysis.pa_equivalent(ratio, spec.game.n_agents)
-        calt_cmp = next(
-            (c for c in result.comparisons if c.variant == "calt"), None
-        )
+        panel = result.panel.as_dict()
+        del panel["batches"]
+        ratio = analysis.alt_ratio_from_calt(result.panel.calt)
+        calt_cmp = next((c for c in result.comparisons if c.variant == "calt"), None)
         rows.append(
-            {
-                "run_id": spec.run_id,
-                "n": spec.game.n_agents,
-                "state_type": spec.game.state_type.value,
-                "reward_scheme": spec.game.reward_scheme.value,
-                "policy": spec.policy,
-                "nu": panel.nu,
-                "fairness": panel.fairness,
-                "efficiency": panel.efficiency,
-                "tt_fairness": panel.tt_fairness,
-                "reward_fairness": panel.reward_fairness,
-                "falt": panel.falt,
-                "qfalt": panel.qfalt,
-                "ealt": panel.ealt,
-                "qealt": panel.qealt,
-                "calt": panel.calt,
-                "aalt": panel.aalt,
-                "calt_rel_change_pct": None if calt_cmp is None else calt_cmp.rel_change_pct,
-                "calt_coord_score_pct": None if calt_cmp is None else calt_cmp.coord_score_pct,
-                "alt_ratio": ratio,
-                "pa_equiv_agents": pa.pa_equiv_agents,
-                "generated_at": generated_at,
-            }
+            SummaryRow(
+                run_id=spec.run_id,
+                n=spec.game.n_agents,
+                state_type=spec.game.state_type.value,
+                reward_scheme=spec.game.reward_scheme.value,
+                policy=spec.policy,
+                **panel,
+                calt_rel_change_pct=None if calt_cmp is None else calt_cmp.rel_change_pct,
+                calt_coord_score_pct=None if calt_cmp is None else calt_cmp.coord_score_pct,
+                alt_ratio=ratio,
+                pa_equiv_agents=analysis.pa_equivalent(ratio, spec.game.n_agents).pa_equiv_agents,
+                generated_at=generated_at,
+            )
         )
     return rows
 
 
-def write_summary(rows: Sequence[dict], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+def write_summary(rows: Sequence[SummaryRow], path: Path) -> None:
+    write_table(path, SUMMARY_COLUMNS, map(astuple, rows))
 
 
-def read_summary(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SUMMARY_COLUMNS:
-            raise DataError(f"{path}: unexpected summary columns {reader.fieldnames}")
-        return list(reader)
+def read_summary(path: Path) -> list[dict[str, str]]:
+    return read_table(path, SUMMARY_COLUMNS)
 
 
 def sweep(

@@ -172,22 +172,17 @@ def reward_fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
     return _fairness_ratios(*_columns(episodes, n), n)["reward_fairness"]
 
 
-def efficiency(
-    episodes: Sequence[EpisodeOutcome], r_high: float, nu: int | None = None
-) -> float:
+def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     """Total collected reward over the nu * r_high optimum.
 
     Capped episodes collect nothing but still count toward nu.
     """
     if not r_high > 0:
         raise ConfigError(f"r_high must be positive, got {r_high}")
-    episodes = list(episodes)
-    if nu is None:
-        nu = len(episodes)
-    if nu < 1:
+    if not episodes:
         raise InsufficientDataError("efficiency needs at least one episode")
     total = math.fsum(r for ep in episodes for r in ep.rewards)
-    return total / (nu * r_high)
+    return total / (len(episodes) * r_high)
 
 
 @dataclass(frozen=True)

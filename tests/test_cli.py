@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,8 +96,26 @@ def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, 
         lambda r: r.update(rewards=[-100.0, 0.0]),
         lambda r: r.update(steps=0),
         lambda r: r.update(steps=-2),
+        lambda r: r.update(rewards=[7.0, 3.0]),
+        lambda r: r.update(rewards=[0.0, 0.0]),
+        lambda r: r.update(arrivals=[0, 1], exclusive_winner=None, rewards=[50.0, 50.0]),
+        lambda r: r.update(capped=True, arrivals=[], exclusive_winner=None, rewards=[0.0, 1.0]),
+        lambda r: r.update(episode=99),
+        lambda r: r.update(episode=4),
     ],
-    ids=["inf-reward", "nan-reward", "negative-reward", "zero-steps", "negative-steps"],
+    ids=[
+        "inf-reward",
+        "nan-reward",
+        "negative-reward",
+        "zero-steps",
+        "negative-steps",
+        "reward-to-non-arriver",
+        "unpaid-winner",
+        "paid-full-tie",
+        "paid-capped",
+        "index-out-of-sequence",
+        "index-repeated",
+    ],
 )
 def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
     records = [make_outcome(i, 2, {i % 2}).to_record() for i in range(12)]
@@ -105,6 +124,45 @@ def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert main(["metrics", "--log", str(log), "--agents", "2"]) == 3
     assert "line 6" in capsys.readouterr().err
+
+
+def _report_with_edited_row(edit):
+    """argv of ``report`` on a tiny sweep whose first summary.csv row is ``edit(cells, header)``."""
+
+    def argv(tmp_path):
+        out = tmp_path / "sweep"
+        assert main(_tiny_sweep_args(out)) == 0
+        summary = out / "summary.csv"
+        header, first, *rest = summary.read_text().splitlines(keepends=True)
+        cells = edit(first.rstrip("\n").split(","), header.rstrip("\n").split(","))
+        summary.write_text("".join([header, ",".join(cells) + "\n", *rest]))
+        return ["report", "--sweep-dir", str(out)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["metrics", "--log", str(tmp / "missing.jsonl"), "--agents", "2"],
+        lambda tmp: ["report", "--sweep-dir", str(tmp)],
+        _report_with_edited_row(lambda c, h: ["abc" if x == "calt" else v for v, x in zip(c, h)]),
+        _report_with_edited_row(lambda c, h: c[:-1]),
+        _report_with_edited_row(lambda c, h: [*c, "1"]),
+    ],
+    ids=[
+        "metrics-missing-log",
+        "report-missing-summary",
+        "report-bad-number-cell",
+        "report-truncated-row",
+        "report-extra-cell",
+    ],
+)
+def test_unreadable_input_exits_3(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_simulate_qlearning_run(tmp_path, capsys):
@@ -196,6 +254,100 @@ def test_sweep_report_pipeline(tmp_path, capsys):
     curve = read_curve_csv(report / "fig5.csv")
     assert curve == read_curve_csv(out / "runs" / "ql-n2-A-ilf-s0" / "curve.csv")
     capsys.readouterr()
+
+
+# sha256 of every artifact of the tiny sweep and its report.  summary.csv is
+# hashed without its trailing generated_at column, the only cell that varies.
+GOLDEN_ARTIFACTS = {
+    "runs/ql-n2-A-ilf-s0/curve.csv":
+        "fbf98f4507107ba8552bad331aaf77ca4b8605128a6a1cb79955b3ce62214a85",
+    "runs/ql-n2-A-ilf-s0/log.jsonl":
+        "1944c6d2d598bcb72e2baa5c13846d6530995b9f45bca2c8241878593dd26e37",
+    "runs/ql-n2-A-ilf-s0/panel.csv":
+        "6477fe62e4886b223535eddcba420f7dde71f65c79fc86efe09145f280fa4c93",
+    "runs/ql-n2-A-ilf-s0/spec.snapshot":
+        "492db997265cee39fe0190bb31ec77fc2a7c628f1fc00ef64c88eb3ccc155e29",
+    "runs/ql-n2-A-iqf-s0/curve.csv":
+        "4f12ba73ac8e9de39723e3213b1a3a85e82f7b8a78c9da4cd5b3cd25ede74478",
+    "runs/ql-n2-A-iqf-s0/log.jsonl":
+        "d80ef4535e3e3cb6abc3331d85dce68202218ce2d8ed739294a160e3d663d328",
+    "runs/ql-n2-A-iqf-s0/panel.csv":
+        "46dce5dafba4b06680c113ec36965de2f58ef3725385999de4901f7cdfc4f03f",
+    "runs/ql-n2-A-iqf-s0/spec.snapshot":
+        "41d7869c973c1f3b8b5dd023a0a1566d73664df07dba445808303f0a8cf88aec",
+    "runs/ql-n2-B-ilf-s0/curve.csv":
+        "74ff718c89a4bd490cec8dd6455bed09104e1f792f0a2991aa3d3a4d1cd73cde",
+    "runs/ql-n2-B-ilf-s0/log.jsonl":
+        "b7d8b349441337eb675920116c527383ada3b89628a9aa3dfd7af17950cae2ce",
+    "runs/ql-n2-B-ilf-s0/panel.csv":
+        "ebfdeb7b445c113616828673d1e394a674efafd677547eaa90cd392eabe082b8",
+    "runs/ql-n2-B-ilf-s0/spec.snapshot":
+        "c048839cf086eaa44af644c500f5b01756d9413b0320880619ffe17e8267b183",
+    "runs/ql-n2-B-iqf-s0/curve.csv":
+        "b9e75f93f789e61195c88c0eaca4e53f1b2eb1c88a662d4b02d2474c8ae11f37",
+    "runs/ql-n2-B-iqf-s0/log.jsonl":
+        "57c5489eb1d341942b2383fa4623d8800a09f92bbdffbd215e8a9f415846a19c",
+    "runs/ql-n2-B-iqf-s0/panel.csv":
+        "1b9523afd91b533a15d85d30e119ca9d7f51c7c13682f322e5ad9f42dbe21674",
+    "runs/ql-n2-B-iqf-s0/spec.snapshot":
+        "a0f3575bc410c45d171f6637f5cb017edbae1961ecc0352dee5ed70677617bd3",
+    "runs/rand-n2-A-ilf/log.jsonl":
+        "a5902da6d9988771fa19eb857af5f2362c9fcac68644078afb1542268e9e07bc",
+    "runs/rand-n2-A-ilf/panel.csv":
+        "17960818bf87326e8303b8f38a69bed2ed8df9b580d3e72e16a206adb4bb990b",
+    "runs/rand-n2-A-ilf/spec.snapshot":
+        "40bed931436ad3a465dbcbb7310eea35b5bdccb11d3a4caf88cdde97c7c613c3",
+    "runs/rand-n2-A-iqf/log.jsonl":
+        "a5902da6d9988771fa19eb857af5f2362c9fcac68644078afb1542268e9e07bc",
+    "runs/rand-n2-A-iqf/panel.csv":
+        "17960818bf87326e8303b8f38a69bed2ed8df9b580d3e72e16a206adb4bb990b",
+    "runs/rand-n2-A-iqf/spec.snapshot":
+        "91ccc6d5c918c7ca66e5577f67700e21c762fbf4830c3ec4d6af340a2a7e200b",
+    "runs/rand-n2-B-ilf/log.jsonl":
+        "aa0eba49665435052326caea80e0a89826473678972122da5acfa0a3e99a7c8e",
+    "runs/rand-n2-B-ilf/panel.csv":
+        "9ba60ed27fd8d0b6e577643c3863764056b107ab829b6c3714a655f914fff3c7",
+    "runs/rand-n2-B-ilf/spec.snapshot":
+        "c2a09463591f2da7ef18a718b229ec94b6915dba3784e16461ece09583b479a3",
+    "runs/rand-n2-B-iqf/log.jsonl":
+        "aa0eba49665435052326caea80e0a89826473678972122da5acfa0a3e99a7c8e",
+    "runs/rand-n2-B-iqf/panel.csv":
+        "9ba60ed27fd8d0b6e577643c3863764056b107ab829b6c3714a655f914fff3c7",
+    "runs/rand-n2-B-iqf/spec.snapshot":
+        "82968df1ed3c7b53e49cedd7a933304ae1b00c0066f089b999b715addc3808ef",
+    "summary.csv":
+        "24813a532f2071be5eac855e3500cbb3cb91dd31ac2b97aa378bac37194714c0",
+    "report/fig1.csv":
+        "e31cc5a4952d00588242c82182f647a07c0f75020ebe60c886583608aeb1b21b",
+    "report/fig2.csv":
+        "3a65e26f766ca0a7b61865076283fce3628835c0dfb60d7d3b7b4ae6f0109697",
+    "report/fig3.csv":
+        "aacdb4fea46264dfd3c6e1dc082450a3fb549625968b867dee30f95a210a2006",
+    "report/fig5.csv":
+        "fbf98f4507107ba8552bad331aaf77ca4b8605128a6a1cb79955b3ce62214a85",
+    "report/table2.csv":
+        "f8704d6b96fa663b82cddfccab4e0dadc1fcce65281f40df8ff6f715fc66ff5c",
+    "report/table3.csv":
+        "0c50a48b706b74668b5a7024ccf7ada9ffde28137c05e4eff47d4d413deb786c",
+    "report/table5.csv":
+        "c0a0184a0f35ffd986cb5bc6f06a602cf1e1c52b78b983e544a7f4cedb5e5832",
+}
+
+
+def test_sweep_and_report_artifacts_are_byte_stable(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(_tiny_sweep_args(out)) == 0
+    assert main(["report", "--sweep-dir", str(out)]) == 0
+    capsys.readouterr()
+    got = {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in [*(out / "runs").glob("*/*"), *(out / "report").iterdir()]
+    }
+    lines = (out / "summary.csv").read_text().splitlines()
+    trimmed = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    got["summary.csv"] = hashlib.sha256(trimmed.encode()).hexdigest()
+    assert sorted(got) == sorted(GOLDEN_ARTIFACTS)
+    assert [name for name in sorted(got) if got[name] != GOLDEN_ARTIFACTS[name]] == []
 
 
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):

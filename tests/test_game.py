@@ -106,11 +106,8 @@ def test_encode_state_type_a_and_b():
     cfg_a = GameConfig(n_agents=2, state_type=StateType.TYPE_A)
     cfg_b = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
     state = GameState(positions=(0, 1), prev_winners=(1, 0), step=3)
-    assert encode_state(state, 0, cfg_a) == (0, 1)
-    assert encode_state(state, 1, cfg_a) == (0, 1)
-    assert encode_state(state, 0, cfg_b) == (0, 1, 1, 0)
-    with pytest.raises(ConfigError):
-        encode_state(state, 2, cfg_a)
+    assert encode_state(state, cfg_a) == (0, 1)
+    assert encode_state(state, cfg_b) == (0, 1, 1, 0)
 
 
 def test_initial_state_defaults_and_validation():
@@ -247,6 +244,7 @@ def test_record_round_trip():
         lambda r: r.update(capped=True),
         lambda r: r.update(exclusive_winner=1),
         lambda r: r.update(arrivals=[0, 1], exclusive_winner=0),
+        lambda r: r.update(arrivals=[0, 2], exclusive_winner=None, rewards=[50.0, 0.0, 40.0]),
     ],
 )
 def test_record_validation_rejects_malformed(mutate):

@@ -120,9 +120,30 @@ def test_snapshot_rejects_other_schema_versions(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaVersionError, match="altlab-run@99"):
         read_snapshot(path)
-    path.write_text("{broken")
-    with pytest.raises(DataError):
+    for text in ("{broken", "[]"):
+        path.write_text(text)
+        with pytest.raises(DataError):
+            read_snapshot(path)
+
+
+def test_malformed_snapshot_and_panel_errors_name_the_file(tmp_path):
+    spec = ExperimentSpec(
+        game=GameConfig(n_agents=2), policy="qlearning", episodes=10, seed=0, run_id="q"
+    )
+    path = tmp_path / "spec.snapshot"
+    write_snapshot(spec, path)
+    payload = json.loads(path.read_text())
+    payload["qlearning"]["gama"] = 0.9
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=r"spec\.snapshot: malformed snapshot: .*'gama'"):
         read_snapshot(path)
+
+    panel = tmp_path / "panel.csv"
+    write_panel_csv([("full", compute_panel(run_random(spec.game, 20, 0), 2, 100.0))], panel)
+    header, row = panel.read_text().splitlines()
+    panel.write_text(f"{header}\nfull,abc{row[row.index(',', 5):]}\n")
+    with pytest.raises(DataError, match=r"panel\.csv: bad MetricPanel"):
+        read_panel_csv(panel)
 
 
 def test_experiment_spec_validation():
