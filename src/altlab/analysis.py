@@ -26,8 +26,15 @@ from .metrics import VARIANTS, alt_score
 CALT_RATIO_OFFSET = 1.879e-10
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ComparisonError(f"{name} must be finite, got {value}")
+
+
 def relative_change(observed: float, random_ref: float) -> float:
     """Percent change of an observed score over the random reference."""
+    _require_finite(observed=observed, reference=random_ref)
     if not random_ref > 0:
         raise ComparisonError(
             f"relative change needs a positive reference, got {random_ref}"
@@ -41,6 +48,7 @@ def coordination_score(observed: float, random_ref: float, perfect: float = 1.0)
     100 means the perfect score was reached, 0 means no better than
     random, negative means below random.
     """
+    _require_finite(observed=observed, reference=random_ref, perfect=perfect)
     if not random_ref >= 0:
         raise ComparisonError(f"reference must be non-negative, got {random_ref}")
     if not perfect > random_ref:

@@ -108,24 +108,27 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+def _list_of(parse):
+    """Argparse type: a non-empty comma-separated list, each part read by ``parse``."""
+
+    def read(text: str) -> list:
+        try:
+            values = [parse(part) for part in text.split(",") if part]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value in {text!r}: {exc}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return read
 
 
 def cmd_sweep(args) -> int:
-    state_types = [StateType(s) for s in args.state_types.split(",") if s]
-    schemes = [RewardScheme(s) for s in args.rewards.split(",") if s]
     result = harness.sweep(
         out_root=Path(args.out or _default_out("sweep")),
         agent_counts=args.agents,
-        state_types=state_types,
-        reward_schemes=schemes,
+        state_types=args.state_types,
+        reward_schemes=args.rewards,
         base=args.base,
         baseline_episodes=args.baseline_episodes,
         seed_root=args.seed_root,
@@ -321,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="run the full experiment grid")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--agents", type=_int_list, default=[2, 3, 5, 8, 10])
-    sub.add_argument("--state-types", default="A,B")
-    sub.add_argument("--rewards", default="ilf,iqf")
+    sub.add_argument("--agents", type=_list_of(int), default=[2, 3, 5, 8, 10])
+    sub.add_argument("--state-types", type=_list_of(StateType), default="A,B")
+    sub.add_argument("--rewards", type=_list_of(RewardScheme), default="ilf,iqf")
     sub.add_argument("--base", type=int, default=1000)
     sub.add_argument("--baseline-episodes", type=int, default=10_000)
     sub.add_argument("--seed-root", type=int, default=0)

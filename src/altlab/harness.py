@@ -41,23 +41,9 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, DataError, SchemaVersionError
-from .game import (
-    EpisodeOutcome,
-    GameConfig,
-    RewardScheme,
-    StateType,
-    next_prev_winners,
-    run_episode,
-)
+from .game import EpisodeOutcome, GameConfig, RewardScheme, StateType
 from .metrics import MetricPanel, _shifted_mean, compute_panel, efficiency, window_betas
-from .policies import (
-    QLearningConfig,
-    QLearningPolicy,
-    TrainRun,
-    epsilon_at,
-    run_random,
-    train_run,
-)
+from .policies import QLearningConfig, TrainRun, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
 
@@ -391,19 +377,12 @@ def run_training(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False)
     rng = np.random.default_rng(spec.seed)
     trained: TrainRun = train_run(spec.game, qcfg, spec.episodes, rng)
 
-    eval_policies = [QLearningPolicy(qcfg, table) for table in trained.tables]
-    for p in eval_policies:
-        p.learning = False
-    eval_outcomes = []
-    prev = trained.final_prev_winners
-    for e in range(GREEDY_EVAL_EPISODES_PER_AGENT * spec.game.n_agents):
-        outcome = run_episode(
-            eval_policies, prev, spec.game, rng, epsilon=qcfg.epsilon_min, episode_index=e
-        )
-        eval_outcomes.append(outcome)
-        prev = next_prev_winners(outcome, spec.game)
-
     n = spec.game.n_agents
+    eval_episodes = GREEDY_EVAL_EPISODES_PER_AGENT * n
+    eval_outcomes, _ = play(
+        spec.game, eval_episodes, rng, trained.final_prev_winners, trained.tables,
+        [qcfg.epsilon_min] * eval_episodes,
+    )
     panel = compute_panel(trained.outcomes, n, spec.game.r_high)
     greedy_panel = compute_panel(eval_outcomes, n, spec.game.r_high)
     curve = _training_curve(trained.outcomes, spec.episodes, spec.game, qcfg)

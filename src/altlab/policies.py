@@ -1,25 +1,24 @@
-"""Agent policies: uniform random and independent tabular Q-learning.
+"""Agent play: uniform random and independent tabular Q-learning, in one loop.
 
-Each learning agent keeps its own Q-table over encoded observations;
-agents never read one another's tables.  Exploration follows a linear
-epsilon schedule that is synchronized across agents within an episode.
+:func:`play` runs every episode altlab simulates: random play, epsilon-greedy
+training and frozen greedy evaluation.  A Q-agent's table is a plain dict
+from observation key (the positions tuple, plus the previous-arrival bits
+for Type B) to ``[q_stay, q_move]``; an unseen key reads as all zeros and
+is only inserted by an update.  Each agent reads and writes only its own
+table.  Exploration follows a linear epsilon schedule that is shared by
+all agents within an episode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .game import (
-    Action,
-    EpisodeOutcome,
-    GameConfig,
-    next_prev_winners,
-    run_episode,
-)
+from .game import EpisodeOutcome, GameConfig, StateType, assign_rewards
 
 
 @dataclass(frozen=True)
@@ -52,55 +51,6 @@ class QLearningConfig:
             )
 
 
-class QTable:
-    """Action-value table with an implicit 0.0 default.
-
-    Lookups of unseen state-action pairs return the default without
-    inserting anything, so the table only grows on updates.
-    """
-
-    default_value = 0.0
-
-    def __init__(self) -> None:
-        self._rows: dict[tuple[int, ...], list[float]] = {}
-
-    def get(self, key: tuple[int, ...], action: Action) -> float:
-        row = self._rows.get(key)
-        return row[action] if row is not None else self.default_value
-
-    def max_value(self, key: tuple[int, ...]) -> float:
-        row = self._rows.get(key)
-        return max(row) if row is not None else self.default_value
-
-    def set(self, key: tuple[int, ...], action: Action, value: float) -> None:
-        row = self._rows.get(key)
-        if row is None:
-            row = [self.default_value, self.default_value]
-            self._rows[key] = row
-        row[action] = value
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def items(self):
-        return self._rows.items()
-
-    def max_abs_value(self) -> float:
-        return max((abs(v) for row in self._rows.values() for v in row), default=0.0)
-
-    def dump(self, path) -> None:
-        """Write one ``state -> (q_stay, q_move)`` line per visited state."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self._rows):
-                q_stay, q_move = self._rows[key]
-                fh.write(f"{','.join(map(str, key))} {q_stay!r} {q_move!r}\n")
-
-
-def random_action(rng: np.random.Generator) -> Action:
-    """Uniform draw over Stay and Move."""
-    return Action(int(rng.integers(0, 2)))
-
-
 def epsilon_at(episode_index: int, total_episodes: int, cfg: QLearningConfig | None = None) -> float:
     """Exploration rate for the given episode of a run.
 
@@ -121,64 +71,69 @@ def epsilon_at(episode_index: int, total_episodes: int, cfg: QLearningConfig | N
     return cfg.epsilon_initial + (cfg.epsilon_min - cfg.epsilon_initial) * frac
 
 
-def select_action(
-    q: QTable, key: tuple[int, ...], epsilon: float, rng: np.random.Generator
-) -> Action:
-    """Epsilon-greedy action; exact Q ties are broken uniformly."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return random_action(rng)
-    q_stay = q.get(key, Action.STAY)
-    q_move = q.get(key, Action.MOVE)
-    if q_stay == q_move:
-        return random_action(rng)
-    return Action.MOVE if q_move > q_stay else Action.STAY
+def play(
+    cfg: GameConfig,
+    episodes: int,
+    rng: np.random.Generator,
+    bits: Sequence[int],
+    tables: list[dict] | None = None,
+    epsilons: Sequence[float] | None = None,
+    qcfg: QLearningConfig | None = None,
+) -> tuple[list[EpisodeOutcome], tuple[int, ...]]:
+    """Play ``episodes`` episodes, starting from the previous-arrival ``bits``.
 
-
-def q_update(
-    q: QTable,
-    key: tuple[int, ...],
-    action: Action,
-    reward: float,
-    next_key: tuple[int, ...],
-    terminal: bool,
-    cfg: QLearningConfig,
-) -> QTable:
-    """One-step Q-learning update; terminal transitions bootstrap to 0."""
-    if not math.isfinite(reward):
-        raise DataError(f"non-finite reward {reward!r}")
-    target = reward if terminal else reward + cfg.gamma * q.max_value(next_key)
-    old = q.get(key, action)
-    q.set(key, action, old + cfg.alpha * (target - old))
-    return q
-
-
-class RandomPolicy:
-    """Acts uniformly at random and learns nothing."""
-
-    def act(self, key, epsilon, rng) -> Action:
-        return random_action(rng)
-
-    def observe(self, key, action, reward, next_key, terminal) -> None:
-        pass
-
-
-class QLearningPolicy:
-    """Independent learner over its own Q-table.
-
-    Set ``learning`` to False to freeze the table (greedy evaluation).
+    Without ``tables`` every agent moves uniformly at random.  With them,
+    agent i acts epsilon-greedily on ``tables[i]`` at ``epsilons[e]`` in
+    episode e (0 when None) and, when ``qcfg`` is given, makes one
+    Q-learning update per step (terminal steps bootstrap to 0).  Each
+    step, agents draw from ``rng`` in agent order: a random agent one
+    ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
+    then one ``integers(0, 2)`` if it explores or its Q-values tie
+    exactly.  Returns the outcomes and the bits for the next episode.
     """
-
-    def __init__(self, cfg: QLearningConfig, table: QTable | None = None) -> None:
-        self.cfg = cfg
-        self.q = table if table is not None else QTable()
-        self.learning = True
-
-    def act(self, key, epsilon, rng) -> Action:
-        return select_action(self.q, key, epsilon, rng)
-
-    def observe(self, key, action, reward, next_key, terminal) -> None:
-        if self.learning:
-            q_update(self.q, key, action, reward, next_key, terminal, self.cfg)
+    n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
+    bits = tuple(bits)
+    if episodes < 1 or len(bits) != n or not set(bits) <= {0, 1}:
+        raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
+    if tables is not None and len(tables) != n:
+        raise ConfigError(f"got {len(tables)} Q-tables for {n} agents")
+    type_b = cfg.state_type is StateType.TYPE_B
+    draw, coin = rng.integers, rng.random
+    zeros = (0.0,) * n
+    outcomes = []
+    for e in range(episodes):
+        eps = 0.0 if epsilons is None else epsilons[e]
+        pos, steps = [0] * n, 0
+        while True:
+            if tables is None:
+                acts = [int(draw(0, 2)) for _ in zeros]
+            else:
+                key = (*pos, *bits) if type_b else tuple(pos)
+                acts = []
+                for table in tables:
+                    row = table.get(key)
+                    if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]:
+                        acts.append(int(draw(0, 2)))
+                    else:
+                        acts.append(1 if row[1] > row[0] else 0)
+            pos = [p + a for p, a in zip(pos, acts)]
+            steps += 1
+            done = length in pos or steps >= cap
+            won = frozenset(i for i, p in enumerate(pos) if p == length) if done else None
+            rewards = assign_rewards(won, cfg) if done else zeros
+            if qcfg is not None:
+                next_key = (*pos, *bits) if type_b else tuple(pos)
+                for table, a, r in zip(tables, acts, rewards):
+                    nxt = None if done else table.get(next_key)
+                    target = r + qcfg.gamma * max(nxt) if nxt else r
+                    row = table.setdefault(key, [0.0, 0.0])
+                    row[a] += qcfg.alpha * (target - row[a])
+            if done:
+                break
+        winner = next(iter(won)) if len(won) == 1 else None
+        outcomes.append(EpisodeOutcome(e, won, winner, rewards, steps, not won))
+        bits = tuple(int(i in won) for i in range(n))
+    return outcomes, bits
 
 
 @dataclass
@@ -187,29 +142,13 @@ class TrainRun:
     arrival bits to carry into any follow-on episodes."""
 
     outcomes: list[EpisodeOutcome]
-    tables: list[QTable]
+    tables: list[dict[tuple[int, ...], list[float]]]
     final_prev_winners: tuple[int, ...]
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def run_random(cfg: GameConfig, total_episodes: int, seed_or_rng=0) -> list[EpisodeOutcome]:
     """Episode log of ``total_episodes`` played by uniform-random agents."""
-    if total_episodes < 1:
-        raise ConfigError(f"total_episodes must be >= 1, got {total_episodes}")
-    rng = _as_rng(seed_or_rng)
-    policies = [RandomPolicy() for _ in range(cfg.n_agents)]
-    outcomes: list[EpisodeOutcome] = []
-    prev: tuple[int, ...] = (0,) * cfg.n_agents
-    for e in range(total_episodes):
-        outcome = run_episode(policies, prev, cfg, rng, epsilon=1.0, episode_index=e)
-        outcomes.append(outcome)
-        prev = next_prev_winners(outcome, cfg)
-    return outcomes
+    return play(cfg, total_episodes, np.random.default_rng(seed_or_rng), (0,) * cfg.n_agents)[0]
 
 
 def train_run(
@@ -223,23 +162,11 @@ def train_run(
     All agents share the decayed epsilon of the current episode and
     update their own tables on every step.
     """
-    if total_episodes < 1:
-        raise ConfigError(f"total_episodes must be >= 1, got {total_episodes}")
-    rng = _as_rng(seed_or_rng)
-    policies = [QLearningPolicy(qcfg) for _ in range(cfg.n_agents)]
-    outcomes: list[EpisodeOutcome] = []
-    prev: tuple[int, ...] = (0,) * cfg.n_agents
-    for e in range(total_episodes):
-        eps = epsilon_at(e, total_episodes, qcfg)
-        outcome = run_episode(policies, prev, cfg, rng, epsilon=eps, episode_index=e)
-        outcomes.append(outcome)
-        prev = next_prev_winners(outcome, cfg)
+    tables: list[dict] = [{} for _ in range(cfg.n_agents)]
+    epsilons = [epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes)]
+    rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
+    outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, tables, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    for p in policies:
-        if not p.q.max_abs_value() <= bound:
-            raise DataError(f"Q-values escaped the discounted-return bound {bound}")
-    return TrainRun(
-        outcomes=outcomes,
-        tables=[p.q for p in policies],
-        final_prev_winners=prev,
-    )
+    if not max((abs(v) for t in tables for row in t.values() for v in row), default=0.0) <= bound:
+        raise DataError(f"Q-values escaped the discounted-return bound {bound}")
+    return TrainRun(outcomes=outcomes, tables=tables, final_prev_winners=bits)

@@ -10,8 +10,13 @@ distribution in closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from altlab.game import EpisodeOutcome
+from altlab.game import EpisodeOutcome, GameConfig, StateType
+
+# Q-table rows [q_stay, q_move] that make a greedy agent stay or move.
+STAY_ROW = (1.0, 0.0)
+MOVE_ROW = (0.0, 1.0)
 
 
 def make_outcome(
@@ -40,6 +45,15 @@ def make_outcome(
         steps_used=steps,
         capped=k == 0,
     )
+
+
+def forced_tables(cfg: GameConfig, *rows) -> list[dict]:
+    """One Q-table per agent that holds that agent's row at every reachable key,
+    so that at epsilon 0 the agent always takes the row's preferred action."""
+    cells = [range(cfg.path_length + 1)] * cfg.n_agents
+    if cfg.state_type is StateType.TYPE_B:
+        cells += [range(2)] * cfg.n_agents
+    return [{key: list(row) for key in product(*cells)} for row in rows]
 
 
 def relabel_outcomes(outcomes, perm: dict[int, int]) -> list[EpisodeOutcome]:

@@ -21,8 +21,23 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+    for flags in (
+        ["--agents", "2,x"],
+        ["--state-types", "C"],
+        ["--state-types", ","],
+        ["--rewards", "foo"],
+        ["--rewards", ""],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path / "sweep"), *flags])
+        assert exc.value.code == 2, flags
+    assert not (tmp_path / "sweep").exists()
     # semantic configuration problems map to the same exit code
     assert main(["baseline", "--agents", "1", "--out", str(tmp_path)]) == 2
+    # a non-finite payoff is refused before any run directory is made
+    for command in ("simulate", "baseline"):
+        assert main([command, "--agents", "2", "--r-high", "inf", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_baseline_and_metrics_agree_byte_for_byte(tmp_path, capsys):
@@ -379,6 +394,9 @@ def test_analyze_compare_and_fit(tmp_path, capsys):
     assert "pa_equiv_agents:" in printed
 
     assert main(["analyze", "--observed", "0.5", "--random", "0.0"]) == 3
+    for observed, reference in (("inf", "0.2"), ("nan", "0.2"), ("0.5", "inf"), ("0.5", "nan")):
+        assert main(["analyze", "--observed", observed, "--random", reference]) == 3
+    assert main(["analyze", "--observed", "0.5", "--random", "0.2", "--perfect", "inf"]) == 3
     assert main(["analyze"]) == 2
 
     saved = tmp_path / "fit.json"

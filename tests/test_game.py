@@ -1,39 +1,37 @@
-"""Core game mechanics: transitions, termination, rewards, encodings."""
+"""Core game mechanics: transitions, termination, rewards, encodings.
 
+Moves are forced through frozen Q-tables played greedily at epsilon 0
+(``forced_tables`` in conftest), so every episode below is determined.
+"""
+
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from conftest import MOVE_ROW, STAY_ROW, forced_tables
+
 from altlab.errors import ConfigError, DataError
 from altlab.game import (
-    Action,
     EpisodeOutcome,
     GameConfig,
-    GameState,
     RewardScheme,
     StateType,
-    arrivals,
     assign_rewards,
-    encode_state,
-    initial_state,
-    is_terminal,
-    next_prev_winners,
-    run_episode,
-    step,
 )
-from altlab.policies import run_random
+from altlab.policies import QLearningConfig, play, run_random, train_run
 
 
-class FixedPolicy:
-    def __init__(self, action):
-        self.action = action
-
-    def act(self, key, epsilon, rng):
-        return self.action
-
-    def observe(self, key, action, reward, next_key, terminal):
-        pass
+def play_forced(cfg, *rows, bits=None):
+    """One episode in which agent i always takes the action ``rows[i]`` prefers."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    tables = forced_tables(cfg, *rows)
+    (outcome,), next_bits = play(cfg, 1, rng, bits or (0,) * cfg.n_agents, tables)
+    # A greedy choice without a tie draws nothing.
+    assert rng.bit_generator.state == state
+    return outcome, next_bits
 
 
 def test_config_validation():
@@ -43,8 +41,9 @@ def test_config_validation():
         GameConfig(n_agents=2, path_length=0)
     with pytest.raises(ConfigError):
         GameConfig(n_agents=2, path_length=5, step_cap=4)
-    with pytest.raises(ConfigError):
-        GameConfig(n_agents=2, r_high=0.0)
+    for r_high in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            GameConfig(n_agents=2, r_high=r_high)
 
 
 def test_r_low_by_scheme():
@@ -55,36 +54,48 @@ def test_r_low_by_scheme():
 
 
 def test_step_advances_movers_only():
+    # Each agent's row at the joint position picks its move: (M, S, M) from
+    # the start, then (S, M, M) from (1, 0, 1), so only agent 2 reaches
+    # cell 2 on the second step.
     cfg = GameConfig(n_agents=3)
-    state = initial_state(cfg)
-    state = step(state, (Action.MOVE, Action.STAY, Action.MOVE), cfg)
-    assert state.positions == (1, 0, 1)
-    assert state.step == 1
-    state = step(state, (Action.STAY, Action.MOVE, Action.MOVE), cfg)
-    assert state.positions == (1, 1, 2)
-    assert state.step == 2
+    tables = [
+        {(0, 0, 0): list(first), (1, 0, 1): list(second)}
+        for first, second in ((MOVE_ROW, STAY_ROW), (STAY_ROW, MOVE_ROW), (MOVE_ROW, MOVE_ROW))
+    ]
+    (outcome,), bits = play(cfg, 1, np.random.default_rng(0), (0, 0, 0), tables)
+    assert outcome.arrivals == frozenset({2})
+    assert outcome.steps_used == 2
+    assert bits == (0, 0, 1)
 
 
 def test_step_rejects_wrong_arity_and_terminal_states():
+    # Arrival bits or Q-tables for the wrong number of agents are refused.
     cfg = GameConfig(n_agents=2)
-    state = initial_state(cfg)
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        step(state, (Action.MOVE,), cfg)
-    terminal = GameState(positions=(2, 0), prev_winners=(0, 0), step=2)
+        play(cfg, 1, rng, (0,))
     with pytest.raises(ConfigError):
-        step(terminal, (Action.MOVE, Action.MOVE), cfg)
+        play(cfg, 1, rng, (0, 0), forced_tables(cfg, MOVE_ROW))
+    # No terminal state is ever stepped: an episode ends on the step of the
+    # first arrival, so on a one-cell track every episode takes one step.
+    cfg = GameConfig(n_agents=2, path_length=1)
+    log, _ = play(cfg, 3, rng, (0, 0), forced_tables(cfg, MOVE_ROW, STAY_ROW))
+    assert [(ep.steps_used, ep.arrivals) for ep in log] == [(1, frozenset({0}))] * 3
 
 
 def test_is_terminal_on_arrival_and_cap():
-    cfg = GameConfig(n_agents=2, step_cap=10)
-    assert not is_terminal(GameState((1, 1), (0, 0), step=5), cfg)
-    assert is_terminal(GameState((2, 0), (0, 0), step=3), cfg)
-    assert is_terminal(GameState((1, 0), (0, 0), step=10), cfg)
+    cfg = GameConfig(n_agents=2, path_length=3, step_cap=10)
+    arrived, _ = play_forced(cfg, MOVE_ROW, STAY_ROW)
+    assert (arrived.steps_used, arrived.capped) == (3, False)
+    capped, _ = play_forced(cfg, STAY_ROW, STAY_ROW)
+    assert (capped.steps_used, capped.capped) == (10, True)
 
 
 def test_arrivals_set():
     cfg = GameConfig(n_agents=3)
-    assert arrivals(GameState((2, 1, 2), (0, 0, 0), 4), cfg) == frozenset({0, 2})
+    outcome, _ = play_forced(cfg, MOVE_ROW, STAY_ROW, MOVE_ROW)
+    assert outcome.arrivals == frozenset({0, 2})
+    assert outcome.rewards == (cfg.r_low, 0.0, cfg.r_low)
 
 
 def test_assign_rewards_exclusive_partial_full_none():
@@ -103,30 +114,29 @@ def test_assign_rewards_exclusive_partial_full_none():
 
 
 def test_encode_state_type_a_and_b():
-    cfg_a = GameConfig(n_agents=2, state_type=StateType.TYPE_A)
-    cfg_b = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
-    state = GameState(positions=(0, 1), prev_winners=(1, 0), step=3)
-    assert encode_state(state, cfg_a) == (0, 1)
-    assert encode_state(state, cfg_b) == (0, 1, 1, 0)
+    # Learned keys are the positions, plus the previous-arrival bits for Type B.
+    for state_type, first_key in ((StateType.TYPE_A, (0, 0)), (StateType.TYPE_B, (0, 0, 1, 0))):
+        cfg = GameConfig(n_agents=2, state_type=state_type)
+        tables = [{}, {}]
+        play(cfg, 1, np.random.default_rng(3), (1, 0), tables, qcfg=QLearningConfig())
+        keys = set(tables[0]) | set(tables[1])
+        assert first_key in keys
+        assert all(len(k) == len(first_key) and k[2:] == first_key[2:] for k in keys)
 
 
 def test_initial_state_defaults_and_validation():
-    cfg = GameConfig(n_agents=2)
-    state = initial_state(cfg)
-    assert state.positions == (0, 0)
-    assert state.prev_winners == (0, 0)
-    assert state.step == 0
-    assert initial_state(cfg, (1, 0)).prev_winners == (1, 0)
-    with pytest.raises(ConfigError):
-        initial_state(cfg, (1,))
-    with pytest.raises(ConfigError):
-        initial_state(cfg, (2, 0))
+    # A run starts with every agent at cell 0 and no previous arrivals.
+    cfg = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
+    trained = train_run(cfg, QLearningConfig(), 1, seed_or_rng=0)
+    assert all((0, 0, 0, 0) in table for table in trained.tables)
+    rng = np.random.default_rng(0)
+    for bits in ((1,), (2, 0)):
+        with pytest.raises(ConfigError):
+            play(cfg, 1, rng, bits)
 
 
 def test_run_episode_full_tie():
-    cfg = GameConfig(n_agents=2)
-    rng = np.random.default_rng(0)
-    outcome = run_episode([FixedPolicy(Action.MOVE)] * 2, None, cfg, rng)
+    outcome, _ = play_forced(GameConfig(n_agents=2), MOVE_ROW, MOVE_ROW)
     assert outcome.arrivals == frozenset({0, 1})
     assert outcome.exclusive_winner is None
     assert outcome.rewards == (0.0, 0.0)
@@ -135,11 +145,7 @@ def test_run_episode_full_tie():
 
 
 def test_run_episode_exclusive_winner():
-    cfg = GameConfig(n_agents=2)
-    rng = np.random.default_rng(0)
-    outcome = run_episode(
-        [FixedPolicy(Action.MOVE), FixedPolicy(Action.STAY)], None, cfg, rng
-    )
+    outcome, _ = play_forced(GameConfig(n_agents=2), MOVE_ROW, STAY_ROW)
     assert outcome.arrivals == frozenset({0})
     assert outcome.exclusive_winner == 0
     assert outcome.rewards == (100.0, 0.0)
@@ -147,9 +153,7 @@ def test_run_episode_exclusive_winner():
 
 
 def test_run_episode_capped_when_nobody_moves():
-    cfg = GameConfig(n_agents=2, step_cap=7)
-    rng = np.random.default_rng(0)
-    outcome = run_episode([FixedPolicy(Action.STAY)] * 2, None, cfg, rng)
+    outcome, _ = play_forced(GameConfig(n_agents=2, step_cap=7), STAY_ROW, STAY_ROW)
     assert outcome.capped
     assert outcome.arrivals == frozenset()
     assert outcome.rewards == (0.0, 0.0)
@@ -159,31 +163,27 @@ def test_run_episode_capped_when_nobody_moves():
 def test_run_episode_policy_count_mismatch():
     cfg = GameConfig(n_agents=2)
     with pytest.raises(ConfigError):
-        run_episode([FixedPolicy(Action.MOVE)], None, cfg, np.random.default_rng(0))
+        play(cfg, 1, np.random.default_rng(0), (0, 0), forced_tables(cfg, MOVE_ROW))
 
 
 def test_observations_reach_policies():
-    seen = []
-
-    class Recorder(FixedPolicy):
-        def observe(self, key, action, reward, next_key, terminal):
-            seen.append((key, action, reward, next_key, terminal))
-
+    # Type B, previous arrivals (0, 1): agent 0 moves and wins alone in two
+    # steps.  Each agent updates only the two keys it acted on: the first,
+    # which carries the previous-arrival bits, pays zero and bootstraps
+    # from the next key; the terminal one pays the winner r_high and the
+    # other agent nothing.
     cfg = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
-    run_episode(
-        [Recorder(Action.MOVE), Recorder(Action.STAY)],
-        (0, 1),
-        cfg,
-        np.random.default_rng(0),
-    )
-    # two steps, two agents
-    assert len(seen) == 4
-    first_key = seen[0][0]
-    assert first_key == (0, 0, 0, 1)
-    # non-terminal transitions pay zero; the final one pays the winner
-    assert seen[0][2] == 0.0 and seen[1][2] == 0.0
-    assert seen[2][4] and seen[3][4]
-    assert seen[2][2] == 100.0 and seen[3][2] == 0.0
+    tables = forced_tables(cfg, MOVE_ROW, STAY_ROW)
+    before = copy.deepcopy(tables)
+    play(cfg, 1, np.random.default_rng(0), (0, 1), tables, qcfg=QLearningConfig())
+    first, last = (0, 0, 0, 1), (1, 0, 0, 1)
+    changed = [{k for k in t if t[k] != old[k]} for t, old in zip(tables, before)]
+    assert changed == [{first, last}, {first, last}]
+    # alpha 0.3, gamma 0.999: 1 + 0.3 * (0.999 * 1 - 1), then 1 + 0.3 * (100 - 1)
+    assert tables[0][first] == [0.0, pytest.approx(0.9997)]
+    assert tables[0][last] == [0.0, pytest.approx(30.7)]
+    # the other agent's terminal row: 1 + 0.3 * (0 - 1)
+    assert tables[1][last] == [pytest.approx(0.7), 0.0]
 
 
 def test_run_random_is_deterministic_per_seed():
@@ -255,8 +255,8 @@ def test_record_validation_rejects_malformed(mutate):
 
 
 def test_next_prev_winners_bits():
-    cfg = GameConfig(n_agents=3)
-    tie = EpisodeOutcome(0, frozenset({0, 2}), None, (0.0, 0.0, 0.0), 3, False)
-    assert next_prev_winners(tie, cfg) == (1, 0, 1)
-    capped = EpisodeOutcome(1, frozenset(), None, (0.0, 0.0, 0.0), 1000, True)
-    assert next_prev_winners(capped, cfg) == (0, 0, 0)
+    # Every arriver's bit is set, tie members included; a capped episode
+    # carries all zeros.
+    cfg = GameConfig(n_agents=3, step_cap=4)
+    assert play_forced(cfg, MOVE_ROW, STAY_ROW, MOVE_ROW)[1] == (1, 0, 1)
+    assert play_forced(cfg, STAY_ROW, STAY_ROW, STAY_ROW, bits=(1, 0, 1))[1] == (0, 0, 0)

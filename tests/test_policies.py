@@ -1,25 +1,23 @@
-"""Random and Q-learning policies: schedules, updates, training runs."""
+"""Random and Q-learning play: schedules, draws, updates, training runs."""
+
+import copy
 
 import numpy as np
 import pytest
 
-from conftest import two_agent_random_expectations
+from conftest import MOVE_ROW, STAY_ROW, forced_tables, two_agent_random_expectations
 
+from altlab import policies
 from altlab.errors import ConfigError, DataError
-from altlab.game import Action, GameConfig
+from altlab.game import GameConfig
 from altlab.metrics import alt_score
-from altlab.policies import (
-    QLearningConfig,
-    QLearningPolicy,
-    QTable,
-    RandomPolicy,
-    epsilon_at,
-    q_update,
-    random_action,
-    run_random,
-    select_action,
-    train_run,
-)
+from altlab.policies import QLearningConfig, epsilon_at, play, run_random, train_run
+
+
+def moves(log, n):
+    """Each agent's one action per episode, in draw order, for a
+    one-cell track with a one-step cap: the arrivals are the movers."""
+    return [int(i in ep.arrivals) for ep in log for i in range(n)]
 
 
 def test_qlearning_config_validation():
@@ -62,82 +60,82 @@ def test_epsilon_schedule_rejects_out_of_range():
 
 
 def test_random_action_uniform_and_reproducible():
-    rng = np.random.default_rng(123)
-    draws = np.array([int(random_action(rng)) for _ in range(100_000)])
+    cfg = GameConfig(n_agents=2, path_length=1, step_cap=1)
+    draws = np.array(moves(run_random(cfg, 50_000, seed_or_rng=123), 2))
     assert draws.mean() == pytest.approx(0.5, abs=0.005)
     # adjacent draws are uncorrelated
     corr = np.corrcoef(draws[:-1], draws[1:])[0, 1]
     assert abs(corr) < 0.01
-    rng2 = np.random.default_rng(123)
-    again = [int(random_action(rng2)) for _ in range(1000)]
-    assert again == list(draws[:1000])
+    # one integers(0, 2) draw per agent per step, in agent order
+    rng = np.random.default_rng(123)
+    assert list(draws[:1000]) == [int(rng.integers(0, 2)) for _ in range(1000)]
 
 
 def test_select_action_greedy_and_tie_break():
-    q = QTable()
-    key = (0, 0)
-    q.set(key, Action.MOVE, 5.0)
+    cfg = GameConfig(n_agents=2)
     rng = np.random.default_rng(0)
-    assert all(select_action(q, key, 0.0, rng) is Action.MOVE for _ in range(100))
-
-    tie_rng = np.random.default_rng(1)
-    draws = [int(select_action(QTable(), key, 0.0, tie_rng)) for _ in range(10_000)]
-    assert np.mean(draws) == pytest.approx(0.5, abs=0.02)
+    state = rng.bit_generator.state
+    log, _ = play(cfg, 100, rng, (0, 0), forced_tables(cfg, MOVE_ROW, STAY_ROW))
+    assert all(ep.exclusive_winner == 0 for ep in log)
+    assert rng.bit_generator.state == state
+    # Unseen keys read as an exact tie, broken by the random agent's draw.
+    tied, _ = play(cfg, 5000, np.random.default_rng(1), (0, 0), [{}, {}])
+    assert tied == run_random(cfg, 5000, seed_or_rng=1)
 
 
 def test_select_action_explores_at_full_epsilon():
-    q = QTable()
-    key = (0, 0)
-    q.set(key, Action.STAY, 50.0)
-    rng = np.random.default_rng(2)
-    draws = [int(select_action(q, key, 1.0, rng)) for _ in range(10_000)]
+    cfg = GameConfig(n_agents=2, path_length=1, step_cap=1)
+    tables = forced_tables(cfg, STAY_ROW, STAY_ROW)
+    log, _ = play(cfg, 5000, np.random.default_rng(2), (0, 0), tables, [1.0] * 5000)
+    draws = moves(log, 2)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.02)
+    # each agent flips the exploration coin, then draws its action
+    rng = np.random.default_rng(2)
+    expected = []
+    for _ in draws:
+        rng.random()
+        expected.append(int(rng.integers(0, 2)))
+    assert draws == expected
 
 
 def test_q_update_frozen_example():
-    cfg = QLearningConfig()
-    q = QTable()
-    s, s_next = (0, 0), (1, 0)
-    q.set(s, Action.MOVE, 10.0)
-    q.set(s_next, Action.STAY, 20.0)
-    q_update(q, s, Action.MOVE, 0.0, s_next, terminal=False, cfg=cfg)
-    # target = 0 + 0.999 * 20 = 19.98; new = 10 + 0.3 * 9.98
-    assert q.get(s, Action.MOVE) == pytest.approx(12.994)
+    # Agent 0 moves from (0, 0) while agent 1 stays; agent 0's update reads
+    # its own row at (1, 0): target = 0 + 0.999 * 20 = 19.98; new = 10 + 0.3 * 9.98
+    cfg = GameConfig(n_agents=2, step_cap=3)
+    tables = forced_tables(cfg, STAY_ROW, STAY_ROW)
+    tables[0][(0, 0)] = [0.0, 10.0]
+    tables[0][(1, 0)] = [20.0, 0.0]
+    play(cfg, 1, np.random.default_rng(0), (0, 0), tables, qcfg=QLearningConfig())
+    assert tables[0][(0, 0)] == [0.0, pytest.approx(12.994)]
 
 
 def test_q_update_terminal_bootstraps_to_zero():
-    cfg = QLearningConfig()
-    q = QTable()
-    q.set((1, 1), Action.MOVE, 1000.0)
-    q_update(q, (0, 0), Action.MOVE, 100.0, (1, 1), terminal=True, cfg=cfg)
-    assert q.get((0, 0), Action.MOVE) == pytest.approx(30.0)
+    # Agent 0 arrives alone in one step; its terminal target is the reward
+    # 100, not a bootstrap from its row at the next key.
+    cfg = GameConfig(n_agents=2, path_length=1)
+    tables = forced_tables(cfg, MOVE_ROW, STAY_ROW)
+    tables[0][(0, 0)] = [-1.0, 0.0]
+    tables[0][(1, 0)] = [0.0, 1000.0]
+    play(cfg, 1, np.random.default_rng(0), (0, 0), tables, qcfg=QLearningConfig())
+    assert tables[0][(0, 0)] == [-1.0, pytest.approx(30.0)]
 
 
 def test_q_update_rejects_non_finite_reward():
-    with pytest.raises(DataError):
-        q_update(
-            QTable(), (0,), Action.MOVE, float("nan"), (1,), False, QLearningConfig()
-        )
+    # The only reward source is r_high, so a non-finite reward is refused
+    # when the game is configured, before any Q update could see it.
+    for r_high in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            train_run(GameConfig(n_agents=2, r_high=r_high), QLearningConfig(), 1)
 
 
 def test_qtable_default_lookup_does_not_insert():
-    q = QTable()
-    assert q.get((5, 5), Action.MOVE) == 0.0
-    assert q.max_value((5, 5)) == 0.0
-    assert len(q) == 0
-    q.set((5, 5), Action.STAY, -2.0)
-    assert len(q) == 1
-    assert q.max_abs_value() == 2.0
-
-
-def test_qtable_dump_format(tmp_path):
-    q = QTable()
-    q.set((1, 0), Action.MOVE, 3.5)
-    q.set((0, 0), Action.STAY, -1.0)
-    path = tmp_path / "table.txt"
-    q.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines == ["0,0 -1.0 0.0", "1,0 0.0 3.5"]
+    # Unseen keys read as zeros without being inserted; only updates add rows.
+    cfg = GameConfig(n_agents=2)
+    tables = [{}, {}]
+    play(cfg, 20, np.random.default_rng(5), (0, 0), tables, [0.5] * 20)
+    assert tables == [{}, {}]
+    play(cfg, 1, np.random.default_rng(5), (0, 0), tables, qcfg=QLearningConfig())
+    assert all(len(t) > 0 for t in tables)
 
 
 def test_train_run_shapes_and_determinism():
@@ -159,7 +157,7 @@ def test_trained_q_values_respect_return_bound():
     qcfg = QLearningConfig()
     result = train_run(cfg, qcfg, 1000, seed_or_rng=9)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    assert all(t.max_abs_value() <= bound for t in result.tables)
+    assert all(abs(v) <= bound for t in result.tables for row in t.values() for v in row)
     assert all(len(t) > 0 for t in result.tables)
 
 
@@ -167,7 +165,14 @@ def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
     cfg = GameConfig(n_agents=2)
     qcfg = QLearningConfig()
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    monkeypatch.setattr(QTable, "max_abs_value", lambda self: bound * 1.01)
+    real_play = policies.play
+
+    def escaping_play(cfg, episodes, rng, bits, tables, *rest):
+        result = real_play(cfg, episodes, rng, bits, tables, *rest)
+        tables[0][(0, 0)] = [bound * 1.01, 0.0]
+        return result
+
+    monkeypatch.setattr(policies, "play", escaping_play)
     with pytest.raises(DataError, match="bound"):
         train_run(cfg, qcfg, 20, seed_or_rng=9)
 
@@ -185,19 +190,15 @@ def test_pinned_epsilon_training_matches_random_play():
 
 
 def test_frozen_policy_stops_learning():
-    policy = QLearningPolicy(QLearningConfig())
-    policy.learning = False
-    policy.observe((0, 0), Action.MOVE, 100.0, (1, 0), True)
-    assert len(policy.q) == 0
+    # Without qcfg the tables are read, never written.
+    cfg = GameConfig(n_agents=2)
+    trained = train_run(cfg, QLearningConfig(), 200, seed_or_rng=3)
+    frozen = copy.deepcopy(trained.tables)
+    rng = np.random.default_rng(4)
+    play(cfg, 50, rng, trained.final_prev_winners, trained.tables, [0.5] * 50)
+    assert trained.tables == frozen
 
 
 def test_run_random_rejects_empty_run():
     with pytest.raises(ConfigError):
         run_random(GameConfig(n_agents=2), 0)
-
-
-def test_random_policy_ignores_observations():
-    policy = RandomPolicy()
-    policy.observe((0,), Action.MOVE, 1.0, (1,), True)
-    rng = np.random.default_rng(0)
-    assert policy.act((0,), 0.0, rng) in (Action.STAY, Action.MOVE)
