@@ -8,6 +8,10 @@ Every run lands in its own directory under a runs root:
     <run_id>/curve.csv       training curve (trained runs only)
     <run_id>/spec.snapshot   schema-tagged JSON record of the exact config
 
+The files are written into a temporary sibling, ``.<run_id>.tmp-<pid>``,
+which is renamed into place once complete: a run directory is either
+whole or absent, so a failed run never blocks its rerun.
+
 A sweep crosses agent counts with both state encodings and both reward
 schemes, trains one run per seed per cell, pairs each against a
 random-policy baseline with the same game settings, and writes one
@@ -30,6 +34,9 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
+import os
+import shutil
 import traceback
 from dataclasses import asdict, astuple, dataclass, field, fields, make_dataclass
 from datetime import datetime, timezone
@@ -75,6 +82,17 @@ class ExperimentSpec:
             raise ConfigError("run_id must be non-empty")
         if self.policy == "qlearning" and self.qcfg is None:
             object.__setattr__(self, "qcfg", QLearningConfig())
+        # The run's total payoff and the Q-values' bound must stay finite.
+        if not math.isfinite(self.episodes * self.game.r_high):
+            raise ConfigError(
+                f"{self.episodes} episodes at r_high {self.game.r_high} overflow the total payoff"
+            )
+        if self.policy == "qlearning" and not math.isfinite(
+            self.game.r_high / (1.0 - self.qcfg.gamma)
+        ):
+            raise ConfigError(
+                f"r_high {self.game.r_high} at gamma {self.qcfg.gamma} overflows the Q-value bound"
+            )
 
 
 @dataclass(frozen=True)
@@ -281,11 +299,10 @@ def read_snapshot(path: Path) -> ExperimentSpec:
         raise DataError(f"{path}: malformed snapshot: {exc}") from exc
 
 
-def _prepare_run_dir(runs_root: Path, run_id: str, overwrite: bool) -> Path:
+def _run_dir(runs_root: Path, run_id: str, overwrite: bool) -> Path:
     run_dir = Path(runs_root) / run_id
     if run_dir.exists() and not overwrite:
         raise ConfigError(f"run directory {run_dir} already exists (pass overwrite to replace)")
-    run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
@@ -295,12 +312,25 @@ def _persist(
     outcomes: Sequence[EpisodeOutcome],
     panels: Sequence[tuple[str, MetricPanel]],
     curve: Sequence[CurvePoint] | None,
+    overwrite: bool,
 ) -> None:
-    write_episode_log(outcomes, run_dir / "log.jsonl")
-    write_panel_csv(panels, run_dir / "panel.csv")
-    if curve is not None:
-        write_curve_csv(curve, run_dir / "curve.csv")
-    write_snapshot(spec, run_dir / "spec.snapshot")
+    """Write a run's artifacts into a temporary sibling and rename it into
+    place, so the run directory is either complete or absent."""
+    tmp = run_dir.with_name(f".{run_dir.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        write_episode_log(outcomes, tmp / "log.jsonl")
+        write_panel_csv(panels, tmp / "panel.csv")
+        if curve is not None:
+            write_curve_csv(curve, tmp / "curve.csv")
+        write_snapshot(spec, tmp / "spec.snapshot")
+        if overwrite and run_dir.exists():
+            shutil.rmtree(run_dir)
+        tmp.rename(run_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_run_result(run_dir: Path) -> RunResult:
@@ -324,10 +354,10 @@ def run_baseline(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False)
     """Execute a random-policy run and persist its artifacts."""
     if spec.policy != "random":
         raise ConfigError(f"run_baseline needs a random-policy spec, got {spec.policy!r}")
-    run_dir = _prepare_run_dir(runs_root, spec.run_id, overwrite)
+    run_dir = _run_dir(runs_root, spec.run_id, overwrite)
     outcomes = run_random(spec.game, spec.episodes, spec.seed)
     panel = compute_panel(outcomes, spec.game.n_agents, spec.game.r_high)
-    _persist(run_dir, spec, outcomes, [("full", panel)], curve=None)
+    _persist(run_dir, spec, outcomes, [("full", panel)], None, overwrite)
     return RunResult(spec=spec, panel=panel, run_dir=run_dir)
 
 
@@ -373,7 +403,7 @@ def run_training(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False)
     if spec.policy != "qlearning":
         raise ConfigError(f"run_training needs a qlearning spec, got {spec.policy!r}")
     qcfg = spec.qcfg
-    run_dir = _prepare_run_dir(runs_root, spec.run_id, overwrite)
+    run_dir = _run_dir(runs_root, spec.run_id, overwrite)
     rng = np.random.default_rng(spec.seed)
     trained: TrainRun = train_run(spec.game, qcfg, spec.episodes, rng)
 
@@ -392,6 +422,7 @@ def run_training(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False)
         trained.outcomes,
         [("full", panel), ("greedy_eval", greedy_panel)],
         curve,
+        overwrite,
     )
     return RunResult(
         spec=spec, panel=panel, greedy_panel=greedy_panel, curve=curve, run_dir=run_dir

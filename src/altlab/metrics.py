@@ -181,8 +181,14 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
         raise ConfigError(f"r_high must be positive, got {r_high}")
     if not episodes:
         raise InsufficientDataError("efficiency needs at least one episode")
-    total = math.fsum(r for ep in episodes for r in ep.rewards)
-    return total / (len(episodes) * r_high)
+    optimum = len(episodes) * r_high
+    if not math.isfinite(optimum):
+        raise ConfigError(f"{len(episodes)} episodes at r_high {r_high} overflow the optimum")
+    try:
+        total = math.fsum(r for ep in episodes for r in ep.rewards)
+    except OverflowError as exc:
+        raise DataError(f"total reward overflows: {exc}") from exc
+    return total / optimum
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,25 @@
-"""Agent play: uniform random and independent tabular Q-learning, in one loop.
+"""Agent play: uniform random and independent tabular Q-learning.
 
-:func:`play` runs every episode altlab simulates: random play, epsilon-greedy
-training and frozen greedy evaluation.  A Q-agent's table is a plain dict
-from observation key (the positions tuple, plus the previous-arrival bits
-for Type B) to ``[q_stay, q_move]``; an unseen key reads as all zeros and
-is only inserted by an update.  Each agent reads and writes only its own
-table.  Exploration follows a linear epsilon schedule that is shared by
-all agents within an episode.
+:func:`play` runs every episode altlab simulates, on one of two paths.
+
+Random play never looks at the state, so its draws do not depend on it:
+:func:`_play_random` takes the n coins of each step from the generator in
+blocks of ``_CHUNK`` steps, as ``integers(0, 2, size=(_CHUNK, n))``.  That
+call yields the same values, and leaves the generator in the same state,
+as ``_CHUNK * n`` scalar ``integers(0, 2)`` calls, so the blocks follow
+the per-agent, per-step draw order that :func:`play` documents.  A
+cumulative sum over the block finds every episode's end with numpy; only
+the walk from one episode's start to the next is a Python loop.  When the
+last episode ends, the generator is rewound to the start of its block and
+redrawn for the rows used, so the caller's generator ends exactly where
+per-step draws would leave it.
+
+Epsilon-greedy training and frozen greedy evaluation go step by step.  A
+Q-agent's table is a plain dict from observation key (the positions tuple,
+plus the previous-arrival bits for Type B) to ``[q_stay, q_move]``; an
+unseen key reads as all zeros and is only inserted by an update.  Each
+agent reads and writes only its own table.  Exploration follows a linear
+epsilon schedule that is shared by all agents within an episode.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .game import EpisodeOutcome, GameConfig, StateType, assign_rewards
+
+_CHUNK = 4096  # random-play steps drawn per generator call
 
 
 @dataclass(frozen=True)
@@ -89,13 +104,17 @@ def play(
     step, agents draw from ``rng`` in agent order: a random agent one
     ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
     then one ``integers(0, 2)`` if it explores or its Q-values tie
-    exactly.  Returns the outcomes and the bits for the next episode.
+    exactly.  Random play takes those draws in blocks (:func:`_play_random`);
+    the values and the generator's final state are the same.  Returns the
+    outcomes and the bits for the next episode.
     """
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     bits = tuple(bits)
     if episodes < 1 or len(bits) != n or not set(bits) <= {0, 1}:
         raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
-    if tables is not None and len(tables) != n:
+    if tables is None:
+        return _play_random(cfg, episodes, rng)
+    if len(tables) != n:
         raise ConfigError(f"got {len(tables)} Q-tables for {n} agents")
     type_b = cfg.state_type is StateType.TYPE_B
     draw, coin = rng.integers, rng.random
@@ -105,17 +124,14 @@ def play(
         eps = 0.0 if epsilons is None else epsilons[e]
         pos, steps = [0] * n, 0
         while True:
-            if tables is None:
-                acts = [int(draw(0, 2)) for _ in zeros]
-            else:
-                key = (*pos, *bits) if type_b else tuple(pos)
-                acts = []
-                for table in tables:
-                    row = table.get(key)
-                    if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]:
-                        acts.append(int(draw(0, 2)))
-                    else:
-                        acts.append(1 if row[1] > row[0] else 0)
+            key = (*pos, *bits) if type_b else tuple(pos)
+            acts = []
+            for table in tables:
+                row = table.get(key)
+                if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]:
+                    acts.append(int(draw(0, 2)))
+                else:
+                    acts.append(1 if row[1] > row[0] else 0)
             pos = [p + a for p, a in zip(pos, acts)]
             steps += 1
             done = length in pos or steps >= cap
@@ -134,6 +150,57 @@ def play(
         outcomes.append(EpisodeOutcome(e, won, winner, rewards, steps, not won))
         bits = tuple(int(i in won) for i in range(n))
     return outcomes, bits
+
+
+def _play_random(
+    cfg: GameConfig, episodes: int, rng: np.random.Generator
+) -> tuple[list[EpisodeOutcome], tuple[int, ...]]:
+    """Random play of ``episodes`` episodes, drawn in blocks of ``_CHUNK`` steps.
+
+    The steps of an episode that runs past a block are carried to the
+    front of the next one, so memory stays at one block plus at most
+    ``step_cap`` rows.
+    """
+    n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
+    kinds: dict[bytes, tuple] = {}  # arrival pattern -> (won, winner, rewards, capped)
+    outcomes: list[EpisodeOutcome] = []
+    pending = np.zeros((0, n), dtype=np.int64)  # the steps of an unfinished episode
+    while True:
+        snapshot = rng.bit_generator.state
+        moves = np.concatenate((pending, rng.integers(0, 2, size=(_CHUNK, n))))
+        rows = len(moves)
+        # pos[i, j]: agent i's moves in the block's first j steps, so an
+        # episode from step s to step j leaves it at pos[i, j] - pos[i, s].
+        pos = np.zeros((n, rows + 1), dtype=np.int32)
+        np.cumsum(moves.T, axis=1, dtype=np.int32, out=pos[:, 1:])
+        # ends[s]: where an episode starting at s ends, rows + 1 or more
+        # when the block is too short to tell.
+        ends = np.arange(rows) + min(cap, rows + 1)
+        for agent in pos:
+            np.minimum(ends, np.searchsorted(agent, agent[:-1] + length), out=ends)
+        starts, s, stop = [], 0, ends.tolist()
+        need = episodes - len(outcomes)
+        while len(starts) < need and s < rows and stop[s] <= rows:
+            starts.append(s)
+            s = stop[s]
+        first = np.array(starts, dtype=np.intp)
+        last = ends[first]
+        hits = (pos[:, last] - pos[:, first]).T == length
+        for row, steps in zip(hits, (last - first).tolist()):
+            key = row.tobytes()
+            if key not in kinds:
+                won = frozenset(np.flatnonzero(row).tolist())
+                winner = next(iter(won)) if len(won) == 1 else None
+                kinds[key] = (won, winner, assign_rewards(won, cfg), not won)
+            won, winner, rewards, capped = kinds[key]
+            outcomes.append(EpisodeOutcome(len(outcomes), won, winner, rewards, steps, capped))
+        if len(outcomes) == episodes:
+            # Leave the generator where per-step draws would: after the rows used.
+            rng.bit_generator.state = snapshot
+            rng.integers(0, 2, size=(s - len(pending), n))
+            won = outcomes[-1].arrivals
+            return outcomes, tuple(int(i in won) for i in range(n))
+        pending = moves[s:]
 
 
 @dataclass

@@ -37,6 +37,10 @@ def test_usage_errors_exit_2(tmp_path):
     # a non-finite payoff is refused before any run directory is made
     for command in ("simulate", "baseline"):
         assert main([command, "--agents", "2", "--r-high", "inf", "--out", str(tmp_path)]) == 2
+    # so is a finite payoff whose run total or Q-value bound overflows
+    for command, r_high in (("baseline", "1e308"), ("simulate", "1e308"), ("simulate", "1e306")):
+        flags = ["--agents", "2", "--episodes", "20", "--r-high", r_high, "--out", str(tmp_path)]
+        assert main([command, *flags]) == 2, (command, r_high)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -88,6 +92,17 @@ def test_metrics_rejects_short_and_malformed_logs(tmp_path, capsys):
     )
     assert main(["metrics", "--log", str(bad), "--agents", "2"]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_metrics_overflow_exits_without_traceback(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    records = [make_outcome(e, 2, {e % 2}, r_high=1e308).to_record() for e in range(4)]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    # the rewards overflow their total: bad data
+    assert main(["metrics", "--log", str(log), "--agents", "2", "--r-high", "1"]) == 3
+    # the flag overflows the optimum: bad configuration
+    assert main(["metrics", "--log", str(log), "--agents", "2", "--r-high", "1e308"]) == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("log_agents, read_agents", [(3, 2), (2, 3)])

@@ -20,6 +20,7 @@ from altlab.game import (
     StateType,
     assign_rewards,
 )
+from altlab.harness import ExperimentSpec
 from altlab.policies import QLearningConfig, play, run_random, train_run
 
 
@@ -44,6 +45,15 @@ def test_config_validation():
     for r_high in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
             GameConfig(n_agents=2, r_high=r_high)
+    # A huge finite payoff is a valid game, but a run whose total payoff or
+    # Q-value bound overflows is not.
+    huge = GameConfig(n_agents=2, r_high=1e307)
+    ExperimentSpec(huge, "random", 10, 0, "r")
+    with pytest.raises(ConfigError, match="total payoff"):
+        ExperimentSpec(huge, "random", 20, 0, "r")
+    with pytest.raises(ConfigError, match="Q-value bound"):
+        ExperimentSpec(huge, "qlearning", 10, 0, "r")
+    ExperimentSpec(huge, "qlearning", 10, 0, "r", QLearningConfig(gamma=0.0))
 
 
 def test_r_low_by_scheme():

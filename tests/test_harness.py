@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from altlab import harness
 from altlab.errors import ConfigError, DataError, SchemaVersionError
 from altlab.game import GameConfig, RewardScheme, StateType
 from altlab.harness import (
@@ -185,6 +186,36 @@ def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
 
     with pytest.raises(ConfigError):
         run_training(spec, tmp_path, overwrite=True)
+
+
+def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    baseline = ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand")
+    trained = ExperimentSpec(GameConfig(n_agents=2), "qlearning", 50, 0, "ql")
+    # A failure while scoring, or while writing the last file, leaves
+    # neither the run directory nor its temporary sibling behind.
+    for name, spec, run in (
+        ("compute_panel", baseline, run_baseline),
+        ("write_snapshot", baseline, run_baseline),
+        ("write_curve_csv", trained, run_training),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, name, broken)
+            with pytest.raises(RuntimeError):
+                run(spec, tmp_path)
+        assert list(tmp_path.iterdir()) == [], name
+    first = run_baseline(baseline, tmp_path)
+    run_training(trained, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ql", "rand"]
+    # A failed overwrite keeps the complete old run.
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "write_snapshot", broken)
+        with pytest.raises(RuntimeError):
+            run_baseline(baseline, tmp_path, overwrite=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ql", "rand"]
+    assert load_run_result(tmp_path / "rand").panel == first.panel
 
 
 def test_run_training_artifacts(tmp_path):

@@ -294,6 +294,11 @@ def test_efficiency_validation():
         efficiency([make_outcome(0, 2, {0})], 0.0)
     with pytest.raises(InsufficientDataError):
         efficiency([], 100.0)
+    # an optimum or a total that overflows is refused, never an OverflowError
+    with pytest.raises(ConfigError, match="overflow"):
+        efficiency([make_outcome(e, 2, {0}) for e in range(2)], 1e308)
+    with pytest.raises(DataError, match="overflow"):
+        efficiency([make_outcome(e, 2, {0}, r_high=1e308) for e in range(2)], 1.0)
 
 
 def test_compute_panel_is_consistent_with_parts():

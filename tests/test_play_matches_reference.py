@@ -3,6 +3,8 @@
 Random play, Q-learning and the greedy evaluation after training must
 draw from the generator in the reference's order, so every outcome,
 Q-table and arrival bit, and the generator's final state, match exactly.
+Random play draws its steps in blocks of ``policies._CHUNK``, so its cases
+also cover episodes and runs that cross block boundaries.
 """
 
 import tempfile
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_play as ref
-from altlab import harness
+from altlab import harness, policies
 from altlab.game import GameConfig, RewardScheme, StateType
-from altlab.policies import QLearningConfig, run_random, train_run
+from altlab.policies import QLearningConfig, play, run_random, train_run
 
 
 @st.composite
@@ -67,6 +69,53 @@ def test_random_play_and_training_match_reference(cfg, qcfg, episodes, seed):
     assert_same_training(
         train_run(cfg, qcfg, episodes, new_rng), ref.train_run(cfg, qcfg, episodes, old_rng)
     )
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def assert_same_random_play(cfg, episodes, seed) -> None:
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert run_random(cfg, episodes, new_rng) == ref.run_random(cfg, episodes, old_rng)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(game_configs(), st.sampled_from([1, 2, 7]), st.integers(1, 80), seeds)
+def test_random_play_matches_reference_across_small_blocks(cfg, chunk, episodes, seed):
+    # Blocks of 1, 2 or 7 steps: episodes start, end and run on across
+    # block boundaries everywhere.
+    with mock.patch.object(policies, "_CHUNK", chunk):
+        assert_same_random_play(cfg, episodes, seed)
+
+
+def test_long_random_runs_match_reference():
+    # 3,000 short episodes run across several blocks of the real size.
+    assert_same_random_play(GameConfig(n_agents=2), 3000, 11)
+    # Episodes of about 70 steps on a 40-cell track: some straddle a block
+    # boundary, and with 7-step blocks every one spans several blocks.
+    long_track = GameConfig(n_agents=2, path_length=40, step_cap=5000)
+    assert_same_random_play(long_track, 150, 12)
+    with mock.patch.object(policies, "_CHUNK", 7):
+        assert_same_random_play(long_track, 20, 13)
+    # A step cap beyond any int64 never cuts an episode off.
+    assert_same_random_play(GameConfig(n_agents=3, path_length=3, step_cap=2**70), 100, 14)
+
+
+def test_random_play_continues_a_callers_generator_and_bits():
+    cfg = GameConfig(n_agents=3, state_type=StateType.TYPE_B, path_length=3, step_cap=5)
+    new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
+    # Both generators are mid-stream, with half a 64-bit word buffered.
+    new_rng.integers(0, 2, size=3)
+    for _ in range(3):
+        old_rng.integers(0, 2)
+    bits = (1, 0, 1)
+    outcomes, new_bits = play(cfg, 200, new_rng, bits)
+    policies_ = [ref.RandomPolicy() for _ in range(cfg.n_agents)]
+    old = []
+    for e in range(200):
+        old.append(ref.run_episode(policies_, bits, cfg, old_rng, epsilon=1.0, episode_index=e))
+        bits = ref.next_prev_winners(old[-1], cfg)
+    assert outcomes == old
+    assert new_bits == bits
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 

@@ -71,6 +71,23 @@ def test_random_action_uniform_and_reproducible():
     assert list(draws[:1000]) == [int(rng.integers(0, 2)) for _ in range(1000)]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_block_coin_draws_equal_scalar_draws(seed, offset):
+    # Random play draws its coins as integers(0, 2, size=...) blocks; numpy
+    # must give the values and final state of as many scalar calls, also
+    # from a generator with half a 64-bit word buffered (offset 1).
+    for size in (1, 2, 3, 10, 2 * 4096 + 1):
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        block.integers(0, 2, size=offset)
+        for _ in range(offset):
+            scalar.integers(0, 2)
+        drawn = block.integers(0, 2, size=size)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [int(scalar.integers(0, 2)) for _ in range(size)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
 def test_select_action_greedy_and_tie_break():
     cfg = GameConfig(n_agents=2)
     rng = np.random.default_rng(0)
