@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -215,28 +215,10 @@ def fit_alt_ratio_regression(
         n_range=(lo, hi),
         max_fit_error=0.0,
     )
-    err = max(abs(fit.predict(v) - r) for v, r in points)
-    return RegressionFit(
-        variant=variant,
-        scale=fit.scale,
-        exponent=fit.exponent,
-        n_range=(lo, hi),
-        max_fit_error=float(err),
-    )
+    return replace(fit, max_fit_error=float(max(abs(fit.predict(v) - r) for v, r in points)))
 
 
-@dataclass(frozen=True)
-class ScalingConfig:
-    """Base episode budget for the smallest game."""
-
-    base: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.base < 1:
-            raise ConfigError(f"base must be >= 1, got {self.base}")
-
-
-def episodes_for(n: int, cfg: ScalingConfig | None = None) -> int:
+def episodes_for(n: int, base: int = 1000) -> int:
     """Training budget floor(base * (n/2)^2 * (1 + ln(n!/2))).
 
     Grows with both the joint-state count and the number of distinct
@@ -244,6 +226,7 @@ def episodes_for(n: int, cfg: ScalingConfig | None = None) -> int:
     """
     if n < 2:
         raise ConfigError(f"need at least 2 agents, got {n}")
-    cfg = cfg or ScalingConfig()
+    if base < 1:
+        raise ConfigError(f"base must be >= 1, got {base}")
     growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
-    return math.floor(cfg.base * growth)
+    return math.floor(base * growth)

@@ -68,7 +68,7 @@ def _run_single(args, policy: str) -> int:
     if args.episodes is not None:
         episodes = args.episodes
     elif policy == "qlearning":
-        episodes = analysis.episodes_for(args.agents, analysis.ScalingConfig(args.base))
+        episodes = analysis.episodes_for(args.agents, args.base)
     else:
         episodes = 10_000
     prefix = "ql" if policy == "qlearning" else "rand"
@@ -134,7 +134,6 @@ def cmd_sweep(args) -> int:
         seed_root=args.seed_root,
         seeds=args.seeds,
         workers=args.workers,
-        reuse_baselines=not args.no_reuse_baselines,
         overwrite=args.overwrite,
     )
     print(f"completed {len(result.results)} runs, {len(result.failures)} failures")
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed-root", type=int, default=0)
     sub.add_argument("--seeds", type=int, default=1)
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--no-reuse-baselines", action="store_true")
     sub.add_argument("--overwrite", action="store_true")
     sub.set_defaults(func=cmd_sweep)
 

@@ -13,11 +13,12 @@ which is renamed into place once complete: a run directory is either
 whole or absent, so a failed run never blocks its rerun.
 
 A sweep crosses agent counts with both state encodings and both reward
-schemes, trains one run per seed per cell, pairs each against a
-random-policy baseline with the same game settings, and writes one
-summary.csv row per run.  Baselines share their seed across reward
-schemes, so their win patterns (and hence all alternation scores) are
-identical between ilf and iqf cells.
+schemes into one list of run specs, checked before anything is written.
+It trains one run per seed per cell, pairs each against the random-policy
+baseline with the same game settings, and writes one summary.csv row per
+run.  Baselines share their seed across reward schemes, so their win
+patterns (and hence all alternation scores) are identical between ilf
+and iqf cells.
 
 Every CSV goes through one codec, :func:`write_table` / :func:`read_table`:
 a fixed header that reading checks, floats as their shortest round-trip
@@ -33,6 +34,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -206,10 +208,14 @@ def read_table(path: Path, columns: Sequence[str], build=None) -> list:
         raise DataError(f"{path}: {exc}") from exc
 
 
+# json.dumps would build a new encoder for every record.
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for outcome in outcomes:
-            fh.write(json.dumps(outcome.to_record(), separators=(",", ":")))
+            fh.write(_encode_record(outcome.to_record()))
             fh.write("\n")
 
 
@@ -439,31 +445,26 @@ class SweepResult:
     summary_path: Path | None
 
 
-def _baseline_run_id(n: int, st: StateType, scheme: RewardScheme) -> str:
-    return f"rand-n{n}-{st.value}-{scheme.value}"
-
-
-def _training_run_id(n: int, st: StateType, scheme: RewardScheme, seed_index: int) -> str:
-    return f"ql-n{n}-{st.value}-{scheme.value}-s{seed_index}"
-
-
-def _execute_task(task) -> tuple[str, RunResult | None, str | None]:
-    kind, spec, runs_root, overwrite, reuse = task
+def _execute_task(
+    spec: ExperimentSpec, runs_root: Path, overwrite: bool
+) -> tuple[RunResult | None, str | None]:
+    """Run one spec, or reload its cached baseline when the recorded spec
+    matches; a failure comes back as its traceback."""
     try:
-        run_dir = Path(runs_root) / spec.run_id
-        if reuse and run_dir.exists() and not overwrite:
-            cached = load_run_result(run_dir)
-            if cached.spec != spec:
-                raise ConfigError(
-                    f"cached run {spec.run_id} was produced by a different spec; "
-                    f"pass overwrite to replace it"
-                )
-            return spec.run_id, cached, None
-        if kind == "baseline":
-            return spec.run_id, run_baseline(spec, runs_root, overwrite), None
-        return spec.run_id, run_training(spec, runs_root, overwrite), None
+        if spec.policy == "qlearning":
+            return run_training(spec, runs_root, overwrite), None
+        run_dir = runs_root / spec.run_id
+        if overwrite or not run_dir.exists():
+            return run_baseline(spec, runs_root, overwrite), None
+        cached = load_run_result(run_dir)
+        if cached.spec != spec:
+            raise ConfigError(
+                f"cached run {spec.run_id} was produced by a different spec; "
+                f"pass overwrite to replace it"
+            )
+        return cached, None
     except Exception:
-        return spec.run_id, None, traceback.format_exc()
+        return None, traceback.format_exc()
 
 
 def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[SummaryRow]:
@@ -513,98 +514,95 @@ def sweep(
     seeds: int = 1,
     workers: int = 1,
     qcfg: QLearningConfig | None = None,
-    reuse_baselines: bool = True,
     overwrite: bool = False,
 ) -> SweepResult:
     """Run the full experiment grid and write summary.csv at the root.
 
-    Training budgets scale with the agent count via
-    :func:`analysis.episodes_for` with the given ``base``.  Identical
-    arguments (including ``seed_root``) reproduce summary.csv exactly,
-    except for the trailing timestamp column.
+    Every run's spec is built, and so checked, before anything is written:
+    a bad argument raises :class:`ConfigError` and leaves no directory
+    behind.  Training budgets scale with the agent count via
+    :func:`analysis.episodes_for` with the given ``base``.  A baseline
+    whose directory already exists is reloaded when its recorded spec
+    matches and fails otherwise.  Identical arguments (including
+    ``seed_root``) reproduce summary.csv exactly, except for the trailing
+    timestamp column.
     """
-    if not agent_counts:
-        raise ConfigError("agent_counts must be non-empty")
+    cells = list(itertools.product(agent_counts, state_types, reward_schemes))
+    if not cells or len(set(cells)) != len(cells):
+        raise ConfigError(
+            "agent counts, state types and reward schemes must be non-empty and distinct"
+        )
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    scaling = analysis.ScalingConfig(base=base)
     qcfg = qcfg or QLearningConfig()
+    # One trajectory per (n, state type): reward dilution does not change
+    # random play, so both schemes reuse the same seed.
+    specs = [
+        ExperimentSpec(
+            game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
+            policy="random",
+            episodes=baseline_episodes,
+            seed=derive_seed(seed_root, f"baseline-n{n}-{st.value}"),
+            run_id=f"rand-n{n}-{st.value}-{scheme.value}",
+        )
+        for n, st, scheme in cells
+    ]
+    for n, st, scheme in cells:
+        for s in range(seeds):
+            run_id = f"ql-n{n}-{st.value}-{scheme.value}-s{s}"
+            specs.append(
+                ExperimentSpec(
+                    game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
+                    policy="qlearning",
+                    episodes=analysis.episodes_for(n, base),
+                    seed=derive_seed(seed_root, f"train-{run_id}"),
+                    run_id=run_id,
+                    qcfg=qcfg,
+                )
+            )
+
     out_root = Path(out_root)
     runs_root = out_root / "runs"
     runs_root.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    order = []
-    for n in agent_counts:
-        for st in state_types:
-            # One trajectory per (n, state type): reward dilution does not
-            # change random play, so both schemes reuse the same seed.
-            baseline_seed = derive_seed(seed_root, f"baseline-n{n}-{st.value}")
-            for scheme in reward_schemes:
-                run_id = _baseline_run_id(n, st, scheme)
-                spec = ExperimentSpec(
-                    game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
-                    policy="random",
-                    episodes=baseline_episodes,
-                    seed=baseline_seed,
-                    run_id=run_id,
-                )
-                tasks.append(("baseline", spec, runs_root, overwrite, reuse_baselines))
-                order.append(run_id)
-    for n in agent_counts:
-        episodes = analysis.episodes_for(n, scaling)
-        for st in state_types:
-            for scheme in reward_schemes:
-                for s in range(seeds):
-                    run_id = _training_run_id(n, st, scheme, s)
-                    spec = ExperimentSpec(
-                        game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
-                        policy="qlearning",
-                        episodes=episodes,
-                        seed=derive_seed(seed_root, f"train-{run_id}"),
-                        run_id=run_id,
-                        qcfg=qcfg,
-                    )
-                    tasks.append(("train", spec, runs_root, overwrite, False))
-                    order.append(run_id)
-
-    outcomes: dict[str, RunResult] = {}
-    failures: list[tuple[str, str]] = []
+    task = partial(_execute_task, runs_root=runs_root, overwrite=overwrite)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            executed = list(pool.map(_execute_task, tasks))
+            executed = list(pool.map(task, specs))
     else:
-        executed = [_execute_task(task) for task in tasks]
-    for run_id, result, error in executed:
-        if error is None:
-            outcomes[run_id] = result
-        else:
-            failures.append((run_id, error))
+        executed = list(map(task, specs))
+    results = [result for result, _ in executed if result is not None]
+    failures = [
+        (spec.run_id, error) for spec, (_, error) in zip(specs, executed) if error is not None
+    ]
 
-    for result in outcomes.values():
-        if result.spec.policy != "qlearning":
-            continue
-        g = result.spec.game
-        baseline = outcomes.get(_baseline_run_id(g.n_agents, g.state_type, g.reward_scheme))
-        if baseline is None:
-            continue
-        result.comparisons = [
-            analysis.compare(v, getattr(result.panel, v), getattr(baseline.panel, v))
-            for v in ("falt", "ealt", "calt", "aalt")
-        ]
+    baselines = {r.spec.game: r.panel for r in results if r.spec.policy == "random"}
+    for result in results:
+        baseline = baselines.get(result.spec.game)
+        if result.spec.policy == "qlearning" and baseline is not None:
+            result.comparisons = [
+                analysis.compare(v, getattr(result.panel, v), getattr(baseline, v))
+                for v in ("falt", "ealt", "calt", "aalt")
+            ]
 
-    results = [outcomes[run_id] for run_id in order if run_id in outcomes]
-    summary_path = None
+    # Each file describes this sweep only: written when it has rows,
+    # removed otherwise.
+    summary_path = out_root / "summary.csv"
     if results:
-        generated_at = datetime.now(timezone.utc).isoformat()
-        summary_path = out_root / "summary.csv"
-        write_summary(summary_rows(results, generated_at), summary_path)
+        write_summary(summary_rows(results, datetime.now(timezone.utc).isoformat()), summary_path)
+    else:
+        summary_path.unlink(missing_ok=True)
+    failures_path = out_root / "failures.txt"
     if failures:
-        with open(out_root / "failures.txt", "w", encoding="utf-8") as fh:
-            for run_id, error in failures:
-                fh.write(f"== {run_id} ==\n{error}\n")
+        failures_path.write_text(
+            "".join(f"== {run_id} ==\n{error}\n" for run_id, error in failures), encoding="utf-8"
+        )
+    else:
+        failures_path.unlink(missing_ok=True)
     return SweepResult(
-        out_root=out_root, results=results, failures=failures, summary_path=summary_path
+        out_root=out_root,
+        results=results,
+        failures=failures,
+        summary_path=summary_path if results else None,
     )

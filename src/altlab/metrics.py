@@ -29,10 +29,10 @@ Every batch count is a difference of two cumulative sums over per-episode
 columns (arrivals per agent, exclusive wins per agent), so one vectorized
 pass scores every batch of a log.
 
-Traditional metrics summarize whole logs: win-count fairness, reward
-efficiency, turn-taking fairness over per-agent total arrivals, and
-reward fairness.  Ratios with a zero denominator are undefined and
-reported as None.
+Traditional metrics summarize whole logs: reward efficiency and three
+fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
+(fairness), arrivals (tt_fairness) and payoffs (reward_fairness).  A
+ratio whose max is 0 is undefined and reported as None.
 """
 
 from __future__ import annotations
@@ -146,32 +146,6 @@ def _min_max_ratio(values: np.ndarray) -> float | None:
     return float(values.min() / top)
 
 
-def _fairness_ratios(
-    arrived: np.ndarray, winner: np.ndarray, rewards: np.ndarray, n: int
-) -> dict[str, float | None]:
-    # Summing down axis 0 adds each agent's payoffs in episode order.
-    return {
-        "fairness": _min_max_ratio(np.bincount(winner[winner >= 0], minlength=n)),
-        "tt_fairness": _min_max_ratio(arrived.sum(axis=0)),
-        "reward_fairness": _min_max_ratio(rewards.sum(axis=0)),
-    }
-
-
-def fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
-    """min_i w_i / max_i w_i over exclusive win counts; None if nobody won."""
-    return _fairness_ratios(*_columns(episodes, n), n)["fairness"]
-
-
-def tt_fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
-    """min_i t_i / max_i t_i over per-agent total arrivals; None if none."""
-    return _fairness_ratios(*_columns(episodes, n), n)["tt_fairness"]
-
-
-def reward_fairness(episodes: Sequence[EpisodeOutcome], n: int) -> float | None:
-    """min_i p_i / max_i p_i over accumulated payoffs; None if all zero."""
-    return _fairness_ratios(*_columns(episodes, n), n)["reward_fairness"]
-
-
 def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     """Total collected reward over the nu * r_high optimum.
 
@@ -217,10 +191,13 @@ def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> 
     episodes = list(episodes)
     arrived, winner, rewards = _columns(episodes, n)
     betas = _betas(arrived, winner, n)
+    # Summing down axis 0 adds each agent's payoffs in episode order.
     return MetricPanel(
         nu=len(episodes),
         batches=len(episodes) - n + 1,
+        fairness=_min_max_ratio(np.bincount(winner[winner >= 0], minlength=n)),
         efficiency=efficiency(episodes, r_high),
-        **_fairness_ratios(arrived, winner, rewards, n),
+        tt_fairness=_min_max_ratio(arrived.sum(axis=0)),
+        reward_fairness=_min_max_ratio(rewards.sum(axis=0)),
         **{v: _shifted_mean(b) for v, b in betas.items()},
     )

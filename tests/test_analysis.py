@@ -7,7 +7,6 @@ import pytest
 
 from altlab.analysis import (
     CALT_RATIO_OFFSET,
-    ScalingConfig,
     alt_ratio_from_calt,
     compare,
     coordination_score,
@@ -156,9 +155,9 @@ def test_episodes_for_reference_budgets():
 
 
 def test_episodes_for_scaling_and_validation():
-    assert episodes_for(2, ScalingConfig(base=50)) == 50
-    assert episodes_for(3, ScalingConfig(base=50)) == pytest.approx(4721 * 50 / 1000, abs=1)
+    assert episodes_for(2, base=50) == 50
+    assert episodes_for(3, base=50) == pytest.approx(4721 * 50 / 1000, abs=1)
     with pytest.raises(ConfigError):
         episodes_for(1)
     with pytest.raises(ConfigError):
-        ScalingConfig(base=0)
+        episodes_for(2, base=0)

@@ -27,10 +27,21 @@ def test_usage_errors_exit_2(tmp_path):
         ["--state-types", ","],
         ["--rewards", "foo"],
         ["--rewards", ""],
+        ["--no-reuse-baselines"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path / "sweep"), *flags])
         assert exc.value.code == 2, flags
+    # every run's spec is checked before the sweep writes anything
+    for flags in (
+        ["--agents", "2,2"],
+        ["--agents", "2", "--state-types", "A,A"],
+        ["--agents", "2", "--rewards", "ilf,ilf"],
+        ["--agents", "1"],
+        ["--base", "0"],
+        ["--baseline-episodes", "1"],
+    ):
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), *flags]) == 2, flags
     assert not (tmp_path / "sweep").exists()
     # semantic configuration problems map to the same exit code
     assert main(["baseline", "--agents", "1", "--out", str(tmp_path)]) == 2

@@ -385,6 +385,22 @@ def test_sweep_rejects_mismatched_cache(tmp_path):
     assert any(run_id == "rand-n2-A-ilf" for run_id, _ in second.failures)
 
 
+def test_sweep_files_describe_this_sweep_only(tmp_path):
+    out = tmp_path / "s"
+    _tiny_sweep(out, agent_counts=(2,))
+    assert _tiny_sweep(out, agent_counts=(2,)).failures
+    assert (out / "failures.txt").exists()
+    # a clean rerun leaves no failures.txt from the sweep before
+    assert not _tiny_sweep(out, agent_counts=(2,), overwrite=True).failures
+    assert not (out / "failures.txt").exists()
+    # another baseline budget fails every run: the cached baselines no longer
+    # match and the training directories collide
+    failed = _tiny_sweep(out, agent_counts=(2,), baseline_episodes=300)
+    assert failed.results == [] and len(failed.failures) == 8
+    assert failed.summary_path is None
+    assert not (out / "summary.csv").exists()
+
+
 def test_sweep_overwrite_reruns_everything(tmp_path):
     out = tmp_path / "s"
     first = _tiny_sweep(out, agent_counts=(2,))
@@ -422,10 +438,15 @@ def test_sweep_sign_audit_at_full_budgets(tmp_path):
         assert by_variant["aalt"].coord_score_pct < 0.0, run.spec.run_id
 
 
-def test_sweep_validation():
+def test_sweep_validation(tmp_path):
     with pytest.raises(ConfigError):
         sweep("x", agent_counts=())
     with pytest.raises(ConfigError):
         sweep("x", seeds=0)
     with pytest.raises(ConfigError):
         sweep("x", workers=0)
+    # a repeated cell or a one-agent game is refused before anything is written
+    for agent_counts in ((2, 2), (1,)):
+        with pytest.raises(ConfigError):
+            sweep(tmp_path / "s", agent_counts=agent_counts)
+    assert not (tmp_path / "s").exists()

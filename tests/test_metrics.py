@@ -24,9 +24,6 @@ from altlab.metrics import (
     alt_scores,
     compute_panel,
     efficiency,
-    fairness,
-    reward_fairness,
-    tt_fairness,
     window_betas,
 )
 from altlab.policies import run_random
@@ -186,9 +183,10 @@ def test_scores_invariant_under_agent_relabeling(data, rnd):
     perm = dict(zip(range(n), ids))
     shuffled = relabel_outcomes(episodes, perm)
     assert alt_scores(shuffled, n) == alt_scores(episodes, n)
-    assert fairness(shuffled, n) == fairness(episodes, n)
-    assert tt_fairness(shuffled, n) == tt_fairness(episodes, n)
-    assert reward_fairness(shuffled, n) == reward_fairness(episodes, n)
+    panel, relabeled = compute_panel(episodes, n, 100.0), compute_panel(shuffled, n, 100.0)
+    assert relabeled.fairness == panel.fairness
+    assert relabeled.tt_fairness == panel.tt_fairness
+    assert relabeled.reward_fairness == panel.reward_fairness
 
 
 @given(outcome_logs())
@@ -209,10 +207,11 @@ def test_fairness_ratios_match_sequential_tallies(data):
     def ratio(values):
         return min(values) / max(values) if max(values) else None
 
-    assert fairness(episodes, n) == ratio(wins)
-    assert tt_fairness(episodes, n) == ratio(turns)
-    assert reward_fairness(episodes, n) == ratio(payoffs)
-    for value in (fairness(episodes, n), tt_fairness(episodes, n), reward_fairness(episodes, n)):
+    panel = compute_panel(episodes, n, 100.0)
+    assert panel.fairness == ratio(wins)
+    assert panel.tt_fairness == ratio(turns)
+    assert panel.reward_fairness == ratio(payoffs)
+    for value in (panel.fairness, panel.tt_fairness, panel.reward_fairness):
         assert value is None or type(value) is float
 
 
@@ -247,7 +246,7 @@ def test_monopoly_and_all_tie_fixtures():
     assert scores["ealt"] == 0.0
     assert scores["falt"] == 0.5
     assert efficiency(ties, 100.0) == 0.0
-    assert fairness(ties, 2) is None
+    assert compute_panel(ties, 2, 100.0).fairness is None
 
 
 def test_alt_score_variant_validation():
@@ -264,22 +263,26 @@ def test_fairness_counts_exclusive_wins_only():
         make_outcome(2, 2, {1}),
         make_outcome(3, 2, {0, 1}),
     ]
-    assert fairness(log, 2) == pytest.approx(0.5)
+    assert compute_panel(log, 2, 100.0).fairness == pytest.approx(0.5)
 
 
 def test_tt_fairness_counts_all_arrivals():
     log = [make_outcome(0, 2, {0}), make_outcome(1, 2, {0, 1})]
     # arrivals: agent 0 twice, agent 1 once
-    assert tt_fairness(log, 2) == pytest.approx(0.5)
+    panel = compute_panel(log, 2, 100.0)
+    assert panel.tt_fairness == pytest.approx(0.5)
     # only agent 0 ever wins exclusively
-    assert fairness(log, 2) == 0.0
+    assert panel.fairness == 0.0
 
 
 def test_reward_fairness_and_undefined_cases():
-    log = [make_outcome(0, 3, {0}), make_outcome(1, 3, {1})]
-    assert reward_fairness(log, 3) == 0.0
-    assert reward_fairness([make_outcome(0, 2, {0, 1})], 2) is None
-    assert tt_fairness([make_outcome(0, 2, set())], 2) is None
+    # agent 2 is never paid
+    log = [make_outcome(0, 3, {0}), make_outcome(1, 3, {1}), make_outcome(2, 3, set())]
+    assert compute_panel(log, 3, 100.0).reward_fairness == 0.0
+    ties = [make_outcome(e, 2, {0, 1}) for e in range(2)]
+    assert compute_panel(ties, 2, 100.0).reward_fairness is None
+    capped = [make_outcome(e, 2, set()) for e in range(2)]
+    assert compute_panel(capped, 2, 100.0).tt_fairness is None
 
 
 def test_efficiency_counts_capped_episodes_in_denominator():
@@ -311,10 +314,7 @@ def test_compute_panel_is_consistent_with_parts():
     scores = alt_scores(log, n)
     for variant in VARIANTS:
         assert getattr(panel, variant) == scores[variant]
-    assert panel.fairness == fairness(log, n)
     assert panel.efficiency == efficiency(log, 100.0)
-    assert panel.tt_fairness == tt_fairness(log, n)
-    assert panel.reward_fairness == reward_fairness(log, n)
     assert set(panel.as_dict()) == {
         "nu",
         "batches",
