@@ -10,7 +10,8 @@ Every run lands in its own directory under a runs root:
 
 The files are written into a temporary sibling, ``.<run_id>.tmp-<pid>``,
 which is renamed into place once complete: a run directory is either
-whole or absent, so a failed run never blocks its rerun.
+whole or absent, so a failed run never blocks its rerun, and an
+overwrite removes the siblings that killed runs left behind.
 
 A sweep crosses agent counts with both state encodings and both reward
 schemes into one list of run specs, checked before anything is written.
@@ -51,7 +52,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigError, DataError, SchemaVersionError
 from .game import EpisodeOutcome, GameConfig, RewardScheme, StateType
-from .metrics import MetricPanel, _shifted_mean, compute_panel, efficiency, window_betas
+from .metrics import MetricPanel, _betas, _columns, _shifted_mean, compute_panel
 from .policies import QLearningConfig, TrainRun, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
@@ -323,7 +324,8 @@ def _persist(
     """Write a run's artifacts into a temporary sibling and rename it into
     place, so the run directory is either complete or absent."""
     tmp = run_dir.with_name(f".{run_dir.name}.tmp-{os.getpid()}")
-    shutil.rmtree(tmp, ignore_errors=True)
+    for stale in run_dir.parent.glob(f".{run_dir.name}.tmp-*") if overwrite else [tmp]:
+        shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
         write_episode_log(outcomes, tmp / "log.jsonl")
@@ -378,24 +380,18 @@ def _training_curve(
     if marks[-1] != total_episodes:
         marks.append(total_episodes)
     n = game.n_agents
-    batch_calt = window_betas(outcomes, n)["calt"]
+    arrived, winner, rewards = _columns(outcomes, n)
+    batch_calt = _betas(arrived, winner, n)["calt"]
     points = []
     for mark in marks:
         start = max(0, mark - CURVE_WINDOW)
+        calt = eff = None
         if mark - start >= n:
-            # The batches that lie wholly inside episodes start .. mark - 1.
+            # The batches that lie wholly inside episodes start .. mark - 1;
+            # the efficiency is efficiency() of the window, from one column.
             calt = _shifted_mean(batch_calt[start : mark - n + 1])
-            eff = efficiency(outcomes[start:mark], game.r_high)
-        else:
-            calt = eff = None
-        points.append(
-            CurvePoint(
-                episode=mark,
-                epsilon=epsilon_at(mark - 1, total_episodes, qcfg),
-                windowed_calt=calt,
-                windowed_efficiency=eff,
-            )
-        )
+            eff = math.fsum(rewards[start:mark].ravel().tolist()) / ((mark - start) * game.r_high)
+        points.append(CurvePoint(mark, epsilon_at(mark - 1, total_episodes, qcfg), calt, eff))
     return points
 
 

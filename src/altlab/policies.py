@@ -1,18 +1,18 @@
 """Agent play: uniform random and independent tabular Q-learning.
 
-:func:`play` runs every episode altlab simulates, on one of two paths.
+:func:`play` runs every episode altlab simulates.  Its generators are
+PCG64 (altlab makes them with ``default_rng``; any other bit generator is
+a :class:`ConfigError`), and it reads their draws from blocks of raw
+64-bit words.  numpy's ``random()`` is ``(w >> 11) * 2**-53`` of the next
+word ``w``; ``integers(0, 2)`` is bit 31 of the next 32-bit half, where a
+fresh word gives its low half and keeps the high half in ``has_uint32`` /
+``uinteger``.  When play ends (Q-agent play also when a step raises), the
+generator is set back to its state before play and advanced over the
+words used: every value, and the final state, are those of scalar calls.
 
-Random play never looks at the state, so its draws do not depend on it:
-:func:`_play_random` takes the n coins of each step from the generator in
-blocks of ``_CHUNK`` steps, as ``integers(0, 2, size=(_CHUNK, n))``.  That
-call yields the same values, and leaves the generator in the same state,
-as ``_CHUNK * n`` scalar ``integers(0, 2)`` calls, so the blocks follow
-the per-agent, per-step draw order that :func:`play` documents.  A
-cumulative sum over the block finds every episode's end with numpy; only
-the walk from one episode's start to the next is a Python loop.  When the
-last episode ends, the generator is rewound to the start of its block and
-redrawn for the rows used, so the caller's generator ends exactly where
-per-step draws would leave it.
+Random play never looks at the state: :func:`_play_random` reads the
+coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word,
+and finds every episode's end with a cumulative sum over the block.
 
 Epsilon-greedy training and frozen greedy evaluation go step by step.  A
 Q-agent's table is a plain dict from observation key (the positions tuple,
@@ -25,6 +25,7 @@ epsilon schedule that is shared by all agents within an episode.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .game import EpisodeOutcome, GameConfig, StateType, assign_rewards
 
-_CHUNK = 4096  # random-play steps drawn per generator call
+_CHUNK = 4096  # words per generator call; random play reads at least this many steps
 
 
 @dataclass(frozen=True)
@@ -104,71 +105,116 @@ def play(
     step, agents draw from ``rng`` in agent order: a random agent one
     ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
     then one ``integers(0, 2)`` if it explores or its Q-values tie
-    exactly.  Random play takes those draws in blocks (:func:`_play_random`);
-    the values and the generator's final state are the same.  Returns the
-    outcomes and the bits for the next episode.
+    exactly.  Returns the outcomes and the bits for the next episode.
     """
-    n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
+    n = cfg.n_agents
     bits = tuple(bits)
     if episodes < 1 or len(bits) != n or not set(bits) <= {0, 1}:
         raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
-    if tables is None:
-        return _play_random(cfg, episodes, rng)
-    if len(tables) != n:
+    if tables is not None and len(tables) != n:
         raise ConfigError(f"got {len(tables)} Q-tables for {n} agents")
+    words = _Words(rng)
+    try:
+        if tables is None:
+            return _play_random(cfg, episodes, words)
+        return _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg)
+    finally:
+        words.close()
+
+
+class _Words:
+    """Scalar draws of a PCG64 generator from blocks of up to ``_CHUNK`` words.
+    Random play reads ``bg`` itself and adds the words it used to ``taken``."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.bg = rng.bit_generator
+        if not isinstance(self.bg, np.random.PCG64):
+            raise ConfigError(f"need a PCG64 generator, got {type(self.bg).__name__}")
+        self._snapshot = self.bg.state
+        self.has_uint32, self.uinteger = self._snapshot["has_uint32"], self._snapshot["uinteger"]
+        self._rest = iter(())  # the unread words of the last block
+        self.taken = 0  # words read, counting all of _rest
+
+    def word(self) -> int:
+        w = next(self._rest, None)
+        if w is None:
+            size = min(_CHUNK, 16 + self.taken)  # doubling blocks keep short plays cheap
+            self._rest = iter(self.bg.random_raw(size).tolist())
+            self.taken += size
+            w = next(self._rest)
+        return w
+
+    def coin(self) -> float:
+        return (self.word() >> 11) * 2.0**-53
+
+    def bit(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0  # numpy keeps the spent half in uinteger
+            return self.uinteger >> 31
+        w = self.word()
+        self.has_uint32, self.uinteger = 1, w >> 32
+        return (w >> 31) & 1
+
+    def close(self) -> None:
+        self.bg.state = self._snapshot
+        self.bg.advance(self.taken - operator.length_hint(self._rest))
+        self.bg.state = self.bg.state | {"has_uint32": self.has_uint32, "uinteger": self.uinteger}
+
+
+def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
+    """Q-agent play.  Each agent's row is looked up once per step: the rows
+    at the next key serve both the update's bootstrap and the next step."""
+    n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     type_b = cfg.state_type is StateType.TYPE_B
-    draw, coin = rng.integers, rng.random
-    zeros = (0.0,) * n
+    coin, bit = words.coin, words.bit
+    zeros, terminal = (0.0,) * n, (None,) * n
+    kinds: dict[frozenset, tuple] = {}  # arrival set -> (winner, rewards)
     outcomes = []
     for e in range(episodes):
         eps = 0.0 if epsilons is None else epsilons[e]
         pos, steps = [0] * n, 0
+        key = (*pos, *bits) if type_b else tuple(pos)
+        rows = [table.get(key) for table in tables]
         while True:
-            key = (*pos, *bits) if type_b else tuple(pos)
-            acts = []
-            for table in tables:
-                row = table.get(key)
-                if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]:
-                    acts.append(int(draw(0, 2)))
-                else:
-                    acts.append(1 if row[1] > row[0] else 0)
+            acts = [bit() if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]
+                    else 1 if row[1] > row[0] else 0 for row in rows]
             pos = [p + a for p, a in zip(pos, acts)]
             steps += 1
             done = length in pos or steps >= cap
-            won = frozenset(i for i, p in enumerate(pos) if p == length) if done else None
-            rewards = assign_rewards(won, cfg) if done else zeros
+            if done:
+                won = frozenset(i for i, p in enumerate(pos) if p == length)
+                if won not in kinds:
+                    kinds[won] = (next(iter(won)) if len(won) == 1 else None, assign_rewards(won, cfg))
+                (winner, rewards), next_rows = kinds[won], terminal
+            else:
+                rewards, next_key = zeros, (*pos, *bits) if type_b else tuple(pos)
+                next_rows = [table.get(next_key) for table in tables]
             if qcfg is not None:
-                next_key = (*pos, *bits) if type_b else tuple(pos)
-                for table, a, r in zip(tables, acts, rewards):
-                    nxt = None if done else table.get(next_key)
-                    target = r + qcfg.gamma * max(nxt) if nxt else r
-                    row = table.setdefault(key, [0.0, 0.0])
+                for table, row, nxt, a, r in zip(tables, rows, next_rows, acts, rewards):
+                    target = r + qcfg.gamma * (nxt[1] if nxt[1] > nxt[0] else nxt[0]) if nxt else r
+                    if row is None:
+                        row = table.setdefault(key, [0.0, 0.0])
                     row[a] += qcfg.alpha * (target - row[a])
             if done:
                 break
-        winner = next(iter(won)) if len(won) == 1 else None
+            key, rows = next_key, next_rows
         outcomes.append(EpisodeOutcome(e, won, winner, rewards, steps, not won))
         bits = tuple(int(i in won) for i in range(n))
     return outcomes, bits
 
 
-def _play_random(
-    cfg: GameConfig, episodes: int, rng: np.random.Generator
-) -> tuple[list[EpisodeOutcome], tuple[int, ...]]:
-    """Random play of ``episodes`` episodes, drawn in blocks of ``_CHUNK`` steps.
-
-    The steps of an episode that runs past a block are carried to the
-    front of the next one, so memory stays at one block plus at most
-    ``step_cap`` rows.
-    """
+def _play_random(cfg, episodes, words):
+    """Random play.  An episode that runs past a block carries its coins into
+    the next, so memory stays at one block plus at most ``step_cap`` steps."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     kinds: dict[bytes, tuple] = {}  # arrival pattern -> (won, winner, rewards, capped)
     outcomes: list[EpisodeOutcome] = []
-    pending = np.zeros((0, n), dtype=np.int64)  # the steps of an unfinished episode
+    pending = np.array([words.bit()] if words.has_uint32 else [], dtype=np.uint64)
     while True:
-        snapshot = rng.bit_generator.state
-        moves = np.concatenate((pending, rng.integers(0, 2, size=(_CHUNK, n))))
-        rows = len(moves)
+        block = words.bg.random_raw((_CHUNK * n + 1) // 2)
+        coins = np.concatenate((pending, (block[:, None] >> np.uint64([31, 63]) & 1).ravel()))
+        rows = len(coins) // n
+        moves = coins[: rows * n].reshape(rows, n)
         # pos[i, j]: agent i's moves in the block's first j steps, so an
         # episode from step s to step j leaves it at pos[i, j] - pos[i, s].
         pos = np.zeros((n, rows + 1), dtype=np.int32)
@@ -195,12 +241,15 @@ def _play_random(
             won, winner, rewards, capped = kinds[key]
             outcomes.append(EpisodeOutcome(len(outcomes), won, winner, rewards, steps, capped))
         if len(outcomes) == episodes:
-            # Leave the generator where per-step draws would: after the rows used.
-            rng.bit_generator.state = snapshot
-            rng.integers(0, 2, size=(s - len(pending), n))
+            # Read this block's coins up to the last episode's end, at least one;
+            # the last word's high half is then buffered (odd count) or spent.
+            used = s * n - len(pending)
+            words.taken += (used + 1) // 2
+            words.has_uint32, words.uinteger = used % 2, int(block[(used - 1) // 2]) >> 32
             won = outcomes[-1].arrivals
             return outcomes, tuple(int(i in won) for i in range(n))
-        pending = moves[s:]
+        words.taken += len(block)
+        pending = coins[s * n :]
 
 
 @dataclass
@@ -218,12 +267,7 @@ def run_random(cfg: GameConfig, total_episodes: int, seed_or_rng=0) -> list[Epis
     return play(cfg, total_episodes, np.random.default_rng(seed_or_rng), (0,) * cfg.n_agents)[0]
 
 
-def train_run(
-    cfg: GameConfig,
-    qcfg: QLearningConfig,
-    total_episodes: int,
-    seed_or_rng=0,
-) -> TrainRun:
+def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_or_rng=0) -> TrainRun:
     """Train independent Q-learners for ``total_episodes`` episodes.
 
     All agents share the decayed epsilon of the current episode and

@@ -373,6 +373,26 @@ def test_sweep_reuses_cached_baselines_and_reports_collisions(tmp_path):
     assert (out / "failures.txt").exists()
 
 
+def test_overwrite_removes_temporary_siblings_of_killed_runs(tmp_path):
+    out = tmp_path / "s"
+    _tiny_sweep(out, agent_counts=(2,))
+    runs = out / "runs"
+    # A run killed mid-write leaves its hidden temporary sibling behind.
+    stale = runs / ".rand-n2-A-ilf.tmp-999999"
+    stale.mkdir()
+    (stale / "log.jsonl").write_text("{")
+    other = runs / ".rand-n2-A-iqf.tmp-999999"
+    other.mkdir()
+    _tiny_sweep(out, agent_counts=(2,))
+    assert stale.exists()
+    _tiny_sweep(out, agent_counts=(2,), overwrite=True)
+    assert not stale.exists()
+    run_baseline(ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand-n2-A-iqf"),
+                 runs, overwrite=True)
+    assert not other.exists()
+    assert not [p.name for p in runs.iterdir() if p.name.startswith(".")]
+
+
 def test_sweep_rejects_mismatched_cache(tmp_path):
     out = tmp_path / "s"
     _tiny_sweep(out, agent_counts=(2,))

@@ -1,13 +1,17 @@
 """Random and Q-learning play: schedules, draws, updates, training runs."""
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_play as ref
 from conftest import MOVE_ROW, STAY_ROW, forced_tables, two_agent_random_expectations
 
-from altlab import policies
+from altlab import game, policies
 from altlab.errors import ConfigError, DataError
 from altlab.game import GameConfig
 from altlab.metrics import alt_score
@@ -86,6 +90,75 @@ def test_block_coin_draws_equal_scalar_draws(seed, offset):
         assert drawn.dtype == np.int64
         assert drawn.tolist() == [int(scalar.integers(0, 2)) for _ in range(size)]
         assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.sampled_from([1, 2, 7, 4096]),
+    st.lists(st.sampled_from(["coin", "bit"]), max_size=40),
+)
+def test_word_stream_equals_scalar_draws(seed, buffered, chunk, requests):
+    # Coins and bits from blocks of raw words equal numpy's scalar random()
+    # and integers(0, 2), also from half a word buffered and across blocks,
+    # and close() leaves the generator in the scalar calls' state,
+    # including the spent half numpy keeps in uinteger.
+    stream, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        stream.integers(0, 2)
+        scalar.integers(0, 2)
+    with mock.patch.object(policies, "_CHUNK", chunk):
+        words = policies._Words(stream)
+        drawn = [words.coin() if r == "coin" else words.bit() for r in requests]
+        words.close()
+    assert drawn == [scalar.random() if r == "coin" else int(scalar.integers(0, 2)) for r in requests]
+    assert stream.bit_generator.state == scalar.bit_generator.state
+
+
+def test_play_refuses_a_non_pcg64_generator():
+    rng = np.random.Generator(np.random.MT19937(3))
+    before = rng.bit_generator.state
+    cfg = GameConfig(n_agents=2)
+    with pytest.raises(ConfigError, match="PCG64"):
+        play(cfg, 5, rng, (0, 0))
+    with pytest.raises(ConfigError, match="PCG64"):
+        train_run(cfg, QLearningConfig(), 5, rng)
+    after = rng.bit_generator.state
+    assert after["state"]["pos"] == before["state"]["pos"]
+    assert np.array_equal(after["state"]["key"], before["state"]["key"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_raising_step_leaves_the_generator_where_the_reference_does(seed):
+    # The first tie's reward raises, on both sides, in the middle of a
+    # training run and of the greedy play after one; each generator must
+    # stop after the draws of the raising step.
+    cfg = GameConfig(n_agents=3, path_length=2, step_cap=4)
+    qcfg = QLearningConfig()
+
+    def rewards_until_a_tie(won, cfg):
+        if len(won) > 1:
+            raise RuntimeError("tie")
+        return game.assign_rewards(won, cfg)
+
+    def raises_on_a_tie(run, *args):
+        with mock.patch.object(policies, "assign_rewards", rewards_until_a_tie), mock.patch.object(
+            ref, "assign_rewards", rewards_until_a_tie
+        ), pytest.raises(RuntimeError, match="tie"):
+            run(*args)
+
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    raises_on_a_tie(train_run, cfg, qcfg, 500, new_rng)
+    raises_on_a_tie(ref.train_run, cfg, qcfg, 500, old_rng)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new, old = train_run(cfg, qcfg, 3000, new_rng), ref.train_run(cfg, qcfg, 3000, old_rng)
+    eval_eps = [qcfg.epsilon_min] * 300
+    raises_on_a_tie(play, cfg, 300, new_rng, new.final_prev_winners, new.tables, eval_eps)
+    raises_on_a_tie(ref.greedy_eval, cfg, qcfg, old, 300, old_rng)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_select_action_greedy_and_tie_break():
