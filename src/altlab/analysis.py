@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ComparisonError, ConfigError, FitError
-from .game import EpisodeOutcome
+from .game import EpisodeLog
 from .metrics import VARIANTS, alt_score
 
 # Offset subtracted before the square root so a score that is zero up to
@@ -120,7 +120,7 @@ def pa_equivalent(alt_ratio: float, n: int) -> PAEquivalent:
 
 def synth_pa_mixture(
     x: int, n: int, nu: int, r_high: float = 100.0
-) -> list[EpisodeOutcome]:
+) -> EpisodeLog:
     """Synthetic log where agents 0..x-1 rotate exclusive wins in fixed order.
 
     The remaining n - x agents never arrive.  With x = n this is perfect
@@ -133,21 +133,11 @@ def synth_pa_mixture(
         raise ConfigError(f"rotating-agent count must be in [1, {n}], got {x}")
     if nu < n:
         raise ConfigError(f"need at least n={n} episodes, got {nu}")
-    outcomes = []
-    for e in range(nu):
-        winner = e % x
-        rewards = tuple(r_high if i == winner else 0.0 for i in range(n))
-        outcomes.append(
-            EpisodeOutcome(
-                episode_index=e,
-                arrivals=frozenset((winner,)),
-                exclusive_winner=winner,
-                rewards=rewards,
-                steps_used=2,
-                capped=False,
-            )
-        )
-    return outcomes
+    bodies = [
+        ((w,), w, tuple(r_high if i == w else 0.0 for i in range(n)), False)
+        for w in range(x)
+    ]
+    return EpisodeLog(bodies, np.arange(nu) % x, np.full(nu, 2))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,20 @@ position vector.  Type B appends a bit per agent indicating who arrived
 in the previous episode, which lets policies condition on whose "turn"
 it was last time.  The episode loop that plays these rules is
 :func:`altlab.policies.play`; this module holds the configuration, the
-reward rule and the :class:`EpisodeOutcome` record.
+reward rule, the :class:`EpisodeOutcome` record and :class:`EpisodeLog`,
+the in-memory log: each distinct record body once, and an int32 body id
+and step count per episode.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -144,6 +150,8 @@ class EpisodeOutcome:
             raise DataError(f"rewards must be finite and >= 0, got {list(outcome.rewards)}")
         if outcome.steps_used < 1:
             raise DataError(f"steps must be >= 1, got {outcome.steps_used}")
+        if outcome.steps_used >= 2**31:
+            raise DataError(f"steps {outcome.steps_used} do not fit the int32 steps column")
         if outcome.capped and outcome.arrivals:
             raise DataError("capped episode cannot have arrivals")
         if len(outcome.arrivals) == 1:
@@ -165,3 +173,80 @@ class EpisodeOutcome:
                 f"{sorted(outcome.arrivals)} one equal share each"
             )
         return outcome
+
+
+def _body_id(index: dict, ep: EpisodeOutcome) -> int:
+    """Id of ``ep``'s body in ``index`` (key -> (id, body)), added if new.
+    Rewards are keyed by ``repr``, which keeps -0.0 apart from 0.0."""
+    body = (tuple(sorted(ep.arrivals)), ep.exclusive_winner, ep.rewards, ep.capped)
+    key = (body[0], ep.exclusive_winner, repr(ep.rewards), ep.capped)
+    return index.setdefault(key, (len(index), body))[0]
+
+
+class EpisodeLog(Sequence):
+    """An episode log held as columns.
+
+    Episode e has the body ``bodies[ids[e]]``, a tuple ``(arrivals,
+    exclusive_winner, rewards, capped)`` with the arrivals as a sorted
+    tuple, and ``steps[e]`` steps; ``ids`` and ``steps`` are read-only int32
+    arrays.  Indexing builds an :class:`EpisodeOutcome` on demand, a slice
+    is a list of them, and a log equals a list (or a log) of the same
+    outcomes.
+    """
+
+    __slots__ = ("bodies", "ids", "steps")
+
+    def __init__(self, bodies, ids, steps) -> None:
+        self.bodies = tuple(bodies)
+        self.ids, self.steps = np.array(ids, dtype=np.int32), np.array(steps, dtype=np.int32)
+        self.ids.flags.writeable = self.steps.flags.writeable = False
+        if self.ids.ndim != 1 or self.ids.shape != self.steps.shape:
+            raise ValueError("need one body id and one step count per episode")
+
+    @classmethod
+    def from_outcomes(cls, outcomes) -> "EpisodeLog":
+        """The log of ``outcomes``, indexed by position; a log is returned as is."""
+        if isinstance(outcomes, EpisodeLog):
+            return outcomes
+        index: dict = {}
+        ids, steps = [], []
+        for ep in outcomes:
+            ids.append(_body_id(index, ep))
+            steps.append(ep.steps_used)
+        return cls([body for _, body in index.values()], ids, steps)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[e] for e in range(*index.indices(len(self)))]
+        e = range(len(self))[index]
+        arrivals, winner, rewards, capped = self.bodies[self.ids[e]]
+        return EpisodeOutcome(e, frozenset(arrivals), winner, rewards, int(self.steps[e]), capped)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EpisodeLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def columns(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-body arrival matrix bool[B, n], exclusive-winner index intp[B]
+        (-1 for none) and reward matrix float[B, n]: index them with ``ids``.
+        A body whose rewards or ids do not fit n agents raises DataError."""
+        if n < 2:
+            raise ConfigError(f"need at least 2 agents, got {n}")
+        arrived = np.zeros((len(self.bodies), n), dtype=bool)
+        winner = np.full(len(self.bodies), -1, dtype=np.intp)
+        rewards = np.zeros((len(self.bodies), n))
+        for b, (arrivals, won, paid, _) in enumerate(self.bodies):
+            ids = [*arrivals, *(() if won is None else (won,))]
+            if len(paid) != n or not all(0 <= i < n for i in ids):
+                raise DataError(
+                    f"episode {int(np.argmax(self.ids == b))}: arrivals {list(arrivals)}, "
+                    f"exclusive winner {won} and {len(paid)} rewards do not fit {n} agents"
+                )
+            arrived[b, list(arrivals)] = True
+            winner[b] = -1 if won is None else won
+            rewards[b] = paid
+        return arrived, winner, rewards

@@ -28,6 +28,10 @@ from dataclass fields, and :func:`parse_fields` rebuilds a dataclass from text
 or JSON values by each field's annotation, so panel.csv, curve.csv,
 summary.csv and spec.snapshot share one parser.  An unreadable or
 unparsable input raises :class:`DataError`.
+
+An episode log is an :class:`~altlab.game.EpisodeLog` in memory.  Its
+writer encodes each distinct record body once; its reader validates each
+distinct body text once, through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import traceback
 from dataclasses import asdict, astuple, dataclass, field, fields, make_dataclass
@@ -51,8 +56,10 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, DataError, SchemaVersionError
-from .game import EpisodeOutcome, GameConfig, RewardScheme, StateType
-from .metrics import MetricPanel, _betas, _columns, _shifted_mean, compute_panel
+from .game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id
+from .metrics import (
+    MetricPanel, _exact_total, _reward_counts, _shifted_mean, compute_panel, window_betas
+)
 from .policies import QLearningConfig, TrainRun, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
@@ -210,40 +217,71 @@ def read_table(path: Path, columns: Sequence[str], build=None) -> list:
 
 
 # json.dumps would build a new encoder for every record.
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+# A line in the writer's layout: canonical episode and steps numbers, and a
+# body text whose only quoted strings are its three keys, so that the line
+# has each of its six keys once and the body text alone sets its values.
+_CANONICAL_LINE = re.compile(
+    r'\{"episode":(0|[1-9][0-9]*),("arrivals":[^"]*"exclusive_winner":[^"]*"rewards":[^"]*)'
+    r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}'
+)
 
 
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
+    log = EpisodeLog.from_outcomes(outcomes)
+    heads, tails = [], []
+    for arrivals, winner, rewards, capped in log.bodies:
+        body = {"arrivals": list(arrivals), "exclusive_winner": winner, "rewards": list(rewards)}
+        heads.append(f",{_encode(body)[1:-1]},\"steps\":")
+        tails.append(f',"capped":{_encode(capped)}}}\n')
     with open(path, "w", encoding="utf-8") as fh:
-        for outcome in outcomes:
-            fh.write(_encode_record(outcome.to_record()))
-            fh.write("\n")
+        fh.writelines(
+            f'{{"episode":{e}{heads[b]}{steps}{tails[b]}'
+            for e, (b, steps) in enumerate(zip(log.ids.tolist(), log.steps.tolist()))
+        )
 
 
-def read_episode_log(path: Path) -> list[EpisodeOutcome]:
-    """Episodes of a log.jsonl file; the ``episode`` field must count up from 0."""
-    outcomes = []
+def read_episode_log(path: Path) -> EpisodeLog:
+    """Episodes of a log.jsonl file; the ``episode`` field must count up from 0.
+
+    Each body text of a line in the writer's layout is validated once; any
+    other line is parsed and validated on its own.
+    """
+    index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
+    known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
+    ids, steps = [], []
+    canonical = _CANONICAL_LINE.fullmatch
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    outcome = EpisodeOutcome.from_record(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-                except DataError as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
-                if outcome.episode_index != len(outcomes):
+                m = canonical(line)
+                if m is not None and (b := known.get(m.group(2, 4))) is not None:
+                    episode, used = int(m[1]), int(m[3])
+                else:
+                    try:
+                        outcome = EpisodeOutcome.from_record(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                    except DataError as exc:
+                        raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                    b = _body_id(index, outcome)
+                    episode, used = outcome.episode_index, outcome.steps_used
+                    if m is not None:
+                        known[m.group(2, 4)] = b
+                if episode != len(ids):
                     raise DataError(
-                        f"{path}: line {lineno}: episode {outcome.episode_index} out of "
-                        f"sequence, expected {len(outcomes)}"
+                        f"{path}: line {lineno}: episode {episode} out of "
+                        f"sequence, expected {len(ids)}"
                     )
-                outcomes.append(outcome)
+                ids.append(b)
+                steps.append(used)
     except (OSError, UnicodeError) as exc:
         raise DataError(f"{path}: unreadable log: {exc}") from exc
-    return outcomes
+    return EpisodeLog([body for _, body in index.values()], ids, steps)
 
 
 def write_panel_csv(rows: Sequence[tuple[str, MetricPanel]], path: Path) -> None:
@@ -380,17 +418,21 @@ def _training_curve(
     if marks[-1] != total_episodes:
         marks.append(total_episodes)
     n = game.n_agents
-    arrived, winner, rewards = _columns(outcomes, n)
-    batch_calt = _betas(arrived, winner, n)["calt"]
+    log = EpisodeLog.from_outcomes(outcomes)
+    batch_calt = window_betas(log, n)["calt"]
+    # paid[e]: how many of each distinct reward episodes 0 .. e - 1 paid.
+    values, counts = _reward_counts(log)
+    paid = np.zeros((len(log) + 1, len(values)), dtype=np.int64)
+    np.cumsum(counts[log.ids], axis=0, out=paid[1:])
     points = []
     for mark in marks:
         start = max(0, mark - CURVE_WINDOW)
         calt = eff = None
         if mark - start >= n:
             # The batches that lie wholly inside episodes start .. mark - 1;
-            # the efficiency is efficiency() of the window, from one column.
+            # the efficiency is efficiency() of the window.
             calt = _shifted_mean(batch_calt[start : mark - n + 1])
-            eff = math.fsum(rewards[start:mark].ravel().tolist()) / ((mark - start) * game.r_high)
+            eff = _exact_total(values, paid[mark] - paid[start]) / ((mark - start) * game.r_high)
         points.append(CurvePoint(mark, epsilon_at(mark - 1, total_episodes, qcfg), calt, eff))
     return points
 

@@ -27,7 +27,9 @@ scores 0 on all six.  A run-level score is the mean over all batches.
 
 Every batch count is a difference of two cumulative sums over per-episode
 columns (arrivals per agent, exclusive wins per agent), so one vectorized
-pass scores every batch of a log.
+pass scores every batch of a log.  The columns are gathered from the
+:class:`~altlab.game.EpisodeLog` body table by body id; a plain list of
+outcomes is first made a log with ``EpisodeLog.from_outcomes``.
 
 Traditional metrics summarize whole logs: reward efficiency and three
 fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
@@ -38,45 +40,17 @@ ratio whose max is 0 is undefined and reported as None.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
-from .game import EpisodeOutcome
+from .game import EpisodeLog, EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
-
-
-def _columns(
-    episodes: Sequence[EpisodeOutcome], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrival matrix bool[nu, n], exclusive-winner index int[nu] (-1 for
-    none) and reward matrix float[nu, n] of a log, built in one pass."""
-    if n < 2:
-        raise ConfigError(f"need at least 2 agents, got {n}")
-    counts: list[int] = []
-    ids: list[int] = []
-    winners: list[int] = []
-    rewards: list[tuple[float, ...]] = []
-    for ep in episodes:
-        if len(ep.rewards) != n:
-            raise DataError(
-                f"episode {ep.episode_index}: {len(ep.rewards)} rewards for {n} agents"
-            )
-        counts.append(len(ep.arrivals))
-        ids += ep.arrivals
-        winners.append(-1 if ep.exclusive_winner is None else ep.exclusive_winner)
-        rewards.append(ep.rewards)
-    for what, values, low in (("arrival", ids, 0), ("exclusive winner", winners, -1)):
-        if values and not (low <= min(values) and max(values) < n):
-            bad = next(v for v in values if not low <= v < n)
-            raise DataError(f"{what} id {bad} out of range for {n} agents")
-    nu = len(counts)
-    arrived = np.zeros((nu, n), dtype=bool)
-    arrived[np.repeat(np.arange(nu), counts), ids] = True
-    return arrived, np.array(winners, dtype=np.intp), np.array(rewards, dtype=float).reshape(nu, n)
 
 
 def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
@@ -116,8 +90,9 @@ def _betas(arrived: np.ndarray, winner: np.ndarray, n: int) -> dict[str, np.ndar
 
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
-    arrived, winner, _ = _columns(episodes, n)
-    return _betas(arrived, winner, n)
+    log = EpisodeLog.from_outcomes(episodes)
+    arrived, winner, _ = log.columns(n)
+    return _betas(arrived[log.ids], winner[log.ids], n)
 
 
 def _shifted_mean(values: np.ndarray) -> float:
@@ -153,16 +128,32 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     """
     if not r_high > 0:
         raise ConfigError(f"r_high must be positive, got {r_high}")
-    if not episodes:
+    log = EpisodeLog.from_outcomes(episodes)
+    if not log:
         raise InsufficientDataError("efficiency needs at least one episode")
-    optimum = len(episodes) * r_high
+    optimum = len(log) * r_high
     if not math.isfinite(optimum):
-        raise ConfigError(f"{len(episodes)} episodes at r_high {r_high} overflow the optimum")
+        raise ConfigError(f"{len(log)} episodes at r_high {r_high} overflow the optimum")
+    values, paid = _reward_counts(log)
+    return _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid) / optimum
+
+
+def _reward_counts(log: EpisodeLog) -> tuple[list[float], np.ndarray]:
+    """The distinct nonzero rewards of a log, and how many of each every
+    body pays: int64[B, V]."""
+    paid = [Counter(filter(None, rewards)) for _, _, rewards, _ in log.bodies]
+    values = list(dict.fromkeys(r for counts in paid for r in counts))
+    counts = np.array([[c[r] for r in values] for c in paid], dtype=np.int64)
+    return values, counts.reshape(len(paid), len(values))
+
+
+def _exact_total(values: list[float], counts: np.ndarray) -> float:
+    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``: summed
+    exactly and rounded once."""
     try:
-        total = math.fsum(r for ep in episodes for r in ep.rewards)
-    except OverflowError as exc:
-        raise DataError(f"total reward overflows: {exc}") from exc
-    return total / optimum
+        return float(sum(Fraction(r) * count for r, count in zip(values, counts.tolist())))
+    except (OverflowError, ValueError) as exc:
+        raise DataError(f"total reward overflows or is not finite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -188,16 +179,17 @@ class MetricPanel:
 
 def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> MetricPanel:
     """Alternation scores plus traditional metrics for one log."""
-    episodes = list(episodes)
-    arrived, winner, rewards = _columns(episodes, n)
+    log = EpisodeLog.from_outcomes(episodes)
+    arrived, winner, rewards = log.columns(n)
+    arrived, winner = arrived[log.ids], winner[log.ids]
     betas = _betas(arrived, winner, n)
     # Summing down axis 0 adds each agent's payoffs in episode order.
     return MetricPanel(
-        nu=len(episodes),
-        batches=len(episodes) - n + 1,
+        nu=len(log),
+        batches=len(log) - n + 1,
         fairness=_min_max_ratio(np.bincount(winner[winner >= 0], minlength=n)),
-        efficiency=efficiency(episodes, r_high),
+        efficiency=efficiency(log, r_high),
         tt_fairness=_min_max_ratio(arrived.sum(axis=0)),
-        reward_fairness=_min_max_ratio(rewards.sum(axis=0)),
+        reward_fairness=_min_max_ratio(rewards[log.ids].sum(axis=0)),
         **{v: _shifted_mean(b) for v, b in betas.items()},
     )

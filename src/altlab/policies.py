@@ -6,9 +6,11 @@ a :class:`ConfigError`), and it reads their draws from blocks of raw
 64-bit words.  numpy's ``random()`` is ``(w >> 11) * 2**-53`` of the next
 word ``w``; ``integers(0, 2)`` is bit 31 of the next 32-bit half, where a
 fresh word gives its low half and keeps the high half in ``has_uint32`` /
-``uinteger``.  When play ends (Q-agent play also when a step raises), the
+``uinteger``.  When play ends (also when a step raises), the
 generator is set back to its state before play and advanced over the
 words used: every value, and the final state, are those of scalar calls.
+Play returns an :class:`~altlab.game.EpisodeLog` with one body per arrival
+set met, so :func:`assign_rewards` runs once per arrival set.
 
 Random play never looks at the state: :func:`_play_random` reads the
 coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word,
@@ -24,6 +26,7 @@ epsilon schedule that is shared by all agents within an episode.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .game import EpisodeOutcome, GameConfig, StateType, assign_rewards
+from .game import EpisodeLog, GameConfig, StateType, assign_rewards
 
 _CHUNK = 4096  # words per generator call; random play reads at least this many steps
 
@@ -95,7 +98,7 @@ def play(
     tables: list[dict] | None = None,
     epsilons: Sequence[float] | None = None,
     qcfg: QLearningConfig | None = None,
-) -> tuple[list[EpisodeOutcome], tuple[int, ...]]:
+) -> tuple[EpisodeLog, tuple[int, ...]]:
     """Play ``episodes`` episodes, starting from the previous-arrival ``bits``.
 
     Without ``tables`` every agent moves uniformly at random.  With them,
@@ -105,7 +108,7 @@ def play(
     step, agents draw from ``rng`` in agent order: a random agent one
     ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
     then one ``integers(0, 2)`` if it explores or its Q-values tie
-    exactly.  Returns the outcomes and the bits for the next episode.
+    exactly.  Returns the episode log and the bits for the next episode.
     """
     n = cfg.n_agents
     bits = tuple(bits)
@@ -124,7 +127,7 @@ def play(
 
 class _Words:
     """Scalar draws of a PCG64 generator from blocks of up to ``_CHUNK`` words.
-    Random play reads ``bg`` itself and adds the words it used to ``taken``."""
+    Random play reads ``bg`` itself and reports the coins it used."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.bg = rng.bit_generator
@@ -155,6 +158,12 @@ class _Words:
         self.has_uint32, self.uinteger = 1, w >> 32
         return (w >> 31) & 1
 
+    def read_coins(self, block: np.ndarray, used: int) -> None:
+        """Random play read ``used`` coins of ``block``, at least one: count their
+        words; the last word's high half is then buffered (odd count) or spent."""
+        self.taken += (used + 1) // 2
+        self.has_uint32, self.uinteger = used % 2, int(block[(used - 1) // 2]) >> 32
+
     def close(self) -> None:
         self.bg.state = self._snapshot
         self.bg.advance(self.taken - operator.length_hint(self._rest))
@@ -168,8 +177,8 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
     type_b = cfg.state_type is StateType.TYPE_B
     coin, bit = words.coin, words.bit
     zeros, terminal = (0.0,) * n, (None,) * n
-    kinds: dict[frozenset, tuple] = {}  # arrival set -> (winner, rewards)
-    outcomes = []
+    kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards)
+    bodies, ids, steps_column = [], [], []
     for e in range(episodes):
         eps = 0.0 if epsilons is None else epsilons[e]
         pos, steps = [0] * n, 0
@@ -184,8 +193,10 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
             if done:
                 won = frozenset(i for i, p in enumerate(pos) if p == length)
                 if won not in kinds:
-                    kinds[won] = (next(iter(won)) if len(won) == 1 else None, assign_rewards(won, cfg))
-                (winner, rewards), next_rows = kinds[won], terminal
+                    kinds[won] = (len(bodies), assign_rewards(won, cfg))
+                    winner = next(iter(won)) if len(won) == 1 else None
+                    bodies.append((tuple(sorted(won)), winner, kinds[won][1], not won))
+                (body, rewards), next_rows = kinds[won], terminal
             else:
                 rewards, next_key = zeros, (*pos, *bits) if type_b else tuple(pos)
                 next_rows = [table.get(next_key) for table in tables]
@@ -198,17 +209,18 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
             if done:
                 break
             key, rows = next_key, next_rows
-        outcomes.append(EpisodeOutcome(e, won, winner, rewards, steps, not won))
+        ids.append(body)
+        steps_column.append(steps)
         bits = tuple(int(i in won) for i in range(n))
-    return outcomes, bits
+    return EpisodeLog(bodies, ids, steps_column), bits
 
 
 def _play_random(cfg, episodes, words):
     """Random play.  An episode that runs past a block carries its coins into
     the next, so memory stays at one block plus at most ``step_cap`` steps."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
-    kinds: dict[bytes, tuple] = {}  # arrival pattern -> (won, winner, rewards, capped)
-    outcomes: list[EpisodeOutcome] = []
+    kinds: dict[bytes, int] = {}  # arrival pattern -> body id
+    bodies, ids, steps_column = [], [], []
     pending = np.array([words.bit()] if words.has_uint32 else [], dtype=np.uint64)
     while True:
         block = words.bg.random_raw((_CHUNK * n + 1) // 2)
@@ -225,29 +237,31 @@ def _play_random(cfg, episodes, words):
         for agent in pos:
             np.minimum(ends, np.searchsorted(agent, agent[:-1] + length), out=ends)
         starts, s, stop = [], 0, ends.tolist()
-        need = episodes - len(outcomes)
+        need = episodes - len(ids)
         while len(starts) < need and s < rows and stop[s] <= rows:
             starts.append(s)
             s = stop[s]
         first = np.array(starts, dtype=np.intp)
         last = ends[first]
         hits = (pos[:, last] - pos[:, first]).T == length
-        for row, steps in zip(hits, (last - first).tolist()):
+        for row, start, end in zip(hits, starts, last.tolist()):
+            used = end * n - len(pending)
             key = row.tobytes()
             if key not in kinds:
-                won = frozenset(np.flatnonzero(row).tolist())
-                winner = next(iter(won)) if len(won) == 1 else None
-                kinds[key] = (won, winner, assign_rewards(won, cfg), not won)
-            won, winner, rewards, capped = kinds[key]
-            outcomes.append(EpisodeOutcome(len(outcomes), won, winner, rewards, steps, capped))
-        if len(outcomes) == episodes:
-            # Read this block's coins up to the last episode's end, at least one;
-            # the last word's high half is then buffered (odd count) or spent.
-            used = s * n - len(pending)
-            words.taken += (used + 1) // 2
-            words.has_uint32, words.uinteger = used % 2, int(block[(used - 1) // 2]) >> 32
-            won = outcomes[-1].arrivals
-            return outcomes, tuple(int(i in won) for i in range(n))
+                won = tuple(np.flatnonzero(row).tolist())
+                try:
+                    rewards = assign_rewards(frozenset(won), cfg)
+                except BaseException:
+                    words.read_coins(block, used)  # stop after the raising episode
+                    raise
+                kinds[key] = len(bodies)
+                bodies.append((won, won[0] if len(won) == 1 else None, rewards, not won))
+            ids.append(kinds[key])
+            steps_column.append(end - start)
+        if len(ids) == episodes:
+            words.read_coins(block, used)
+            won = bodies[ids[-1]][0]
+            return EpisodeLog(bodies, ids, steps_column), tuple(int(i in won) for i in range(n))
         words.taken += len(block)
         pending = coins[s * n :]
 
@@ -257,12 +271,12 @@ class TrainRun:
     """Training output: the episode log, one Q-table per agent, and the
     arrival bits to carry into any follow-on episodes."""
 
-    outcomes: list[EpisodeOutcome]
+    outcomes: EpisodeLog
     tables: list[dict[tuple[int, ...], list[float]]]
     final_prev_winners: tuple[int, ...]
 
 
-def run_random(cfg: GameConfig, total_episodes: int, seed_or_rng=0) -> list[EpisodeOutcome]:
+def run_random(cfg: GameConfig, total_episodes: int, seed_or_rng=0) -> EpisodeLog:
     """Episode log of ``total_episodes`` played by uniform-random agents."""
     return play(cfg, total_episodes, np.random.default_rng(seed_or_rng), (0,) * cfg.n_agents)[0]
 
@@ -278,6 +292,9 @@ def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_
     rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
     outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, tables, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    if not max((abs(v) for t in tables for row in t.values() for v in row), default=0.0) <= bound:
+    rows = itertools.chain.from_iterable(table.values() for table in tables)
+    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float)
+    # A NaN fails the comparison as well.
+    if not np.all(np.abs(values) <= bound):
         raise DataError(f"Q-values escaped the discounted-return bound {bound}")
     return TrainRun(outcomes=outcomes, tables=tables, final_prev_winners=bits)

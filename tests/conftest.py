@@ -9,9 +9,11 @@ distribution in closed form.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 
+from altlab.errors import DataError
 from altlab.game import EpisodeOutcome, GameConfig, StateType
 
 # Q-table rows [q_stay, q_move] that make a greedy agent stay or move.
@@ -45,6 +47,25 @@ def make_outcome(
         steps_used=steps,
         capped=k == 0,
     )
+
+
+def read_log_oracle(path) -> list[EpisodeOutcome]:
+    """A log.jsonl read line by line: ``json.loads`` and
+    ``EpisodeOutcome.from_record`` of every non-blank line, whose episode
+    number must be its position.  Errors name the line."""
+    outcomes = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                outcome = EpisodeOutcome.from_record(json.loads(line.strip()))
+            except (json.JSONDecodeError, DataError) as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+            if outcome.episode_index != len(outcomes):
+                raise DataError(f"line {lineno}: episode {outcome.episode_index} out of sequence")
+            outcomes.append(outcome)
+    return outcomes
 
 
 def forced_tables(cfg: GameConfig, *rows) -> list[dict]:

@@ -160,6 +160,18 @@ def test_raising_step_leaves_the_generator_where_the_reference_does(seed):
     raises_on_a_tie(ref.greedy_eval, cfg, qcfg, old, 300, old_rng)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
+    # Random play, in blocks of the real size and of 7 steps: the generator
+    # stops after the raising episode, half-word buffer included.
+    for chunk in (policies._CHUNK, 7):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(policies, "_CHUNK", chunk):
+            raises_on_a_tie(run_random, cfg, 500, new_rng)
+        raises_on_a_tie(ref.run_random, cfg, 500, old_rng)
+        new, old = new_rng.bit_generator.state, old_rng.bit_generator.state
+        assert (new["state"], new["has_uint32"], new["uinteger"]) == (
+            old["state"], old["has_uint32"], old["uinteger"]
+        )
+
 
 def test_select_action_greedy_and_tie_break():
     cfg = GameConfig(n_agents=2)
@@ -265,6 +277,21 @@ def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
     monkeypatch.setattr(policies, "play", escaping_play)
     with pytest.raises(DataError, match="bound"):
         train_run(cfg, qcfg, 20, seed_or_rng=9)
+
+
+def test_train_run_raises_on_a_nan_q_value(monkeypatch):
+    # The NaN is not the first value, where a max() over the values skips it.
+    cfg = GameConfig(n_agents=2)
+    real_play = policies.play
+
+    def nan_play(cfg, episodes, rng, bits, tables, *rest):
+        result = real_play(cfg, episodes, rng, bits, tables, *rest)
+        tables[1][(9, 9)] = [0.0, float("nan")]
+        return result
+
+    monkeypatch.setattr(policies, "play", nan_play)
+    with pytest.raises(DataError, match="bound"):
+        train_run(cfg, QLearningConfig(), 20, seed_or_rng=9)
 
 
 def test_pinned_epsilon_training_matches_random_play():
