@@ -133,10 +133,7 @@ def synth_pa_mixture(
         raise ConfigError(f"rotating-agent count must be in [1, {n}], got {x}")
     if nu < n:
         raise ConfigError(f"need at least n={n} episodes, got {nu}")
-    bodies = [
-        ((w,), w, tuple(r_high if i == w else 0.0 for i in range(n)), False)
-        for w in range(x)
-    ]
+    bodies = [((w,), tuple(r_high if i == w else 0.0 for i in range(n))) for w in range(x)]
     return EpisodeLog(bodies, np.arange(nu) % x, np.full(nu, 2))
 
 

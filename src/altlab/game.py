@@ -14,9 +14,10 @@ position vector.  Type B appends a bit per agent indicating who arrived
 in the previous episode, which lets policies condition on whose "turn"
 it was last time.  The episode loop that plays these rules is
 :func:`altlab.policies.play`; this module holds the configuration, the
-reward rule, the :class:`EpisodeOutcome` record and :class:`EpisodeLog`,
-the in-memory log: each distinct record body once, and an int32 body id
-and step count per episode.
+reward rule, the :class:`EpisodeOutcome` record, whose exclusive winner
+and ``capped`` flag follow from its arrivals, and :class:`EpisodeLog`, the
+in-memory log: each distinct (arrivals, rewards) body once, and an int32
+body id and step count per episode.
 """
 
 from __future__ import annotations
@@ -109,15 +110,23 @@ def assign_rewards(arrival_ids: frozenset[int], cfg: GameConfig) -> tuple[float,
 
 @dataclass(frozen=True)
 class EpisodeOutcome:
-    """End-of-episode record: who arrived, who won outright, the payoff
-    vector, steps used, and whether the step cap cut the episode off."""
+    """End-of-episode record: who arrived, the payoff vector and the steps
+    used.  The exclusive winner and ``capped`` follow from the arrivals."""
 
     episode_index: int
     arrivals: frozenset[int]
-    exclusive_winner: int | None
     rewards: tuple[float, ...]
     steps_used: int
-    capped: bool
+
+    @property
+    def exclusive_winner(self) -> int | None:
+        """The sole arriver; None when nobody or several agents arrived."""
+        return next(iter(self.arrivals)) if len(self.arrivals) == 1 else None
+
+    @property
+    def capped(self) -> bool:
+        """Whether the step cap ended the episode: nobody arrived."""
+        return not self.arrivals
 
     def to_record(self) -> dict:
         """JSON-ready dict with canonical field names."""
@@ -132,33 +141,32 @@ class EpisodeOutcome:
 
     @staticmethod
     def from_record(record: dict) -> "EpisodeOutcome":
-        """Parse and validate a dict produced by :meth:`to_record`."""
+        """Parse and validate a dict produced by :meth:`to_record`: JSON
+        integers (not bools or floats) for the episode, steps and arrivals,
+        numbers for the rewards, and the winner and ``capped`` they imply."""
         try:
-            arrival_ids = frozenset(int(i) for i in record["arrivals"])
-            winner = record["exclusive_winner"]
-            outcome = EpisodeOutcome(
-                episode_index=int(record["episode"]),
-                arrivals=arrival_ids,
-                exclusive_winner=None if winner is None else int(winner),
-                rewards=tuple(float(r) for r in record["rewards"]),
-                steps_used=int(record["steps"]),
-                capped=bool(record["capped"]),
+            episode, arrivals, rewards, steps = (
+                record[key] for key in ("episode", "arrivals", "rewards", "steps")
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            if not (type(arrivals) is type(rewards) is list
+                    and all(type(i) is int for i in (episode, steps, *arrivals))
+                    and all(type(r) in (int, float) for r in rewards)):
+                raise TypeError("episode, steps and arrivals must be integers, rewards numbers")
+            outcome = EpisodeOutcome(episode, frozenset(arrivals), tuple(map(float, rewards)), steps)
+            stated = (record["exclusive_winner"], record["capped"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise DataError(f"malformed episode record: {exc}") from exc
+        # repr tells 1 from 1.0 and true, and false from 0.
+        if repr(stated) != repr((outcome.exclusive_winner, outcome.capped)):
+            raise DataError(
+                f"exclusive_winner and capped {stated} contradict the arrivals {sorted(arrivals)}"
+            )
         if not all(math.isfinite(r) and r >= 0.0 for r in outcome.rewards):
             raise DataError(f"rewards must be finite and >= 0, got {list(outcome.rewards)}")
         if outcome.steps_used < 1:
             raise DataError(f"steps must be >= 1, got {outcome.steps_used}")
         if outcome.steps_used >= 2**31:
             raise DataError(f"steps {outcome.steps_used} do not fit the int32 steps column")
-        if outcome.capped and outcome.arrivals:
-            raise DataError("capped episode cannot have arrivals")
-        if len(outcome.arrivals) == 1:
-            if outcome.exclusive_winner not in outcome.arrivals:
-                raise DataError("exclusive_winner does not match the sole arrival")
-        elif outcome.exclusive_winner is not None:
-            raise DataError("exclusive_winner set on a non-exclusive episode")
         # A sole winner or a partial tie pays its arrivers one equal share;
         # a full tie or a capped episode pays nobody.
         rewards, n, k = outcome.rewards, len(outcome.rewards), len(outcome.arrivals)
@@ -178,20 +186,18 @@ class EpisodeOutcome:
 def _body_id(index: dict, ep: EpisodeOutcome) -> int:
     """Id of ``ep``'s body in ``index`` (key -> (id, body)), added if new.
     Rewards are keyed by ``repr``, which keeps -0.0 apart from 0.0."""
-    body = (tuple(sorted(ep.arrivals)), ep.exclusive_winner, ep.rewards, ep.capped)
-    key = (body[0], ep.exclusive_winner, repr(ep.rewards), ep.capped)
-    return index.setdefault(key, (len(index), body))[0]
+    body = (tuple(sorted(ep.arrivals)), ep.rewards)
+    return index.setdefault((body[0], repr(ep.rewards)), (len(index), body))[0]
 
 
 class EpisodeLog(Sequence):
     """An episode log held as columns.
 
-    Episode e has the body ``bodies[ids[e]]``, a tuple ``(arrivals,
-    exclusive_winner, rewards, capped)`` with the arrivals as a sorted
-    tuple, and ``steps[e]`` steps; ``ids`` and ``steps`` are read-only int32
-    arrays.  Indexing builds an :class:`EpisodeOutcome` on demand, a slice
-    is a list of them, and a log equals a list (or a log) of the same
-    outcomes.
+    Episode e has the body ``bodies[ids[e]]``, a pair ``(arrivals,
+    rewards)`` with the arrivals as a sorted tuple, and ``steps[e]``
+    steps; ``ids`` and ``steps`` are read-only int32 arrays.  Indexing
+    builds an :class:`EpisodeOutcome` on demand, a slice is a list of them,
+    and a log equals a list (or a log) of the same outcomes.
     """
 
     __slots__ = ("bodies", "ids", "steps")
@@ -222,31 +228,28 @@ class EpisodeLog(Sequence):
         if isinstance(index, slice):
             return [self[e] for e in range(*index.indices(len(self)))]
         e = range(len(self))[index]
-        arrivals, winner, rewards, capped = self.bodies[self.ids[e]]
-        return EpisodeOutcome(e, frozenset(arrivals), winner, rewards, int(self.steps[e]), capped)
+        arrivals, rewards = self.bodies[self.ids[e]]
+        return EpisodeOutcome(e, frozenset(arrivals), rewards, int(self.steps[e]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (EpisodeLog, list)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
-    def columns(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-body arrival matrix bool[B, n], exclusive-winner index intp[B]
-        (-1 for none) and reward matrix float[B, n]: index them with ``ids``.
-        A body whose rewards or ids do not fit n agents raises DataError."""
+    def columns(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-body arrival matrix bool[B, n] and reward matrix float[B, n]:
+        index them with ``ids``.  A body whose arrivals or rewards do not
+        fit n agents raises DataError."""
         if n < 2:
             raise ConfigError(f"need at least 2 agents, got {n}")
         arrived = np.zeros((len(self.bodies), n), dtype=bool)
-        winner = np.full(len(self.bodies), -1, dtype=np.intp)
         rewards = np.zeros((len(self.bodies), n))
-        for b, (arrivals, won, paid, _) in enumerate(self.bodies):
-            ids = [*arrivals, *(() if won is None else (won,))]
-            if len(paid) != n or not all(0 <= i < n for i in ids):
+        for b, (arrivals, paid) in enumerate(self.bodies):
+            if len(paid) != n or not all(0 <= i < n for i in arrivals):
                 raise DataError(
-                    f"episode {int(np.argmax(self.ids == b))}: arrivals {list(arrivals)}, "
-                    f"exclusive winner {won} and {len(paid)} rewards do not fit {n} agents"
+                    f"episode {int(np.argmax(self.ids == b))}: arrivals {list(arrivals)} "
+                    f"and {len(paid)} rewards do not fit {n} agents"
                 )
             arrived[b, list(arrivals)] = True
-            winner[b] = -1 if won is None else won
             rewards[b] = paid
-        return arrived, winner, rewards
+        return arrived, rewards

@@ -46,7 +46,7 @@ import os
 import re
 import shutil
 import traceback
-from dataclasses import asdict, astuple, dataclass, field, fields, make_dataclass
+from dataclasses import asdict, astuple, dataclass, fields, make_dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, DataError, SchemaVersionError
+from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id
 from .metrics import (
     MetricPanel, _exact_total, _reward_counts, _shifted_mean, compute_panel, window_betas
@@ -149,7 +149,6 @@ class RunResult:
     greedy_panel: MetricPanel | None = None
     curve: list[CurvePoint] | None = None
     run_dir: Path | None = None
-    comparisons: list[analysis.ComparisonRecord] = field(default_factory=list)
 
 
 def derive_seed(seed_root: int, key: str) -> int:
@@ -231,10 +230,12 @@ _CANONICAL_LINE = re.compile(
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     log = EpisodeLog.from_outcomes(outcomes)
     heads, tails = [], []
-    for arrivals, winner, rewards, capped in log.bodies:
-        body = {"arrivals": list(arrivals), "exclusive_winner": winner, "rewards": list(rewards)}
-        heads.append(f",{_encode(body)[1:-1]},\"steps\":")
-        tails.append(f',"capped":{_encode(capped)}}}\n')
+    for arrivals, rewards in log.bodies:
+        # The record of each body, around a placeholder episode 0 and 1 step.
+        text = _encode(EpisodeOutcome(0, frozenset(arrivals), rewards, 1).to_record())
+        head, tail = text.removeprefix('{"episode":0').split('"steps":1')
+        heads.append(f'{head}"steps":')
+        tails.append(f"{tail}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f'{{"episode":{e}{heads[b]}{steps}{tails[b]}'
@@ -507,14 +508,22 @@ def _execute_task(
 
 def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[SummaryRow]:
     """One summary.csv row per run, with the timestamp confined to the
-    trailing metadata column."""
+    trailing metadata column.  A trained run's calt is compared with the
+    baseline of its game in ``results``: with none, or with a degenerate
+    one, both comparison cells are empty."""
+    baselines = {r.spec.game: r.panel for r in results if r.spec.policy == "random"}
     rows = []
     for result in results:
         spec = result.spec
         panel = result.panel.as_dict()
         del panel["batches"]
         ratio = analysis.alt_ratio_from_calt(result.panel.calt)
-        calt_cmp = next((c for c in result.comparisons if c.variant == "calt"), None)
+        calt_cmp = None
+        if spec.policy == "qlearning" and spec.game in baselines:
+            try:
+                calt_cmp = analysis.compare("calt", result.panel.calt, baselines[spec.game].calt)
+            except ComparisonError:
+                pass
         rows.append(
             SummaryRow(
                 run_id=spec.run_id,
@@ -614,15 +623,6 @@ def sweep(
     failures = [
         (spec.run_id, error) for spec, (_, error) in zip(specs, executed) if error is not None
     ]
-
-    baselines = {r.spec.game: r.panel for r in results if r.spec.policy == "random"}
-    for result in results:
-        baseline = baselines.get(result.spec.game)
-        if result.spec.policy == "qlearning" and baseline is not None:
-            result.comparisons = [
-                analysis.compare(v, getattr(result.panel, v), getattr(baseline, v))
-                for v in ("falt", "ealt", "calt", "aalt")
-            ]
 
     # Each file describes this sweep only: written when it has rows,
     # removed otherwise.

@@ -7,7 +7,7 @@ Each batch yields counting statistics:
     f    distinct agents with at least one arrival in the batch
          (tie participants included)
     tau  total arrivals in the batch, summed over episodes
-    w    episodes in the batch with an exclusive winner
+    w    episodes in the batch with exactly one arrival (an exclusive win)
     g    agents with exactly one exclusive win in the batch
 
 Six per-batch alternation scores are derived from these counts, each in
@@ -61,15 +61,16 @@ def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
     return c[n:] - c[:-n]
 
 
-def _betas(arrived: np.ndarray, winner: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    if len(winner) < n:
+def _betas(arrived: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    if len(arrived) < n:
         raise InsufficientDataError(
-            f"log of {len(winner)} episodes is shorter than the batch size {n}"
+            f"log of {len(arrived)} episodes is shorter than the batch size {n}"
         )
+    y = arrived.sum(axis=1)
     f = (_window_sums(arrived, n) > 0).sum(axis=1)
-    g = (_window_sums(winner[:, None] == np.arange(n), n) == 1).sum(axis=1)
-    tau = _window_sums(arrived.sum(axis=1), n)
-    w = _window_sums(winner >= 0, n)
+    g = (_window_sums(arrived & (y == 1)[:, None], n) == 1).sum(axis=1)
+    tau = _window_sums(y, n)
+    w = _window_sums(y == 1, n)
     some = tau > 0
     falt = np.divide(f, tau, out=np.zeros(len(tau)), where=some)
     qfalt = falt * falt
@@ -91,8 +92,7 @@ def _betas(arrived: np.ndarray, winner: np.ndarray, n: int) -> dict[str, np.ndar
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
     log = EpisodeLog.from_outcomes(episodes)
-    arrived, winner, _ = log.columns(n)
-    return _betas(arrived[log.ids], winner[log.ids], n)
+    return _betas(log.columns(n)[0][log.ids], n)
 
 
 def _shifted_mean(values: np.ndarray) -> float:
@@ -141,7 +141,7 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
 def _reward_counts(log: EpisodeLog) -> tuple[list[float], np.ndarray]:
     """The distinct nonzero rewards of a log, and how many of each every
     body pays: int64[B, V]."""
-    paid = [Counter(filter(None, rewards)) for _, _, rewards, _ in log.bodies]
+    paid = [Counter(filter(None, rewards)) for _, rewards in log.bodies]
     values = list(dict.fromkeys(r for counts in paid for r in counts))
     counts = np.array([[c[r] for r in values] for c in paid], dtype=np.int64)
     return values, counts.reshape(len(paid), len(values))
@@ -180,14 +180,14 @@ class MetricPanel:
 def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> MetricPanel:
     """Alternation scores plus traditional metrics for one log."""
     log = EpisodeLog.from_outcomes(episodes)
-    arrived, winner, rewards = log.columns(n)
-    arrived, winner = arrived[log.ids], winner[log.ids]
-    betas = _betas(arrived, winner, n)
+    arrived, rewards = log.columns(n)
+    arrived = arrived[log.ids]
+    betas = _betas(arrived, n)
     # Summing down axis 0 adds each agent's payoffs in episode order.
     return MetricPanel(
         nu=len(log),
         batches=len(log) - n + 1,
-        fairness=_min_max_ratio(np.bincount(winner[winner >= 0], minlength=n)),
+        fairness=_min_max_ratio(arrived[arrived.sum(axis=1) == 1].sum(axis=0)),
         efficiency=efficiency(log, r_high),
         tt_fairness=_min_max_ratio(arrived.sum(axis=0)),
         reward_fairness=_min_max_ratio(rewards[log.ids].sum(axis=0)),

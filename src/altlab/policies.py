@@ -194,8 +194,7 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
                 won = frozenset(i for i, p in enumerate(pos) if p == length)
                 if won not in kinds:
                     kinds[won] = (len(bodies), assign_rewards(won, cfg))
-                    winner = next(iter(won)) if len(won) == 1 else None
-                    bodies.append((tuple(sorted(won)), winner, kinds[won][1], not won))
+                    bodies.append((tuple(sorted(won)), kinds[won][1]))
                 (body, rewards), next_rows = kinds[won], terminal
             else:
                 rewards, next_key = zeros, (*pos, *bits) if type_b else tuple(pos)
@@ -255,7 +254,7 @@ def _play_random(cfg, episodes, words):
                     words.read_coins(block, used)  # stop after the raising episode
                     raise
                 kinds[key] = len(bodies)
-                bodies.append((won, won[0] if len(won) == 1 else None, rewards, not won))
+                bodies.append((won, rewards))
             ids.append(kinds[key])
             steps_column.append(end - start)
         if len(ids) == episodes:

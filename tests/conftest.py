@@ -42,10 +42,8 @@ def make_outcome(
     return EpisodeOutcome(
         episode_index=episode,
         arrivals=frozenset(arrivals),
-        exclusive_winner=next(iter(arrivals)) if k == 1 else None,
         rewards=rewards,
         steps_used=steps,
-        capped=k == 0,
     )
 
 
@@ -86,12 +84,8 @@ def relabel_outcomes(outcomes, perm: dict[int, int]) -> list[EpisodeOutcome]:
             EpisodeOutcome(
                 episode_index=ep.episode_index,
                 arrivals=frozenset(perm[a] for a in ep.arrivals),
-                exclusive_winner=None
-                if ep.exclusive_winner is None
-                else perm[ep.exclusive_winner],
                 rewards=tuple(ep.rewards[inverse[i]] for i in range(len(ep.rewards))),
                 steps_used=ep.steps_used,
-                capped=ep.capped,
             )
         )
     return relabeled

@@ -141,14 +141,11 @@ def run_episode(
             p.observe(key, actions[i], rewards[i], next_key, terminal)
         if terminal:
             break
-    winner = next(iter(arrival_ids)) if len(arrival_ids) == 1 else None
     return EpisodeOutcome(
         episode_index=episode_index,
         arrivals=arrival_ids,
-        exclusive_winner=winner,
         rewards=rewards,
         steps_used=state.step,
-        capped=not arrival_ids,
     )
 
 

@@ -143,6 +143,7 @@ def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, 
         lambda r: r.update(capped=True, arrivals=[], exclusive_winner=None, rewards=[0.0, 1.0]),
         lambda r: r.update(episode=99),
         lambda r: r.update(episode=4),
+        lambda r: r.update(steps=1.5),
     ],
     ids=[
         "inf-reward",
@@ -156,6 +157,7 @@ def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, 
         "paid-capped",
         "index-out-of-sequence",
         "index-repeated",
+        "fractional-steps",
     ],
 )
 def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
@@ -398,6 +400,19 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     assert main(_tiny_sweep_args(out)) == 4
     err = capsys.readouterr().err
     assert "failed" in err
+
+
+def test_sweep_completes_when_a_baseline_scores_zero(tmp_path, capsys):
+    # The baseline's aalt is 0, a reference no relative change can use;
+    # summary.csv compares calt only.
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--agents", "10", "--state-types", "A", "--rewards", "ilf", "--base", "1",
+            "--baseline-episodes", "10", "--seed-root", "6", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read_summary(out / "summary.csv")
+    assert [row["policy"] for row in rows] == ["random", "qlearning"]
+    assert rows[0]["aalt"] == "0.0" and rows[1]["calt_rel_change_pct"] != ""
+    capsys.readouterr()
 
 
 def test_analyze_compare_and_fit(tmp_path, capsys):

@@ -77,8 +77,8 @@ def test_steps_column():
 
 
 def test_negative_zero_rewards_keep_their_own_body():
-    plain = EpisodeOutcome(0, frozenset({1}), 1, (0.0, 100.0), 2, False)
-    signed = EpisodeOutcome(1, frozenset({1}), 1, (-0.0, 100.0), 2, False)
+    plain = EpisodeOutcome(0, frozenset({1}), (0.0, 100.0), 2)
+    signed = EpisodeOutcome(1, frozenset({1}), (-0.0, 100.0), 2)
     log = EpisodeLog.from_outcomes([plain, signed])
     assert len(log.bodies) == 2
     assert repr(log[1].rewards) == "(-0.0, 100.0)"
@@ -87,12 +87,11 @@ def test_negative_zero_rewards_keep_their_own_body():
 @pytest.mark.parametrize(
     "episode",
     [
-        EpisodeOutcome(1, frozenset({2}), 2, (0.0, 100.0), 2, False),
-        EpisodeOutcome(1, frozenset({-1}), -1, (0.0, 100.0), 2, False),
-        EpisodeOutcome(1, frozenset({0}), 5, (100.0, 0.0), 2, False),
-        EpisodeOutcome(1, frozenset({0}), 0, (100.0, 0.0, 0.0), 2, False),
+        EpisodeOutcome(1, frozenset({2}), (0.0, 100.0), 2),
+        EpisodeOutcome(1, frozenset({-1}), (0.0, 100.0), 2),
+        EpisodeOutcome(1, frozenset({0}), (100.0, 0.0, 0.0), 2),
     ],
-    ids=["arrival-too-high", "arrival-negative", "winner-out-of-range", "reward-length"],
+    ids=["arrival-too-high", "arrival-negative", "reward-length"],
 )
 def test_body_table_rejects_ids_and_rewards_that_do_not_fit_n(episode):
     log = EpisodeLog.from_outcomes([make_outcome(0, 2, {1}), episode, make_outcome(2, 2, {1})])

@@ -233,16 +233,14 @@ def test_record_round_trip():
     outcome = EpisodeOutcome(
         episode_index=4,
         arrivals=frozenset({2, 0}),
-        exclusive_winner=None,
         rewards=(100.0 / 3, 0.0, 100.0 / 3),
         steps_used=6,
-        capped=False,
     )
     record = outcome.to_record()
     assert record["arrivals"] == [0, 2]
     assert EpisodeOutcome.from_record(record) == outcome
 
-    capped = EpisodeOutcome(9, frozenset(), None, (0.0, 0.0), 1000, True)
+    capped = EpisodeOutcome(9, frozenset(), (0.0, 0.0), 1000)
     assert EpisodeOutcome.from_record(capped.to_record()) == capped
 
 
@@ -255,10 +253,16 @@ def test_record_round_trip():
         lambda r: r.update(exclusive_winner=1),
         lambda r: r.update(arrivals=[0, 1], exclusive_winner=0),
         lambda r: r.update(arrivals=[0, 2], exclusive_winner=None, rewards=[50.0, 0.0, 40.0]),
+        lambda r: r.update(steps=1.5),
+        lambda r: r.update(episode=True),
+        lambda r: r.update(arrivals=[1], exclusive_winner=1.0, rewards=[0.0, 100.0]),
+        lambda r: r.update(arrivals=[], exclusive_winner=None, rewards=[0.0, 0.0], capped="x"),
+        lambda r: r.update(arrivals=[], exclusive_winner=None, rewards=[0.0, 0.0], capped=False),
+        lambda r: r.update(rewards=[10**400, 0.0]),
     ],
 )
 def test_record_validation_rejects_malformed(mutate):
-    record = EpisodeOutcome(0, frozenset({0}), 0, (100.0, 0.0), 2, False).to_record()
+    record = EpisodeOutcome(0, frozenset({0}), (100.0, 0.0), 2).to_record()
     mutate(record)
     with pytest.raises(DataError):
         EpisodeOutcome.from_record(record)

@@ -1,15 +1,18 @@
 """Persistence round trips, run execution, and sweep behavior."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from altlab import harness
+from altlab.analysis import coordination_score
 from altlab.errors import ConfigError, DataError, SchemaVersionError
 from altlab.game import GameConfig, RewardScheme, StateType
 from altlab.harness import (
     CurvePoint,
     ExperimentSpec,
+    RunResult,
     derive_seed,
     load_run_result,
     read_curve_csv,
@@ -19,6 +22,7 @@ from altlab.harness import (
     read_summary,
     run_baseline,
     run_training,
+    summary_rows,
     sweep,
     write_curve_csv,
     write_episode_log,
@@ -452,10 +456,31 @@ def test_sweep_sign_audit_at_full_budgets(tmp_path):
     assert not result.failures
     trained = [r for r in result.results if r.spec.policy == "qlearning"]
     assert len(trained) == 8
+    baselines = {r.spec.game: r.panel for r in result.results if r.spec.policy == "random"}
     for run in trained:
-        by_variant = {c.variant: c for c in run.comparisons}
-        assert by_variant["calt"].coord_score_pct < 0.0, run.spec.run_id
-        assert by_variant["aalt"].coord_score_pct < 0.0, run.spec.run_id
+        for variant in ("calt", "aalt"):
+            observed = getattr(run.panel, variant)
+            reference = getattr(baselines[run.spec.game], variant)
+            assert coordination_score(observed, reference) < 0.0, (run.spec.run_id, variant)
+
+
+def test_summary_leaves_the_calt_comparison_empty_without_a_usable_baseline():
+    game = GameConfig(n_agents=2)
+    trained = ExperimentSpec(game, "qlearning", 10, 0, "ql")
+    other = ExperimentSpec(GameConfig(n_agents=2, step_cap=9), "random", 10, 0, "rand-other")
+    panel = compute_panel([make_outcome(e, 2, {e % 2}) for e in range(10)], 2, 100.0)
+
+    def calt_cells(reference):
+        baseline = RunResult(ExperimentSpec(game, "random", 10, 0, "rand"), reference)
+        rows = summary_rows([RunResult(trained, panel), baseline], "t")
+        assert (rows[1].calt_rel_change_pct, rows[1].calt_coord_score_pct) == (None, None)
+        return rows[0].calt_rel_change_pct, rows[0].calt_coord_score_pct
+
+    assert calt_cells(replace(panel, calt=0.5)) == (100.0, 100.0)
+    assert calt_cells(replace(panel, calt=0.0)) == (None, None)
+    assert calt_cells(replace(panel, calt=1.0)) == (None, None)
+    rows = summary_rows([RunResult(trained, panel), RunResult(other, panel)], "t")
+    assert (rows[0].calt_rel_change_pct, rows[0].calt_coord_score_pct) == (None, None)
 
 
 def test_sweep_validation(tmp_path):

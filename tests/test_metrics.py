@@ -125,12 +125,11 @@ def test_window_betas_short_log_and_bad_n():
 @pytest.mark.parametrize(
     "episode",
     [
-        EpisodeOutcome(0, frozenset({2}), 2, (0.0, 100.0), 2, False),
-        EpisodeOutcome(0, frozenset({-1}), -1, (0.0, 100.0), 2, False),
-        EpisodeOutcome(0, frozenset({0}), 5, (100.0, 0.0), 2, False),
-        EpisodeOutcome(0, frozenset({0}), 0, (100.0, 0.0, 0.0), 2, False),
+        EpisodeOutcome(0, frozenset({2}), (0.0, 100.0), 2),
+        EpisodeOutcome(0, frozenset({-1}), (0.0, 100.0), 2),
+        EpisodeOutcome(0, frozenset({0}), (100.0, 0.0, 0.0), 2),
     ],
-    ids=["arrival-too-high", "arrival-negative", "winner-out-of-range", "reward-length"],
+    ids=["arrival-too-high", "arrival-negative", "reward-length"],
 )
 def test_columns_reject_ids_and_rewards_that_do_not_fit_n(episode):
     log = [make_outcome(0, 2, {1}), episode, make_outcome(2, 2, {1})]
