@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 unreadable or
-insufficient data, 4 sweep finished with some runs failed.  The
-``ALTLAB_OUT`` environment variable overrides the default output root.
+Exit codes: 0 success, 2 usage or configuration error or an unwritable
+output path, 3 unreadable or insufficient data, 4 sweep finished with
+some runs failed.  The ``ALTLAB_OUT`` environment variable overrides the
+default output root.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def _add_game_flags(sub, with_policy: bool) -> None:
     sub.add_argument("--step-cap", type=int, default=1000)
 
 
-def _run_single(args, policy: str) -> int:
-    game = _game_from_args(args)
+def _run_single(args) -> int:
+    """``simulate`` and ``baseline``: one spec from the flags, run by :func:`harness.run`."""
+    game, policy = _game_from_args(args), args.policy
     if args.episodes is not None:
         episodes = args.episodes
     elif policy == "qlearning":
@@ -78,24 +80,12 @@ def _run_single(args, policy: str) -> int:
     spec = harness.ExperimentSpec(
         game=game, policy=policy, episodes=episodes, seed=args.seed, run_id=run_id
     )
-    runs_root = Path(args.out or _default_out())
-    if policy == "qlearning":
-        result = harness.run_training(spec, runs_root, overwrite=args.overwrite)
-    else:
-        result = harness.run_baseline(spec, runs_root, overwrite=args.overwrite)
+    result = harness.run(spec, Path(args.out or _default_out()), overwrite=args.overwrite)
     print(f"run: {result.run_dir}")
     _print_panel(result.panel)
     if result.greedy_panel is not None:
         print(f"greedy_eval_calt: {result.greedy_panel.calt}")
     return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    return _run_single(args, args.policy)
-
-
-def cmd_baseline(args) -> int:
-    return _run_single(args, "random")
 
 
 def cmd_metrics(args) -> int:
@@ -308,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="run one game (random or q-learning)")
     _add_game_flags(sub, with_policy=True)
-    sub.set_defaults(func=cmd_simulate)
+    sub.set_defaults(func=_run_single)
 
     sub = subs.add_parser("baseline", help="run one random-policy game")
     _add_game_flags(sub, with_policy=False)
-    sub.set_defaults(func=cmd_baseline)
+    sub.set_defaults(func=_run_single, policy="random")
 
     sub = subs.add_parser("metrics", help="score an existing episode log")
     sub.add_argument("--log", required=True)
@@ -359,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, ComparisonError, FitError) as exc:

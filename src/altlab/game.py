@@ -143,7 +143,8 @@ class EpisodeOutcome:
     def from_record(record: dict) -> "EpisodeOutcome":
         """Parse and validate a dict produced by :meth:`to_record`: JSON
         integers (not bools or floats) for the episode, steps and arrivals,
-        numbers for the rewards, and the winner and ``capped`` they imply."""
+        distinct arrival ids, numbers for the rewards, and the winner and
+        ``capped`` they imply."""
         try:
             episode, arrivals, rewards, steps = (
                 record[key] for key in ("episode", "arrivals", "rewards", "steps")
@@ -156,6 +157,8 @@ class EpisodeOutcome:
             stated = (record["exclusive_winner"], record["capped"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise DataError(f"malformed episode record: {exc}") from exc
+        if len(outcome.arrivals) != len(arrivals):
+            raise DataError(f"arrivals {arrivals} list an agent more than once")
         # repr tells 1 from 1.0 and true, and false from 0.
         if repr(stated) != repr((outcome.exclusive_winner, outcome.capped)):
             raise DataError(

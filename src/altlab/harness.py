@@ -1,6 +1,8 @@
 """Experiment harness: runs, persistence, and the full sweep grid.
 
-Every run lands in its own directory under a runs root:
+:func:`run` plays one spec (random play, or Q-learning followed by a
+greedy evaluation), scores it and writes it into its own directory under
+a runs root:
 
     <run_id>/log.jsonl       canonical episode log, one JSON object per line
     <run_id>/panel.csv       run-level metrics (plus a greedy-eval row for
@@ -60,7 +62,7 @@ from .game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateTyp
 from .metrics import (
     MetricPanel, _exact_total, _reward_counts, _shifted_mean, compute_panel, window_betas
 )
-from .policies import QLearningConfig, TrainRun, epsilon_at, play, run_random, train_run
+from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
 
@@ -305,8 +307,8 @@ def read_curve_csv(path: Path) -> list[CurvePoint]:
     return read_table(path, CURVE_COLUMNS, partial(parse_fields, CurvePoint))
 
 
-def write_snapshot(spec: ExperimentSpec, path: Path) -> None:
-    payload = {
+def _snapshot_payload(spec: ExperimentSpec) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "run_id": spec.run_id,
         "policy": spec.policy,
@@ -315,12 +317,16 @@ def write_snapshot(spec: ExperimentSpec, path: Path) -> None:
         "game": asdict(spec.game),
         "qlearning": None if spec.qcfg is None else asdict(spec.qcfg),
     }
+
+
+def write_snapshot(spec: ExperimentSpec, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_snapshot_payload(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_snapshot(path: Path) -> ExperimentSpec:
+    """The spec a snapshot records; it must write back the file's JSON values exactly."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -333,7 +339,7 @@ def read_snapshot(path: Path) -> ExperimentSpec:
         )
     try:
         qdata = payload["qlearning"]
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             game=parse_fields(GameConfig, payload["game"]),
             policy=payload["policy"],
             episodes=int(payload["episodes"]),
@@ -343,6 +349,10 @@ def read_snapshot(path: Path) -> ExperimentSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed snapshot: {exc}") from exc
+    stated, written = (json.dumps(p, sort_keys=True) for p in (payload, _snapshot_payload(spec)))
+    if stated != written:
+        raise DataError(f"{path}: snapshot {stated} does not state the spec it reads as {written}")
+    return spec
 
 
 def _run_dir(runs_root: Path, run_id: str, overwrite: bool) -> Path:
@@ -397,17 +407,6 @@ def load_run_result(run_dir: Path) -> RunResult:
     )
 
 
-def run_baseline(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunResult:
-    """Execute a random-policy run and persist its artifacts."""
-    if spec.policy != "random":
-        raise ConfigError(f"run_baseline needs a random-policy spec, got {spec.policy!r}")
-    run_dir = _run_dir(runs_root, spec.run_id, overwrite)
-    outcomes = run_random(spec.game, spec.episodes, spec.seed)
-    panel = compute_panel(outcomes, spec.game.n_agents, spec.game.r_high)
-    _persist(run_dir, spec, outcomes, [("full", panel)], None, overwrite)
-    return RunResult(spec=spec, panel=panel, run_dir=run_dir)
-
-
 def _training_curve(
     outcomes: Sequence[EpisodeOutcome],
     total_episodes: int,
@@ -438,40 +437,34 @@ def _training_curve(
     return points
 
 
-def run_training(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunResult:
-    """Train independent Q-learners, then greedy-evaluate the frozen tables.
+def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunResult:
+    """Play a spec, score it and persist its artifacts under ``runs_root``.
 
-    The greedy evaluation continues the run's RNG stream and arrival
-    bits, plays 10 * n episodes at the floor epsilon with learning
-    disabled, and lands in panel.csv as the ``greedy_eval`` row.
+    A Q-learning spec trains, then greedy-evaluates the frozen tables: the
+    evaluation continues the run's RNG stream and arrival bits, plays
+    10 * n episodes at the floor epsilon with learning disabled, and lands
+    in panel.csv as the ``greedy_eval`` row, beside curve.csv.
     """
-    if spec.policy != "qlearning":
-        raise ConfigError(f"run_training needs a qlearning spec, got {spec.policy!r}")
-    qcfg = spec.qcfg
     run_dir = _run_dir(runs_root, spec.run_id, overwrite)
-    rng = np.random.default_rng(spec.seed)
-    trained: TrainRun = train_run(spec.game, qcfg, spec.episodes, rng)
-
-    n = spec.game.n_agents
-    eval_episodes = GREEDY_EVAL_EPISODES_PER_AGENT * n
-    eval_outcomes, _ = play(
-        spec.game, eval_episodes, rng, trained.final_prev_winners, trained.tables,
-        [qcfg.epsilon_min] * eval_episodes,
-    )
-    panel = compute_panel(trained.outcomes, n, spec.game.r_high)
-    greedy_panel = compute_panel(eval_outcomes, n, spec.game.r_high)
-    curve = _training_curve(trained.outcomes, spec.episodes, spec.game, qcfg)
-    _persist(
-        run_dir,
-        spec,
-        trained.outcomes,
-        [("full", panel), ("greedy_eval", greedy_panel)],
-        curve,
-        overwrite,
-    )
-    return RunResult(
-        spec=spec, panel=panel, greedy_panel=greedy_panel, curve=curve, run_dir=run_dir
-    )
+    game, qcfg = spec.game, spec.qcfg
+    eval_outcomes = curve = None
+    if spec.policy == "random":
+        outcomes = run_random(game, spec.episodes, spec.seed)
+    else:
+        rng = np.random.default_rng(spec.seed)
+        trained = train_run(game, qcfg, spec.episodes, rng)
+        outcomes = trained.outcomes
+        eval_episodes = GREEDY_EVAL_EPISODES_PER_AGENT * game.n_agents
+        eval_outcomes, _ = play(
+            game, eval_episodes, rng, trained.final_prev_winners, trained.tables,
+            [qcfg.epsilon_min] * eval_episodes,
+        )
+    panels = {"full": compute_panel(outcomes, game.n_agents, game.r_high)}
+    if eval_outcomes is not None:
+        panels["greedy_eval"] = compute_panel(eval_outcomes, game.n_agents, game.r_high)
+        curve = _training_curve(outcomes, spec.episodes, game, qcfg)
+    _persist(run_dir, spec, outcomes, list(panels.items()), curve, overwrite)
+    return RunResult(spec, panels["full"], panels.get("greedy_eval"), curve, run_dir)
 
 
 @dataclass
@@ -490,11 +483,9 @@ def _execute_task(
     """Run one spec, or reload its cached baseline when the recorded spec
     matches; a failure comes back as its traceback."""
     try:
-        if spec.policy == "qlearning":
-            return run_training(spec, runs_root, overwrite), None
         run_dir = runs_root / spec.run_id
-        if overwrite or not run_dir.exists():
-            return run_baseline(spec, runs_root, overwrite), None
+        if spec.policy == "qlearning" or overwrite or not run_dir.exists():
+            return run(spec, runs_root, overwrite), None
         cached = load_run_result(run_dir)
         if cached.spec != spec:
             raise ConfigError(

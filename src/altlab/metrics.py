@@ -124,7 +124,10 @@ def _min_max_ratio(values: np.ndarray) -> float | None:
 def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     """Total collected reward over the nu * r_high optimum.
 
-    Capped episodes collect nothing but still count toward nu.
+    Capped episodes collect nothing but still count toward nu.  A log
+    that pays a sole arriver other than ``r_high``, or pays more than
+    ``r_high`` in one episode, was played at another ``r_high`` and
+    raises DataError.
     """
     if not r_high > 0:
         raise ConfigError(f"r_high must be positive, got {r_high}")
@@ -135,7 +138,13 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     if not math.isfinite(optimum):
         raise ConfigError(f"{len(log)} episodes at r_high {r_high} overflow the optimum")
     values, paid = _reward_counts(log)
-    return _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid) / optimum
+    total = _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid)
+    for arrivals, rewards in log.bodies:
+        if math.fsum(rewards) > r_high or (len(arrivals) == 1 and rewards[arrivals[0]] != r_high):
+            raise DataError(
+                f"rewards {list(rewards)} for arrivals {list(arrivals)} contradict r_high {r_high}"
+            )
+    return total / optimum
 
 
 def _reward_counts(log: EpisodeLog) -> tuple[list[float], np.ndarray]:

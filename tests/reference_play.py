@@ -3,8 +3,8 @@ episode loop, kept verbatim as a test oracle.
 
 ``altlab.policies.play`` must reproduce these functions draw for draw:
 the same outcomes, Q-tables, final arrival bits and generator state.
-Only the imports and ``greedy_eval`` (the loop that
-``harness.run_training`` ran after training) are new around the moved code.
+Only the imports and ``greedy_eval`` (the loop that ``harness.run``
+plays after Q-learning) are new around the moved code.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from altlab.cli import main
-from altlab.harness import read_curve_csv, read_summary
+from altlab.harness import read_curve_csv, read_summary, write_summary
 
 from conftest import make_outcome
 
@@ -144,6 +144,7 @@ def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, 
         lambda r: r.update(episode=99),
         lambda r: r.update(episode=4),
         lambda r: r.update(steps=1.5),
+        lambda r: r.update(arrivals=[1, 1]),
     ],
     ids=[
         "inf-reward",
@@ -158,6 +159,7 @@ def test_metrics_rejects_log_of_other_agent_count(tmp_path, capsys, log_agents, 
         "index-out-of-sequence",
         "index-repeated",
         "fractional-steps",
+        "repeated-arrival-id",
     ],
 )
 def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
@@ -167,6 +169,43 @@ def test_metrics_rejects_corrupt_records(tmp_path, capsys, corrupt):
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert main(["metrics", "--log", str(log), "--agents", "2"]) == 3
     assert "line 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_high", ["10", "200"])
+def test_metrics_rejects_r_high_other_than_the_logs(tmp_path, capsys, r_high):
+    # The log pays its sole winners 100.
+    records = [make_outcome(i, 2, {i % 2}).to_record() for i in range(12)]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["metrics", "--log", str(log), "--agents", "2", "--r-high", r_high]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, f: ["metrics", "--log", str(tmp / "log.jsonl"), "--agents", "2",
+                        "--csv", f"{f}/x.csv"],
+        lambda tmp, f: ["analyze", "--fit", "calt", "--save", f"{f}/f.json"],
+        lambda tmp, f: ["baseline", "--agents", "2", "--episodes", "50", "--out", f"{f}/x"],
+        lambda tmp, f: ["sweep", "--agents", "2", "--base", "5", "--baseline-episodes", "20",
+                        "--out", f"{f}/s"],
+        lambda tmp, f: ["report", "--sweep-dir", str(tmp), "--out", f"{f}/r"],
+    ],
+    ids=["metrics-csv", "analyze-save", "baseline-out", "sweep-out", "report-out"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(make_outcome(i, 2, {i % 2}).to_record()) + "\n"
+                           for i in range(12)))
+    write_summary([], tmp_path / "summary.csv")
+    regular = tmp_path / "file"
+    regular.write_text("")
+    capsys.readouterr()
+    assert main(argv(tmp_path, regular)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def _report_with_edited_row(edit):

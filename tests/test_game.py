@@ -259,6 +259,7 @@ def test_record_round_trip():
         lambda r: r.update(arrivals=[], exclusive_winner=None, rewards=[0.0, 0.0], capped="x"),
         lambda r: r.update(arrivals=[], exclusive_winner=None, rewards=[0.0, 0.0], capped=False),
         lambda r: r.update(rewards=[10**400, 0.0]),
+        lambda r: r.update(arrivals=[0, 0]),
     ],
 )
 def test_record_validation_rejects_malformed(mutate):

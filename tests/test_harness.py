@@ -20,8 +20,7 @@ from altlab.harness import (
     read_panel_csv,
     read_snapshot,
     read_summary,
-    run_baseline,
-    run_training,
+    run,
     summary_rows,
     sweep,
     write_curve_csv,
@@ -131,6 +130,31 @@ def test_snapshot_rejects_other_schema_versions(tmp_path):
             read_snapshot(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(episodes=10.9),
+        lambda p: p.update(seed=True),
+        lambda p: p["game"].update(n_agents=2.7),
+        lambda p: p["game"].update(path_length="2"),
+        lambda p: p["game"].update(r_high="100"),
+    ],
+    ids=["fractional-episodes", "bool-seed", "fractional-agents", "text-path-length",
+         "text-r-high"],
+)
+def test_snapshot_values_must_round_trip(tmp_path, edit):
+    spec = ExperimentSpec(
+        game=GameConfig(n_agents=2), policy="random", episodes=10, seed=0, run_id="r"
+    )
+    path = tmp_path / "spec.snapshot"
+    write_snapshot(spec, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=r"spec\.snapshot: "):
+        read_snapshot(path)
+
+
 def test_malformed_snapshot_and_panel_errors_name_the_file(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(n_agents=2), policy="qlearning", episodes=10, seed=0, run_id="q"
@@ -171,7 +195,7 @@ def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
         seed=derive_seed(0, "t"),
         run_id="rand-demo",
     )
-    result = run_baseline(spec, tmp_path)
+    result = run(spec, tmp_path)
     run_dir = tmp_path / "rand-demo"
     assert result.run_dir == run_dir
     assert (run_dir / "log.jsonl").exists()
@@ -184,12 +208,9 @@ def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
     assert load_run_result(run_dir).panel == result.panel
 
     with pytest.raises(ConfigError):
-        run_baseline(spec, tmp_path)
-    again = run_baseline(spec, tmp_path, overwrite=True)
+        run(spec, tmp_path)
+    again = run(spec, tmp_path, overwrite=True)
     assert again.panel == result.panel
-
-    with pytest.raises(ConfigError):
-        run_training(spec, tmp_path, overwrite=True)
 
 
 def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch):
@@ -200,24 +221,24 @@ def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch
     trained = ExperimentSpec(GameConfig(n_agents=2), "qlearning", 50, 0, "ql")
     # A failure while scoring, or while writing the last file, leaves
     # neither the run directory nor its temporary sibling behind.
-    for name, spec, run in (
-        ("compute_panel", baseline, run_baseline),
-        ("write_snapshot", baseline, run_baseline),
-        ("write_curve_csv", trained, run_training),
+    for name, spec in (
+        ("compute_panel", baseline),
+        ("write_snapshot", baseline),
+        ("write_curve_csv", trained),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(harness, name, broken)
             with pytest.raises(RuntimeError):
                 run(spec, tmp_path)
         assert list(tmp_path.iterdir()) == [], name
-    first = run_baseline(baseline, tmp_path)
-    run_training(trained, tmp_path)
+    first = run(baseline, tmp_path)
+    run(trained, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ql", "rand"]
     # A failed overwrite keeps the complete old run.
     with monkeypatch.context() as patch:
         patch.setattr(harness, "write_snapshot", broken)
         with pytest.raises(RuntimeError):
-            run_baseline(baseline, tmp_path, overwrite=True)
+            run(baseline, tmp_path, overwrite=True)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ql", "rand"]
     assert load_run_result(tmp_path / "rand").panel == first.panel
 
@@ -230,7 +251,7 @@ def test_run_training_artifacts(tmp_path):
         seed=7,
         run_id="ql-demo",
     )
-    result = run_training(spec, tmp_path)
+    result = run(spec, tmp_path)
     run_dir = tmp_path / "ql-demo"
     panels = read_panel_csv(run_dir / "panel.csv")
     assert set(panels) == {"full", "greedy_eval"}
@@ -249,9 +270,6 @@ def test_run_training_artifacts(tmp_path):
     assert curve[0].epsilon == pytest.approx(0.9)
     assert curve[-1].epsilon == pytest.approx(0.004)
 
-    with pytest.raises(ConfigError):
-        run_baseline(spec, tmp_path, overwrite=True)
-
 
 def test_training_is_reproducible(tmp_path):
     spec = ExperimentSpec(
@@ -261,8 +279,8 @@ def test_training_is_reproducible(tmp_path):
         seed=derive_seed(3, "repro"),
         run_id="ql-repro",
     )
-    a = run_training(spec, tmp_path / "a")
-    b = run_training(spec, tmp_path / "b")
+    a = run(spec, tmp_path / "a")
+    b = run(spec, tmp_path / "b")
     assert a.panel == b.panel
     assert a.greedy_panel == b.greedy_panel
     assert (tmp_path / "a/ql-repro/log.jsonl").read_bytes() == (
@@ -391,8 +409,8 @@ def test_overwrite_removes_temporary_siblings_of_killed_runs(tmp_path):
     assert stale.exists()
     _tiny_sweep(out, agent_counts=(2,), overwrite=True)
     assert not stale.exists()
-    run_baseline(ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand-n2-A-iqf"),
-                 runs, overwrite=True)
+    run(ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand-n2-A-iqf"),
+        runs, overwrite=True)
     assert not other.exists()
     assert not [p.name for p in runs.iterdir() if p.name.startswith(".")]
 
@@ -407,6 +425,19 @@ def test_sweep_rejects_mismatched_cache(tmp_path):
     snap.write_text(json.dumps(payload))
     second = _tiny_sweep(out, agent_counts=(2,), overwrite=False)
     assert any(run_id == "rand-n2-A-ilf" for run_id, _ in second.failures)
+
+
+def test_sweep_rejects_cached_snapshot_that_does_not_round_trip(tmp_path):
+    out = tmp_path / "s"
+    _tiny_sweep(out, agent_counts=(2,))
+    # 200.0 reads as the sweep's 200 episodes but does not state them
+    snap = out / "runs" / "rand-n2-A-ilf" / "spec.snapshot"
+    payload = json.loads(snap.read_text())
+    payload["episodes"] = 200.0
+    snap.write_text(json.dumps(payload))
+    failures = dict(_tiny_sweep(out, agent_counts=(2,)).failures)
+    assert "DataError" in failures["rand-n2-A-ilf"]
+    assert "rand-n2-A-iqf" not in failures
 
 
 def test_sweep_files_describe_this_sweep_only(tmp_path):

@@ -17,7 +17,7 @@ from conftest import (
 from altlab.analysis import synth_pa_mixture
 from altlab.errors import ConfigError, DataError, InsufficientDataError
 from altlab.game import EpisodeOutcome, GameConfig, StateType
-from altlab.harness import ExperimentSpec, run_training
+from altlab.harness import ExperimentSpec, run
 from altlab.metrics import (
     VARIANTS,
     alt_score,
@@ -303,6 +303,21 @@ def test_efficiency_validation():
         efficiency([make_outcome(e, 2, {0}, r_high=1e308) for e in range(2)], 1.0)
 
 
+def test_efficiency_rejects_payoffs_of_another_r_high():
+    log = [make_outcome(i, 3, {i % 3}) for i in range(6)]
+    assert efficiency(log, 100.0) == 1.0
+    # Sole winners paid 100: above r_high 10 in total, and not r_high 200.
+    for r_high in (10.0, 200.0):
+        with pytest.raises(DataError, match="contradict r_high"):
+            efficiency(log, r_high)
+        with pytest.raises(DataError, match="contradict r_high"):
+            compute_panel(log, 3, r_high)
+    # A partial tie paid 60 each, with no sole winner, pays 120 in one episode.
+    overpaid = [*log, EpisodeOutcome(6, frozenset({0, 1}), (60.0, 60.0, 0.0), 2)]
+    with pytest.raises(DataError, match="contradict r_high"):
+        efficiency(overpaid, 100.0)
+
+
 def test_compute_panel_is_consistent_with_parts():
     n = 3
     log = [make_outcome(i, n, {i % n}) for i in range(10)]
@@ -411,7 +426,7 @@ def test_golden_training_curve_calt(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(5), policy="qlearning", episodes=600, seed=24, run_id="golden"
     )
-    calts = [p.windowed_calt for p in run_training(spec, tmp_path).curve]
+    calts = [p.windowed_calt for p in run(spec, tmp_path).curve]
     assert len(calts) == 200
     assert calts[:3] == [None, 0.24502797067901233, 0.38425417296548253]
     assert calts[-1] == 0.034505276878064046

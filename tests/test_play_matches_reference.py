@@ -137,7 +137,7 @@ def test_greedy_continuation_matches_reference(cfg, qcfg, data, seed):
     with tempfile.TemporaryDirectory() as runs_root, mock.patch.object(
         harness, "train_run", recording(harness.train_run, trained, result=True)
     ), mock.patch.object(harness, "compute_panel", recording(harness.compute_panel, scored)):
-        harness.run_training(spec, runs_root)
+        harness.run(spec, runs_root)
     rng = np.random.default_rng(seed)
     old = ref.train_run(cfg, qcfg, episodes, rng)
     old_greedy = ref.greedy_eval(
