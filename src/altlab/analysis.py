@@ -216,4 +216,7 @@ def episodes_for(n: int, base: int = 1000) -> int:
     if base < 1:
         raise ConfigError(f"base must be >= 1, got {base}")
     growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
-    return math.floor(base * growth)
+    try:
+        return math.floor(base * growth)
+    except OverflowError:
+        raise ConfigError(f"base overflows the training budget at n={n}") from None

@@ -78,8 +78,9 @@ class GameConfig:
             raise ConfigError(
                 f"step_cap {self.step_cap} cannot be below path_length {self.path_length}"
             )
-        if not 0 < self.r_high < math.inf:
-            raise ConfigError(f"r_high must be positive and finite, got {self.r_high}")
+        # A partial tie pays r_low, which must not round to zero.
+        if not (0 < self.r_high < math.inf and self.r_low > 0):
+            raise ConfigError(f"r_high {self.r_high} must be finite with r_low > 0")
 
     @property
     def r_low(self) -> float:

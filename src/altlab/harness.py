@@ -11,9 +11,9 @@ a runs root:
     <run_id>/spec.snapshot   schema-tagged JSON record of the exact config
 
 The files are written into a temporary sibling, ``.<run_id>.tmp-<pid>``,
-which is renamed into place once complete: a run directory is either
-whole or absent, so a failed run never blocks its rerun, and an
-overwrite removes the siblings that killed runs left behind.
+renamed into place once complete, so a run directory is either whole or
+absent; every write removes the siblings that killed runs left behind.
+A run directory whose snapshot states the spec is reused by :func:`run`.
 
 A sweep crosses agent counts with both state encodings and both reward
 schemes into one list of run specs, checked before anything is written.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import glob
 import hashlib
 import itertools
 import json
@@ -90,8 +91,11 @@ class ExperimentSpec:
                 f"need at least n={self.game.n_agents} episodes for one batch, "
                 f"got {self.episodes}"
             )
-        if not self.run_id:
-            raise ConfigError("run_id must be non-empty")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # One plain name: a leading "." is kept for temporary siblings.
+        if not self.run_id or self.run_id[0] == "." or Path(self.run_id).name != self.run_id:
+            raise ConfigError(f"run_id must be one name not starting with '.', got {self.run_id!r}")
         if self.policy == "qlearning" and self.qcfg is None:
             object.__setattr__(self, "qcfg", QLearningConfig())
         # The run's total payoff and the Q-values' bound must stay finite.
@@ -355,13 +359,6 @@ def read_snapshot(path: Path) -> ExperimentSpec:
     return spec
 
 
-def _run_dir(runs_root: Path, run_id: str, overwrite: bool) -> Path:
-    run_dir = Path(runs_root) / run_id
-    if run_dir.exists() and not overwrite:
-        raise ConfigError(f"run directory {run_dir} already exists (pass overwrite to replace)")
-    return run_dir
-
-
 def _persist(
     run_dir: Path,
     spec: ExperimentSpec,
@@ -373,7 +370,7 @@ def _persist(
     """Write a run's artifacts into a temporary sibling and rename it into
     place, so the run directory is either complete or absent."""
     tmp = run_dir.with_name(f".{run_dir.name}.tmp-{os.getpid()}")
-    for stale in run_dir.parent.glob(f".{run_dir.name}.tmp-*") if overwrite else [tmp]:
+    for stale in run_dir.parent.glob(f".{glob.escape(run_dir.name)}.tmp-*"):
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
@@ -438,14 +435,19 @@ def _training_curve(
 
 
 def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunResult:
-    """Play a spec, score it and persist its artifacts under ``runs_root``.
+    """Play, score and save a spec under ``runs_root``; reuse an existing run
+    whose snapshot states ``spec``, and refuse any other unless ``overwrite``.
 
     A Q-learning spec trains, then greedy-evaluates the frozen tables: the
     evaluation continues the run's RNG stream and arrival bits, plays
     10 * n episodes at the floor epsilon with learning disabled, and lands
     in panel.csv as the ``greedy_eval`` row, beside curve.csv.
     """
-    run_dir = _run_dir(runs_root, spec.run_id, overwrite)
+    run_dir = Path(runs_root) / spec.run_id
+    if run_dir.exists() and not overwrite:
+        if (stored := load_run_result(run_dir)).spec != spec:
+            raise ConfigError(f"run {run_dir} holds another spec; pass overwrite to replace it")
+        return stored
     game, qcfg = spec.game, spec.qcfg
     eval_outcomes = curve = None
     if spec.policy == "random":
@@ -480,19 +482,9 @@ class SweepResult:
 def _execute_task(
     spec: ExperimentSpec, runs_root: Path, overwrite: bool
 ) -> tuple[RunResult | None, str | None]:
-    """Run one spec, or reload its cached baseline when the recorded spec
-    matches; a failure comes back as its traceback."""
+    """:func:`run` of one spec; a failure comes back as its traceback."""
     try:
-        run_dir = runs_root / spec.run_id
-        if spec.policy == "qlearning" or overwrite or not run_dir.exists():
-            return run(spec, runs_root, overwrite), None
-        cached = load_run_result(run_dir)
-        if cached.spec != spec:
-            raise ConfigError(
-                f"cached run {spec.run_id} was produced by a different spec; "
-                f"pass overwrite to replace it"
-            )
-        return cached, None
+        return run(spec, runs_root, overwrite), None
     except Exception:
         return None, traceback.format_exc()
 
@@ -559,9 +551,9 @@ def sweep(
     Every run's spec is built, and so checked, before anything is written:
     a bad argument raises :class:`ConfigError` and leaves no directory
     behind.  Training budgets scale with the agent count via
-    :func:`analysis.episodes_for` with the given ``base``.  A baseline
-    whose directory already exists is reloaded when its recorded spec
-    matches and fails otherwise.  Identical arguments (including
+    :func:`analysis.episodes_for` with the given ``base``.  Each run
+    follows :func:`run`'s rule for an existing directory, so rerunning a
+    killed sweep finishes it.  Identical arguments (including
     ``seed_root``) reproduce summary.csv exactly, except for the trailing
     timestamp column.
     """

@@ -161,3 +161,7 @@ def test_episodes_for_scaling_and_validation():
         episodes_for(1)
     with pytest.raises(ConfigError):
         episodes_for(2, base=0)
+    # a budget beyond the float range, from a huge int or an infinite product
+    for n, base in ((2, 9 * 10**400), (10, 10**308)):
+        with pytest.raises(ConfigError):
+            episodes_for(n, base=base)

@@ -40,6 +40,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["--agents", "1"],
         ["--base", "0"],
         ["--baseline-episodes", "1"],
+        ["--base", "9" * 401],
     ):
         assert main(["sweep", "--out", str(tmp_path / "sweep"), *flags]) == 2, flags
     assert not (tmp_path / "sweep").exists()
@@ -52,6 +53,19 @@ def test_usage_errors_exit_2(tmp_path):
     for command, r_high in (("baseline", "1e308"), ("simulate", "1e308"), ("simulate", "1e306")):
         flags = ["--agents", "2", "--episodes", "20", "--r-high", r_high, "--out", str(tmp_path)]
         assert main([command, *flags]) == 2, (command, r_high)
+    # a negative seed, a run id that is not one plain name, an overflowing
+    # budget and a partial-tie share that rounds to zero are refused too
+    for command, flags in (
+        ("simulate", ["--seed", "-1"]),
+        ("baseline", ["--seed", "-1"]),
+        ("baseline", ["--run-id", "../escape"]),
+        ("simulate", ["--run-id", "a/b"]),
+        ("baseline", ["--run-id", ".rand.tmp-1"]),
+        ("simulate", ["--base", "9" * 401]),
+        ("baseline", ["--agents", "3", "--reward", "iqf", "--r-high", "5e-324"]),
+    ):
+        argv = [command, "--agents", "2", *flags, "--out", str(tmp_path / "r")]
+        assert main(argv) == 2, (command, flags)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -265,24 +279,14 @@ def test_simulate_qlearning_run(tmp_path, capsys):
     assert code == 0
     run_dir = out / "ql-n2-A-ilf-seed3"
     assert (run_dir / "curve.csv").exists()
-    assert "greedy_eval_calt" in capsys.readouterr().out
-    # a second run without --overwrite collides
-    assert (
-        main(
-            [
-                "simulate",
-                "--agents",
-                "2",
-                "--episodes",
-                "50",
-                "--seed",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
-        == 2
-    )
+    printed = capsys.readouterr().out
+    assert "greedy_eval_calt" in printed
+    argv = ["simulate", "--agents", "2", "--episodes", "50", "--seed", "3", "--out", str(out)]
+    # a second run of the same spec without --overwrite returns the stored run
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    # another spec under the same run id collides
+    assert main([*argv, "--episodes", "60"]) == 2
 
 
 def test_out_root_falls_back_to_environment(tmp_path, monkeypatch):
@@ -435,8 +439,9 @@ def test_sweep_and_report_artifacts_are_byte_stable(tmp_path, capsys):
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(_tiny_sweep_args(out)) == 0
-    # rerunning the same grid collides on the training directories
-    assert main(_tiny_sweep_args(out)) == 4
+    # rerunning the grid at another training budget collides on the
+    # training directories
+    assert main([*_tiny_sweep_args(out), "--base", "31"]) == 4
     err = capsys.readouterr().err
     assert "failed" in err
 

@@ -45,6 +45,10 @@ def test_config_validation():
     for r_high in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
             GameConfig(n_agents=2, r_high=r_high)
+    # A partial tie's share must not round to zero.
+    with pytest.raises(ConfigError):
+        GameConfig(n_agents=3, reward_scheme=RewardScheme.IQF, r_high=5e-324)
+    assert GameConfig(n_agents=3, reward_scheme=RewardScheme.IQF, r_high=1e-300).r_low > 0
     # A huge finite payoff is a valid game, but a run whose total payoff or
     # Q-value bound overflows is not.
     huge = GameConfig(n_agents=2, r_high=1e307)

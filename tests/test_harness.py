@@ -1,6 +1,7 @@
 """Persistence round trips, run execution, and sweep behavior."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -182,7 +183,12 @@ def test_experiment_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec(game=game, policy="random", episodes=2, seed=0, run_id="x")
     with pytest.raises(ConfigError):
-        ExperimentSpec(game=game, policy="random", episodes=100, seed=0, run_id="")
+        ExperimentSpec(game=game, policy="random", episodes=100, seed=-1, run_id="x")
+    # A run id names one directory under the runs root; a leading "." is
+    # kept for temporary siblings.
+    for run_id in ("", "../x", "a/b", ".", "..", ".x"):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(game=game, policy="random", episodes=100, seed=0, run_id=run_id)
     spec = ExperimentSpec(game=game, policy="qlearning", episodes=100, seed=0, run_id="x")
     assert spec.qcfg == QLearningConfig()
 
@@ -207,8 +213,10 @@ def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
     assert compute_panel(reloaded, 2, 100.0) == result.panel
     assert load_run_result(run_dir).panel == result.panel
 
+    # the same spec comes back as stored; another one under its run id fails
+    assert run(spec, tmp_path) == result
     with pytest.raises(ConfigError):
-        run(spec, tmp_path)
+        run(replace(spec, episodes=401), tmp_path)
     again = run(spec, tmp_path, overwrite=True)
     assert again.panel == result.panel
 
@@ -386,11 +394,18 @@ def test_sweep_reuses_cached_baselines_and_reports_collisions(tmp_path):
     log_before = (out / "runs" / "rand-n2-A-ilf" / "log.jsonl").read_bytes()
 
     second = _tiny_sweep(out, agent_counts=(2,))
-    # baselines come back from cache, training directories collide
+    # the same sweep comes back from its stored runs
+    assert not second.failures and second.results == first.results
     reused = next(r for r in second.results if r.spec.run_id == "rand-n2-A-ilf")
     assert reused.panel == baseline_panel
     assert (out / "runs" / "rand-n2-A-ilf" / "log.jsonl").read_bytes() == log_before
-    failed_ids = {run_id for run_id, _ in second.failures}
+    # another training budget reuses the baselines and collides on the
+    # training directories
+    third = _tiny_sweep(out, agent_counts=(2,), base=31)
+    assert {r.spec.run_id for r in third.results} == {
+        f"rand-n2-{st}-{sch}" for st in "AB" for sch in ("ilf", "iqf")
+    }
+    failed_ids = {run_id for run_id, _ in third.failures}
     assert failed_ids == {f"ql-n2-{st}-{sch}-s0" for st in "AB" for sch in ("ilf", "iqf")}
     assert (out / "failures.txt").exists()
 
@@ -413,6 +428,34 @@ def test_overwrite_removes_temporary_siblings_of_killed_runs(tmp_path):
         runs, overwrite=True)
     assert not other.exists()
     assert not [p.name for p in runs.iterdir() if p.name.startswith(".")]
+
+
+def test_killed_sweep_resumes_where_it_stopped(tmp_path):
+    whole, killed = tmp_path / "whole", tmp_path / "killed"
+    _tiny_sweep(whole)
+    _tiny_sweep(killed)
+    runs = killed / "runs"
+    # A sweep killed before its last runs and its summary, one of them
+    # mid-write.
+    for run_id in ("rand-n3-B-iqf", "ql-n2-A-ilf-s0", "ql-n3-B-iqf-s0"):
+        shutil.rmtree(runs / run_id)
+    (killed / "summary.csv").unlink()
+    (runs / ".ql-n3-B-iqf-s0.tmp-999999").mkdir()
+    resumed = _tiny_sweep(killed)
+    assert not resumed.failures
+
+    def tree(root):
+        return {
+            p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+        }
+
+    assert tree(runs) == tree(whole / "runs")
+    assert not [p.name for p in runs.iterdir() if p.name.startswith(".")]
+
+    def rows(root):
+        return [{**row, "generated_at": None} for row in read_summary(root / "summary.csv")]
+
+    assert rows(killed) == rows(whole)
 
 
 def test_sweep_rejects_mismatched_cache(tmp_path):
@@ -443,14 +486,14 @@ def test_sweep_rejects_cached_snapshot_that_does_not_round_trip(tmp_path):
 def test_sweep_files_describe_this_sweep_only(tmp_path):
     out = tmp_path / "s"
     _tiny_sweep(out, agent_counts=(2,))
-    assert _tiny_sweep(out, agent_counts=(2,)).failures
+    assert _tiny_sweep(out, agent_counts=(2,), base=31).failures
     assert (out / "failures.txt").exists()
     # a clean rerun leaves no failures.txt from the sweep before
     assert not _tiny_sweep(out, agent_counts=(2,), overwrite=True).failures
     assert not (out / "failures.txt").exists()
-    # another baseline budget fails every run: the cached baselines no longer
-    # match and the training directories collide
-    failed = _tiny_sweep(out, agent_counts=(2,), baseline_episodes=300)
+    # other baseline and training budgets fail every run: no stored run
+    # states its spec
+    failed = _tiny_sweep(out, agent_counts=(2,), base=31, baseline_episodes=300)
     assert failed.results == [] and len(failed.failures) == 8
     assert failed.summary_path is None
     assert not (out / "summary.csv").exists()
