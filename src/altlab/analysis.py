@@ -170,13 +170,12 @@ def fit_alt_ratio_regression(
     variant: str,
     n_range: tuple[int, int] = (2, 10),
     samples: Sequence[tuple[int, int, float]] | None = None,
-    episodes_per_n: int = 10,
 ) -> RegressionFit:
     """Fit ratio = scale * value^exponent on fixed-rotation mixtures.
 
-    Samples are (x, n, score) triples; by default they are generated for
-    every 1 <= x <= n across ``n_range``.  The fit is least squares in
-    log-log space, so for calt it recovers the square-root mapping.
+    Samples are (x, n, score) triples; by default one for every 1 <= x <= n
+    across ``n_range``, scored on 10 * n episodes.  The fit is least squares
+    in log-log space, so for calt it recovers the square-root mapping.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -185,7 +184,7 @@ def fit_alt_ratio_regression(
         raise ConfigError(f"n_range must satisfy 2 <= lo <= hi <= 40, got {n_range}")
     if samples is None:
         samples = [
-            (x, n, alt_score(synth_pa_mixture(x, n, episodes_per_n * n), n, variant))
+            (x, n, alt_score(synth_pa_mixture(x, n, 10 * n), n, variant))
             for n in range(lo, hi + 1)
             for x in range(1, n + 1)
         ]

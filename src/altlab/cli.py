@@ -18,6 +18,7 @@ from . import analysis, harness
 from .errors import ComparisonError, ConfigError, DataError, FitError
 from .game import GameConfig, RewardScheme, StateType
 from .metrics import VARIANTS, compute_panel
+from .policies import QLearningConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,16 +46,14 @@ def _print_panel(panel) -> None:
         print(f"{name}: {'undefined' if value is None else value}")
 
 
-def _add_game_flags(sub, with_policy: bool) -> None:
+def _add_game_flags(sub, trains: bool) -> None:
     sub.add_argument("--agents", type=int, required=True, help="number of agents (>= 2)")
-    if with_policy:
-        sub.add_argument(
-            "--policy", choices=("random", "qlearning"), default="qlearning"
-        )
     sub.add_argument("--state-type", choices=("A", "B"), default="A")
     sub.add_argument("--reward", choices=("ilf", "iqf"), default="ilf")
-    sub.add_argument("--episodes", type=int, default=None)
-    sub.add_argument("--base", type=int, default=1000, help="episode budget at n=2")
+    budget = sub.add_mutually_exclusive_group() if trains else sub
+    budget.add_argument("--episodes", type=int, default=None)
+    if trains:
+        budget.add_argument("--base", type=int, default=1000, help="episode budget at n=2")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--run-id", default=None)
     sub.add_argument("--out", default=None, help="runs directory (default: $ALTLAB_OUT or runs)")
@@ -65,20 +64,21 @@ def _add_game_flags(sub, with_policy: bool) -> None:
 
 
 def _run_single(args) -> int:
-    """``simulate`` and ``baseline``: one spec from the flags, run by :func:`harness.run`."""
-    game, policy = _game_from_args(args), args.policy
+    """``simulate`` trains and ``baseline`` plays random; :func:`harness.run` runs the spec."""
+    trains = args.command == "simulate"
     if args.episodes is not None:
         episodes = args.episodes
-    elif policy == "qlearning":
+    elif trains:
         episodes = analysis.episodes_for(args.agents, args.base)
     else:
         episodes = 10_000
-    prefix = "ql" if policy == "qlearning" else "rand"
+    prefix = "ql" if trains else "rand"
     run_id = args.run_id or (
         f"{prefix}-n{args.agents}-{args.state_type}-{args.reward}-seed{args.seed}"
     )
     spec = harness.ExperimentSpec(
-        game=game, policy=policy, episodes=episodes, seed=args.seed, run_id=run_id
+        game=_game_from_args(args), episodes=episodes, seed=args.seed, run_id=run_id,
+        qcfg=QLearningConfig() if trains else None,
     )
     result = harness.run(spec, Path(args.out or _default_out()), overwrite=args.overwrite)
     print(f"run: {result.run_dir}")
@@ -296,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("simulate", help="run one game (random or q-learning)")
-    _add_game_flags(sub, with_policy=True)
+    sub = subs.add_parser("simulate", help="train Q-learners on one game, then greedy-evaluate")
+    _add_game_flags(sub, trains=True)
     sub.set_defaults(func=_run_single)
 
-    sub = subs.add_parser("baseline", help="run one random-policy game")
-    _add_game_flags(sub, with_policy=False)
-    sub.set_defaults(func=_run_single, policy="random")
+    sub = subs.add_parser("baseline", help="play one game with random-policy agents")
+    _add_game_flags(sub, trains=False)
+    sub.set_defaults(func=_run_single)
 
     sub = subs.add_parser("metrics", help="score an existing episode log")
     sub.add_argument("--log", required=True)

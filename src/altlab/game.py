@@ -70,6 +70,14 @@ class GameConfig:
     step_cap: int = 1000
 
     def __post_init__(self) -> None:
+        # Enum members and plain ints, not bools: a config of strings or numpy ints equals its twin.
+        for name, read in (("state_type", StateType), ("reward_scheme", RewardScheme),
+                           *((k, operator.index) for k in ("n_agents", "path_length", "step_cap"))):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, read(None if isinstance(value, bool) else value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} cannot be {value!r}") from None
         if self.n_agents < 2:
             raise ConfigError(f"n_agents must be >= 2, got {self.n_agents}")
         if self.path_length < 1:

@@ -74,18 +74,20 @@ GREEDY_EVAL_EPISODES_PER_AGENT = 10
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run: Q-learning with ``qcfg``,
+    random play without it."""
 
     game: GameConfig
-    policy: str
     episodes: int
     seed: int
     run_id: str
     qcfg: QLearningConfig | None = None
 
+    @property
+    def policy(self) -> str:
+        return "random" if self.qcfg is None else "qlearning"
+
     def __post_init__(self) -> None:
-        if self.policy not in ("random", "qlearning"):
-            raise ConfigError(f"policy must be 'random' or 'qlearning', got {self.policy!r}")
         if self.episodes < self.game.n_agents:
             raise ConfigError(
                 f"need at least n={self.game.n_agents} episodes for one batch, "
@@ -96,14 +98,12 @@ class ExperimentSpec:
         # One plain name: a leading "." is kept for temporary siblings.
         if not self.run_id or self.run_id[0] == "." or Path(self.run_id).name != self.run_id:
             raise ConfigError(f"run_id must be one name not starting with '.', got {self.run_id!r}")
-        if self.policy == "qlearning" and self.qcfg is None:
-            object.__setattr__(self, "qcfg", QLearningConfig())
         # The run's total payoff and the Q-values' bound must stay finite.
         if not math.isfinite(self.episodes * self.game.r_high):
             raise ConfigError(
                 f"{self.episodes} episodes at r_high {self.game.r_high} overflow the total payoff"
             )
-        if self.policy == "qlearning" and not math.isfinite(
+        if self.qcfg is not None and not math.isfinite(
             self.game.r_high / (1.0 - self.qcfg.gamma)
         ):
             raise ConfigError(
@@ -345,7 +345,6 @@ def read_snapshot(path: Path) -> ExperimentSpec:
         qdata = payload["qlearning"]
         spec = ExperimentSpec(
             game=parse_fields(GameConfig, payload["game"]),
-            policy=payload["policy"],
             episodes=int(payload["episodes"]),
             seed=int(payload["seed"]),
             run_id=payload["run_id"],
@@ -450,7 +449,7 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
         return stored
     game, qcfg = spec.game, spec.qcfg
     eval_outcomes = curve = None
-    if spec.policy == "random":
+    if qcfg is None:
         outcomes = run_random(game, spec.episodes, spec.seed)
     else:
         rng = np.random.default_rng(spec.seed)
@@ -543,15 +542,14 @@ def sweep(
     seed_root: int = 0,
     seeds: int = 1,
     workers: int = 1,
-    qcfg: QLearningConfig | None = None,
     overwrite: bool = False,
 ) -> SweepResult:
     """Run the full experiment grid and write summary.csv at the root.
 
     Every run's spec is built, and so checked, before anything is written:
     a bad argument raises :class:`ConfigError` and leaves no directory
-    behind.  Training budgets scale with the agent count via
-    :func:`analysis.episodes_for` with the given ``base``.  Each run
+    behind.  Trained runs use the default :class:`QLearningConfig` and a
+    budget of :func:`analysis.episodes_for` at the given ``base``.  Each run
     follows :func:`run`'s rule for an existing directory, so rerunning a
     killed sweep finishes it.  Identical arguments (including
     ``seed_root``) reproduce summary.csv exactly, except for the trailing
@@ -566,13 +564,11 @@ def sweep(
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    qcfg = qcfg or QLearningConfig()
     # One trajectory per (n, state type): reward dilution does not change
     # random play, so both schemes reuse the same seed.
     specs = [
         ExperimentSpec(
             game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
-            policy="random",
             episodes=baseline_episodes,
             seed=derive_seed(seed_root, f"baseline-n{n}-{st.value}"),
             run_id=f"rand-n{n}-{st.value}-{scheme.value}",
@@ -585,11 +581,10 @@ def sweep(
             specs.append(
                 ExperimentSpec(
                     game=GameConfig(n_agents=n, state_type=st, reward_scheme=scheme),
-                    policy="qlearning",
                     episodes=analysis.episodes_for(n, base),
                     seed=derive_seed(seed_root, f"train-{run_id}"),
                     run_id=run_id,
-                    qcfg=qcfg,
+                    qcfg=QLearningConfig(),
                 )
             )
 

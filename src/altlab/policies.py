@@ -116,6 +116,10 @@ def play(
         raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
     if tables is not None and len(tables) != n:
         raise ConfigError(f"got {len(tables)} Q-tables for {n} agents")
+    if tables is None and (epsilons is not None or qcfg is not None):
+        raise ConfigError("epsilons and qcfg need Q-tables")
+    if epsilons is not None and len(epsilons) != episodes:
+        raise ConfigError(f"got {len(epsilons)} epsilons for {episodes} episodes")
     words = _Words(rng)
     try:
         if tables is None:

@@ -21,6 +21,16 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+    # simulate always trains and baseline always plays random; a training
+    # budget is either --episodes or --base
+    for argv in (
+        ["simulate", "--policy", "random"],
+        ["baseline", "--base", "5"],
+        ["simulate", "--episodes", "20", "--base", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--agents", "2", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2, argv
     for flags in (
         ["--agents", "2,x"],
         ["--state-types", "C"],

@@ -49,15 +49,36 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         GameConfig(n_agents=3, reward_scheme=RewardScheme.IQF, r_high=5e-324)
     assert GameConfig(n_agents=3, reward_scheme=RewardScheme.IQF, r_high=1e-300).r_low > 0
+    # Plain strings read through the enums and integers must be integers:
+    # a bool, a float or a string is refused, a numpy integer becomes an int.
+    for kwargs in (
+        dict(state_type="Z"),
+        dict(reward_scheme="ILF"),
+        dict(state_type=None),
+        dict(n_agents=2.5),
+        dict(n_agents=True),
+        dict(path_length="2"),
+        dict(step_cap=1000.0),
+    ):
+        with pytest.raises(ConfigError):
+            GameConfig(**{"n_agents": 2, **kwargs})
+    typed = GameConfig(n_agents=2, state_type=StateType.TYPE_B, reward_scheme=RewardScheme.IQF)
+    plain = GameConfig(
+        n_agents=np.int64(2), state_type="B", reward_scheme="iqf", step_cap=np.int32(1000)
+    )
+    assert plain == typed and hash(plain) == hash(typed) and repr(plain) == repr(typed)
+    assert plain.state_type is StateType.TYPE_B and type(plain.n_agents) is int
+    # A Type B game given as "B" trains on keys with the arrival bits.
+    assert {len(key) for key in train_run(plain, QLearningConfig(), 20, 0).tables[0]} == {4}
     # A huge finite payoff is a valid game, but a run whose total payoff or
     # Q-value bound overflows is not.
     huge = GameConfig(n_agents=2, r_high=1e307)
-    ExperimentSpec(huge, "random", 10, 0, "r")
+    ExperimentSpec(huge, 10, 0, "r")
     with pytest.raises(ConfigError, match="total payoff"):
-        ExperimentSpec(huge, "random", 20, 0, "r")
+        ExperimentSpec(huge, 20, 0, "r")
     with pytest.raises(ConfigError, match="Q-value bound"):
-        ExperimentSpec(huge, "qlearning", 10, 0, "r")
-    ExperimentSpec(huge, "qlearning", 10, 0, "r", QLearningConfig(gamma=0.0))
+        ExperimentSpec(huge, 10, 0, "r", QLearningConfig())
+    ExperimentSpec(huge, 10, 0, "r", QLearningConfig(gamma=0.0))
 
 
 def test_r_low_by_scheme():
@@ -65,6 +86,8 @@ def test_r_low_by_scheme():
     iqf = GameConfig(n_agents=3, reward_scheme=RewardScheme.IQF)
     assert ilf.r_low == pytest.approx(100.0 / 3)
     assert iqf.r_low == pytest.approx(100.0 / 9)
+    assert GameConfig(n_agents=3, reward_scheme="ilf").r_low == ilf.r_low
+    assert GameConfig(n_agents=3, reward_scheme="iqf").r_low == iqf.r_low
 
 
 def test_step_advances_movers_only():

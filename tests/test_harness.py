@@ -2,7 +2,7 @@
 
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -30,8 +30,8 @@ from altlab.harness import (
     write_snapshot,
     SUMMARY_COLUMNS,
 )
-from altlab.metrics import compute_panel
-from altlab.policies import QLearningConfig, run_random
+from altlab.metrics import alt_score, compute_panel, efficiency
+from altlab.policies import QLearningConfig, epsilon_at, run_random
 
 from conftest import make_outcome
 
@@ -104,10 +104,10 @@ def test_snapshot_round_trip(tmp_path):
         game=GameConfig(
             n_agents=3, state_type=StateType.TYPE_B, reward_scheme=RewardScheme.IQF
         ),
-        policy="qlearning",
         episodes=500,
         seed=99,
         run_id="ql-n3-B-iqf-s0",
+        qcfg=QLearningConfig(),
     )
     path = tmp_path / "spec.snapshot"
     write_snapshot(spec, path)
@@ -115,9 +115,7 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_rejects_other_schema_versions(tmp_path):
-    spec = ExperimentSpec(
-        game=GameConfig(n_agents=2), policy="random", episodes=10, seed=0, run_id="r"
-    )
+    spec = ExperimentSpec(game=GameConfig(n_agents=2), episodes=10, seed=0, run_id="r")
     path = tmp_path / "spec.snapshot"
     write_snapshot(spec, path)
     payload = json.loads(path.read_text())
@@ -139,14 +137,14 @@ def test_snapshot_rejects_other_schema_versions(tmp_path):
         lambda p: p["game"].update(n_agents=2.7),
         lambda p: p["game"].update(path_length="2"),
         lambda p: p["game"].update(r_high="100"),
+        lambda p: p.update(qlearning=asdict(QLearningConfig())),
+        lambda p: p.update(policy="qlearning"),
     ],
     ids=["fractional-episodes", "bool-seed", "fractional-agents", "text-path-length",
-         "text-r-high"],
+         "text-r-high", "random-policy-with-qlearning", "qlearning-policy-without-qlearning"],
 )
 def test_snapshot_values_must_round_trip(tmp_path, edit):
-    spec = ExperimentSpec(
-        game=GameConfig(n_agents=2), policy="random", episodes=10, seed=0, run_id="r"
-    )
+    spec = ExperimentSpec(game=GameConfig(n_agents=2), episodes=10, seed=0, run_id="r")
     path = tmp_path / "spec.snapshot"
     write_snapshot(spec, path)
     payload = json.loads(path.read_text())
@@ -158,7 +156,7 @@ def test_snapshot_values_must_round_trip(tmp_path, edit):
 
 def test_malformed_snapshot_and_panel_errors_name_the_file(tmp_path):
     spec = ExperimentSpec(
-        game=GameConfig(n_agents=2), policy="qlearning", episodes=10, seed=0, run_id="q"
+        game=GameConfig(n_agents=2), episodes=10, seed=0, run_id="q", qcfg=QLearningConfig()
     )
     path = tmp_path / "spec.snapshot"
     write_snapshot(spec, path)
@@ -179,24 +177,24 @@ def test_malformed_snapshot_and_panel_errors_name_the_file(tmp_path):
 def test_experiment_spec_validation():
     game = GameConfig(n_agents=3)
     with pytest.raises(ConfigError):
-        ExperimentSpec(game=game, policy="sarsa", episodes=100, seed=0, run_id="x")
+        ExperimentSpec(game=game, episodes=2, seed=0, run_id="x")
     with pytest.raises(ConfigError):
-        ExperimentSpec(game=game, policy="random", episodes=2, seed=0, run_id="x")
-    with pytest.raises(ConfigError):
-        ExperimentSpec(game=game, policy="random", episodes=100, seed=-1, run_id="x")
+        ExperimentSpec(game=game, episodes=100, seed=-1, run_id="x")
     # A run id names one directory under the runs root; a leading "." is
     # kept for temporary siblings.
     for run_id in ("", "../x", "a/b", ".", "..", ".x"):
         with pytest.raises(ConfigError):
-            ExperimentSpec(game=game, policy="random", episodes=100, seed=0, run_id=run_id)
-    spec = ExperimentSpec(game=game, policy="qlearning", episodes=100, seed=0, run_id="x")
-    assert spec.qcfg == QLearningConfig()
+            ExperimentSpec(game=game, episodes=100, seed=0, run_id=run_id)
+    with pytest.raises(TypeError):
+        ExperimentSpec(game=game, policy="random", episodes=100, seed=0, run_id="x")
+    spec = ExperimentSpec(game=game, episodes=100, seed=0, run_id="x")
+    assert spec.policy == "random"
+    assert replace(spec, qcfg=QLearningConfig()).policy == "qlearning"
 
 
 def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(n_agents=2),
-        policy="random",
         episodes=400,
         seed=derive_seed(0, "t"),
         run_id="rand-demo",
@@ -225,8 +223,8 @@ def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    baseline = ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand")
-    trained = ExperimentSpec(GameConfig(n_agents=2), "qlearning", 50, 0, "ql")
+    baseline = ExperimentSpec(GameConfig(n_agents=2), 50, 0, "rand")
+    trained = ExperimentSpec(GameConfig(n_agents=2), 50, 0, "ql", QLearningConfig())
     # A failure while scoring, or while writing the last file, leaves
     # neither the run directory nor its temporary sibling behind.
     for name, spec in (
@@ -254,10 +252,10 @@ def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch
 def test_run_training_artifacts(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(n_agents=2),
-        policy="qlearning",
         episodes=60,
         seed=7,
         run_id="ql-demo",
+        qcfg=QLearningConfig(),
     )
     result = run(spec, tmp_path)
     run_dir = tmp_path / "ql-demo"
@@ -279,13 +277,35 @@ def test_run_training_artifacts(tmp_path):
     assert curve[-1].epsilon == pytest.approx(0.004)
 
 
+@pytest.mark.parametrize(
+    "n, state_type, episodes, points, short",
+    [(3, StateType.TYPE_B, 1200, 200, 0), (5, StateType.TYPE_A, 700, 234, 1),
+     (2, StateType.TYPE_A, 7, 7, 1)],
+)
+def test_each_curve_point_scores_its_own_window(tmp_path, n, state_type, episodes, points, short):
+    game = GameConfig(n_agents=n, state_type=state_type)
+    spec = ExperimentSpec(game, episodes, derive_seed(0, "curve"), "ql", QLearningConfig())
+    curve = run(spec, tmp_path).curve
+    log = read_episode_log(tmp_path / "ql" / "log.jsonl")
+    assert len(curve) == points
+    assert sum(p.episode < n for p in curve) == short
+    for p in curve:
+        window = log[max(0, p.episode - harness.CURVE_WINDOW) : p.episode]
+        assert p.epsilon == epsilon_at(p.episode - 1, episodes, spec.qcfg)
+        if len(window) < n:
+            assert p.windowed_calt is None and p.windowed_efficiency is None
+        else:
+            assert p.windowed_calt == alt_score(window, n, "calt")
+            assert p.windowed_efficiency == efficiency(window, game.r_high)
+
+
 def test_training_is_reproducible(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(n_agents=3, state_type=StateType.TYPE_B),
-        policy="qlearning",
         episodes=150,
         seed=derive_seed(3, "repro"),
         run_id="ql-repro",
+        qcfg=QLearningConfig(),
     )
     a = run(spec, tmp_path / "a")
     b = run(spec, tmp_path / "b")
@@ -424,7 +444,7 @@ def test_overwrite_removes_temporary_siblings_of_killed_runs(tmp_path):
     assert stale.exists()
     _tiny_sweep(out, agent_counts=(2,), overwrite=True)
     assert not stale.exists()
-    run(ExperimentSpec(GameConfig(n_agents=2), "random", 50, 0, "rand-n2-A-iqf"),
+    run(ExperimentSpec(GameConfig(n_agents=2), 50, 0, "rand-n2-A-iqf"),
         runs, overwrite=True)
     assert not other.exists()
     assert not [p.name for p in runs.iterdir() if p.name.startswith(".")]
@@ -540,12 +560,12 @@ def test_sweep_sign_audit_at_full_budgets(tmp_path):
 
 def test_summary_leaves_the_calt_comparison_empty_without_a_usable_baseline():
     game = GameConfig(n_agents=2)
-    trained = ExperimentSpec(game, "qlearning", 10, 0, "ql")
-    other = ExperimentSpec(GameConfig(n_agents=2, step_cap=9), "random", 10, 0, "rand-other")
+    trained = ExperimentSpec(game, 10, 0, "ql", QLearningConfig())
+    other = ExperimentSpec(GameConfig(n_agents=2, step_cap=9), 10, 0, "rand-other")
     panel = compute_panel([make_outcome(e, 2, {e % 2}) for e in range(10)], 2, 100.0)
 
     def calt_cells(reference):
-        baseline = RunResult(ExperimentSpec(game, "random", 10, 0, "rand"), reference)
+        baseline = RunResult(ExperimentSpec(game, 10, 0, "rand"), reference)
         rows = summary_rows([RunResult(trained, panel), baseline], "t")
         assert (rows[1].calt_rel_change_pct, rows[1].calt_coord_score_pct) == (None, None)
         return rows[0].calt_rel_change_pct, rows[0].calt_coord_score_pct

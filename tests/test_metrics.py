@@ -26,7 +26,7 @@ from altlab.metrics import (
     efficiency,
     window_betas,
 )
-from altlab.policies import run_random
+from altlab.policies import QLearningConfig, run_random
 
 
 @st.composite
@@ -424,7 +424,7 @@ def test_golden_panels_of_seeded_random_logs(cfg, seed, expected):
 
 def test_golden_training_curve_calt(tmp_path):
     spec = ExperimentSpec(
-        game=GameConfig(5), policy="qlearning", episodes=600, seed=24, run_id="golden"
+        game=GameConfig(5), episodes=600, seed=24, run_id="golden", qcfg=QLearningConfig()
     )
     calts = [p.windowed_calt for p in run(spec, tmp_path).curve]
     assert len(calts) == 200

@@ -123,7 +123,7 @@ def test_random_play_continues_a_callers_generator_and_bits():
 @given(game_configs(), qlearning_configs(), st.data(), seeds)
 def test_greedy_continuation_matches_reference(cfg, qcfg, data, seed):
     episodes = data.draw(st.integers(cfg.n_agents, 80))
-    spec = harness.ExperimentSpec(cfg, "qlearning", episodes, seed, "run", qcfg)
+    spec = harness.ExperimentSpec(cfg, episodes, seed, "run", qcfg)
     trained, scored = [], []
 
     def recording(fn, log, result=False):

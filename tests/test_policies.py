@@ -129,6 +129,25 @@ def test_play_refuses_a_non_pcg64_generator():
     assert np.array_equal(after["state"]["key"], before["state"]["key"])
 
 
+def test_play_refuses_arguments_it_cannot_use():
+    # Epsilons and a Q-learning config without Q-tables, or epsilons that do
+    # not give one per episode, fail before the generator is touched.
+    cfg, rng = GameConfig(n_agents=2), np.random.default_rng(4)
+    before = rng.bit_generator.state
+    tables = [{}, {}]
+    for kwargs in (
+        dict(qcfg=QLearningConfig()),
+        dict(epsilons=[0.5] * 5),
+        dict(qcfg=QLearningConfig(), epsilons=[0.5] * 5),
+        dict(tables=tables, epsilons=[0.5] * 4),
+        dict(tables=tables, epsilons=[0.5] * 6),
+    ):
+        with pytest.raises(ConfigError):
+            play(cfg, 5, rng, (0, 0), **kwargs)
+        assert rng.bit_generator.state == before, kwargs
+    assert tables == [{}, {}]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_raising_step_leaves_the_generator_where_the_reference_does(seed):
     # The first tie's reward raises, on both sides, in the middle of a

@@ -1,6 +1,7 @@
 """The README's "Library use" snippet runs as written, and its metric
 formulas are the ones the kernel computes."""
 
+import argparse
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import make_outcome
 
+from altlab import cli
 from altlab.analysis import synth_pa_mixture
 from altlab.game import GameConfig
 from altlab.metrics import VARIANTS, window_betas
@@ -21,6 +23,20 @@ def test_library_use_snippet_runs():
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
     exec(compile(snippet, f"{README}:Library use", "exec"), {})
+
+
+def test_command_table_names_only_flags_that_exist():
+    """Every ``--flag`` in a row's "notable flags" cell of the "Commands"
+    table is an option of that subcommand's parser."""
+    section = README.read_text(encoding="utf-8").split("## Commands", 1)[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|$", section, re.MULTILINE)
+    commands = next(
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert [command for command, _ in rows] == list(commands)
+    for command, cell in rows:
+        options = {s for a in commands[command]._actions for s in a.option_strings}
+        assert set(re.findall(r"--[a-z][a-z-]*", cell)) - options == set(), command
 
 
 def _python(formula: str) -> str:
