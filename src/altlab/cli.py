@@ -9,6 +9,7 @@ default output root.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import statistics
 import sys
@@ -134,8 +135,22 @@ def cmd_sweep(args) -> int:
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
+# analyze's flags of each mode, with their defaults.
+_FIT_FLAGS = {"n_min": 2, "n_max": 10, "save": None}
+_COMPARE_FLAGS = {"observed": None, "random": None, "perfect": 1.0, "variant": "calt", "agents": None}
+
+
 def cmd_analyze(args) -> int:
-    if args.fit is not None:
+    """Fit the ratio mapping (``--fit``) or compare scores; the other mode's flags are refused."""
+    fits = args.fit is not None
+    own, other = (_FIT_FLAGS, _COMPARE_FLAGS) if fits else (_COMPARE_FLAGS, _FIT_FLAGS)
+    stray = [f"--{name.replace('_', '-')}" for name in other if getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"analyze {'with' if fits else 'without'} --fit takes no {', '.join(stray)}")
+    for name, default in own.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if fits:
         fit = analysis.fit_alt_ratio_regression(args.fit, (args.n_min, args.n_max))
         print(
             f"{fit.variant}: ratio = {fit.scale:.6g} * value^{fit.exponent:.6g} "
@@ -288,6 +303,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altlab",
@@ -313,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="run the full experiment grid")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--agents", type=_list_of(int), default=[2, 3, 5, 8, 10])
+    sub.add_argument("--agents", type=_list_of(int), default="2,3,5,8,10")
     sub.add_argument("--state-types", type=_list_of(StateType), default="A,B")
     sub.add_argument("--rewards", type=_list_of(RewardScheme), default="ilf,iqf")
     sub.add_argument("--base", type=int, default=1000)
@@ -327,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("analyze", help="compare scores or fit the ratio mapping")
     sub.add_argument("--observed", type=float, default=None)
     sub.add_argument("--random", type=float, default=None)
-    sub.add_argument("--perfect", type=float, default=1.0)
-    sub.add_argument("--variant", choices=VARIANTS, default="calt")
+    sub.add_argument("--perfect", type=float, default=None, help="default 1.0")
+    sub.add_argument("--variant", choices=VARIANTS, default=None, help="default calt")
     sub.add_argument("--agents", type=int, default=None)
     sub.add_argument("--fit", choices=VARIANTS, default=None)
-    sub.add_argument("--n-min", type=int, default=2)
-    sub.add_argument("--n-max", type=int, default=10)
+    sub.add_argument("--n-min", type=int, default=None, help="default 2")
+    sub.add_argument("--n-max", type=int, default=None, help="default 10")
     sub.add_argument("--save", default=None)
     sub.set_defaults(func=cmd_analyze)
 

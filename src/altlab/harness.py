@@ -32,8 +32,9 @@ summary.csv and spec.snapshot share one parser.  An unreadable or
 unparsable input raises :class:`DataError`.
 
 An episode log is an :class:`~altlab.game.EpisodeLog` in memory.  Its
-writer encodes each distinct record body once; its reader validates each
-distinct body text once, through :meth:`EpisodeOutcome.from_record`.
+writer encodes each distinct record body once; its reader looks up blocks of
+lines in that layout by the text after the episode number, and validates
+each distinct body text once, through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -224,13 +225,14 @@ def read_table(path: Path, columns: Sequence[str], build=None) -> list:
 # json.dumps would build a new encoder for every record.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-# A line in the writer's layout: canonical episode and steps numbers, and a
-# body text whose only quoted strings are its three keys, so that the line
-# has each of its six keys once and the body text alone sets its values.
-_CANONICAL_LINE = re.compile(
-    r'\{"episode":(0|[1-9][0-9]*),("arrivals":[^"]*"exclusive_winner":[^"]*"rewards":[^"]*)'
-    r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}'
+# The text after '{"episode":E,' in the writer's layout: a body text whose
+# only quoted strings are its three keys, so that the line has each of its six
+# keys once and the body text alone sets its values, then canonical steps.
+_CANONICAL_TAIL = re.compile(
+    r'("arrivals":[^"]*"exclusive_winner":[^"]*"rewards":[^"]*)'
+    r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
 )
+_BLOCK = 1 << 18  # characters of whole lines the reader holds at once
 
 
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
@@ -252,43 +254,68 @@ def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
 def read_episode_log(path: Path) -> EpisodeLog:
     """Episodes of a log.jsonl file; the ``episode`` field must count up from 0.
 
-    Each body text of a line in the writer's layout is validated once; any
-    other line is parsed and validated on its own.
+    Lines are read in blocks.  In a block whose every line is in the writer's
+    layout and numbered in sequence, each distinct text after the episode
+    number is matched once and each distinct body text validated once; any
+    other block is parsed and validated line by line.
     """
-    index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
-    known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
-    ids, steps = [], []
-    canonical = _CANONICAL_LINE.fullmatch
+    tails, blocks, count, lineno = _Tails(), [], 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                m = canonical(line)
-                if m is not None and (b := known.get(m.group(2, 4))) is not None:
-                    episode, used = int(m[1]), int(m[3])
-                else:
-                    try:
-                        outcome = EpisodeOutcome.from_record(json.loads(line))
-                    except json.JSONDecodeError as exc:
-                        raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-                    except DataError as exc:
-                        raise DataError(f"{path}: line {lineno}: {exc}") from exc
-                    b = _body_id(index, outcome)
-                    episode, used = outcome.episode_index, outcome.steps_used
-                    if m is not None:
-                        known[m.group(2, 4)] = b
-                if episode != len(ids):
-                    raise DataError(
-                        f"{path}: line {lineno}: episode {episode} out of "
-                        f"sequence, expected {len(ids)}"
-                    )
-                ids.append(b)
-                steps.append(used)
+            while lines := fh.readlines(_BLOCK):
+                heads = list(map('{"episode":%d,'.__mod__, range(count, count + len(lines))))
+                try:
+                    if not all(map(str.startswith, lines, heads)):
+                        raise KeyError("episode")
+                    codes = map(tails.__getitem__, map(str.removeprefix, lines, heads))
+                    block = np.fromiter(codes, "<i8", len(lines))
+                except KeyError:
+                    block = []
+                    for at, line in enumerate(lines, start=lineno + 1):
+                        if not (line := line.strip()):
+                            continue
+                        try:
+                            outcome = EpisodeOutcome.from_record(json.loads(line))
+                        except json.JSONDecodeError as exc:
+                            raise DataError(f"{path}: line {at}: invalid JSON: {exc}") from exc
+                        except DataError as exc:
+                            raise DataError(f"{path}: line {at}: {exc}") from exc
+                        if outcome.episode_index != count + len(block):
+                            raise DataError(
+                                f"{path}: line {at}: episode {outcome.episode_index} out of "
+                                f"sequence, expected {count + len(block)}"
+                            )
+                        block.append(_body_id(tails.index, outcome) << 32 | outcome.steps_used)
+                blocks.append(np.asarray(block, dtype="<i8"))
+                count, lineno = count + len(block), lineno + len(lines)
+                del lines, heads  # so that the next block is read without this one
     except (OSError, UnicodeError) as exc:
         raise DataError(f"{path}: unreadable log: {exc}") from exc
-    return EpisodeLog([body for _, body in index.values()], ids, steps)
+    # Each little-endian code is two int32 words: its steps, then its body id.
+    words = np.concatenate([np.zeros(0, "<i8"), *blocks]).view("<i4")
+    return EpisodeLog([body for _, body in tails.index.values()], words[1::2], words[::2])
+
+
+class _Tails(dict):
+    """Tail -> body id << 32 | steps.  A new tail is matched on lookup, and a
+    new body text validated; a tail that is not in the writer's layout, or
+    whose body ``from_record`` refuses, raises KeyError."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
+        self.known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
+
+    def __missing__(self, tail: str) -> int:
+        if (m := _CANONICAL_TAIL.fullmatch(tail)) is None:
+            raise KeyError(tail)
+        if (b := self.known.get(m.group(1, 3))) is None:
+            try:
+                outcome = EpisodeOutcome.from_record(json.loads('{"episode":0,' + tail))
+            except (json.JSONDecodeError, DataError) as exc:
+                raise KeyError(tail) from exc
+            b = self.known[m.group(1, 3)] = _body_id(self.index, outcome)
+        return self.setdefault(tail, b << 32 | int(m[2]))
 
 
 def write_panel_csv(rows: Sequence[tuple[str, MetricPanel]], path: Path) -> None:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from altlab.cli import main
-from altlab.harness import read_curve_csv, read_summary, write_summary
+from altlab.cli import build_parser, main
+from altlab.harness import read_curve_csv, read_summary, write_episode_log, write_summary
 
 from conftest import make_outcome
 
@@ -77,6 +77,47 @@ def test_usage_errors_exit_2(tmp_path):
         argv = [command, "--agents", "2", *flags, "--out", str(tmp_path / "r")]
         assert main(argv) == 2, (command, flags)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    log = tmp_path / "log.jsonl"
+    write_episode_log([make_outcome(e, 2, {e % 2}) for e in range(10)], log)
+    argv = ["metrics", "--log", str(log), "--agents", "2"]
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--log", str(log), "--agents", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == alone
+    # a list parsed from a default is new on every call
+    build_parser().parse_args(["sweep"]).agents.append(99)
+    assert build_parser().parse_args(["sweep"]).agents == [2, 3, 5, 8, 10]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--fit", "calt", "--observed", "0.3", "--random", "0.5", "--n-min", "2", "--n-max", "4"],
+        ["--fit", "calt", "--perfect", "1.0"],
+        ["--fit", "calt", "--variant", "calt"],
+        ["--fit", "calt", "--agents", "2"],
+        ["--observed", "0.3", "--random", "0.5", "--n-min", "3", "--save", "{out}"],
+        ["--observed", "0.3", "--random", "0.5", "--n-max", "4"],
+        ["--observed", "0.3", "--random", "0.5", "--save", "{out}"],
+    ],
+    ids=["fit-with-compare-flags", "fit-perfect", "fit-variant", "fit-agents", "compare-with-fit-flags",
+         "compare-n-max", "compare-save"],
+)
+def test_analyze_refuses_the_other_modes_flags(tmp_path, capsys, flags):
+    out = tmp_path / "x.json"
+    assert main(["analyze", *(f.format(out=out) for f in flags)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no" in captured.err
+    assert not out.exists()
 
 
 def test_baseline_and_metrics_agree_byte_for_byte(tmp_path, capsys):

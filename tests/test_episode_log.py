@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import make_outcome, read_log_oracle
 from altlab.cli import main
 from altlab.errors import ConfigError, DataError
 from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme
+from altlab import harness
 from altlab.harness import read_episode_log, write_episode_log
 from altlab.metrics import compute_panel
 from altlab.policies import run_random
@@ -245,6 +247,110 @@ def test_reader_agrees_with_the_line_by_line_oracle(n, episodes, seed, mutate, d
             line = re.compile(r"line (\d+)")
             assert line.search(str(got_error))[1] == line.search(str(want_error))[1]
             assert main(["metrics", "--log", str(path), "--agents", str(n)]) == 3
+
+
+def _agree_with_the_oracle(path):
+    """Read ``path`` with both readers; they give equal logs or fail on the same line.
+    Returns the reader's log, or None."""
+    want, want_error = _outcome_or_error(read_log_oracle, path)
+    got, got_error = _outcome_or_error(read_episode_log, path)
+    assert (got_error is None) == (want_error is None), (got_error, want_error)
+    if want_error is not None:
+        line = re.compile(r"line (\d+)")
+        assert line.search(str(got_error))[1] == line.search(str(want_error))[1]
+        return None
+    assert got == want
+    assert [repr(ep.rewards) for ep in got] == [repr(ep.rewards) for ep in want]
+    assert got.bodies == EpisodeLog.from_outcomes(want).bodies
+    return got
+
+
+@given(
+    episodes=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+    hint=st.integers(1, 400),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    mutate=mutations(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_reader_agrees_with_the_oracle_across_block_boundaries(
+    episodes, seed, hint, ending, final_newline, mutate, data
+):
+    # A hint of 1-400 characters puts one to a few lines in each block, so
+    # mutated, blank and clean lines fall in different blocks.
+    records = [ep.to_record() for ep in run_random(GameConfig(n_agents=3), episodes, seed_or_rng=seed)]
+    where = data.draw(st.sets(st.integers(0, episodes - 1), max_size=3))
+    blanks = data.draw(st.sets(st.integers(0, episodes), max_size=2))
+    lines = []
+    for e, r in enumerate(records):
+        lines += [""] * (e in blanks) + [mutate(r) if e in where else _text(r)]
+    text = ending.join(lines) + (ending if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(harness, "_BLOCK", hint):
+            got = _agree_with_the_oracle(path)
+    event("accepted" if got is not None else "rejected")
+    if not where and got is not None:
+        assert got == run_random(GameConfig(n_agents=3), episodes, seed_or_rng=seed)
+
+
+def _same_length_lines(outcomes):
+    """Records of fewer than 10 episodes that share one body: equally long lines."""
+    lines = [_text(ep.to_record()) + "\n" for ep in outcomes]
+    assert len(set(map(len, lines))) == 1
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [*lines[:4], "\n", *lines[4:]],
+        lambda lines: [*lines[:-1], lines[-1].rstrip("\n")],
+        lambda lines: [line.replace("\n", "\r\n") for line in lines],
+    ],
+    ids=["blank-line-mid-log", "no-final-newline", "crlf"],
+)
+def test_block_reader_accepts_what_the_oracle_accepts(tmp_path, monkeypatch, edit):
+    outcomes = [make_outcome(e, 2, {e % 2}) for e in range(9)]
+    lines = _same_length_lines(outcomes)
+    path = tmp_path / "log.jsonl"
+    path.write_bytes("".join(edit(lines)).encode("utf-8"))
+    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)  # three lines a block
+    assert _agree_with_the_oracle(path) == outcomes
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda line: line.replace('"episode":7', '"episode":6'),
+         "line 8: episode 6 out of sequence, expected 7"),
+        (lambda line: line.replace('{"episode":7,', ""), "line 8: invalid JSON"),
+    ],
+    ids=["out-of-sequence", "no-episode-key"],
+)
+def test_block_reader_names_a_bad_line_in_the_third_block(tmp_path, monkeypatch, edit, error):
+    lines = _same_length_lines([make_outcome(e, 2, {0}) for e in range(9)])
+    lines[7] = edit(lines[7])
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)
+    with pytest.raises(DataError, match=error):
+        read_episode_log(path)
+    assert _agree_with_the_oracle(path) is None
+
+
+def test_block_reader_adds_a_body_first_seen_in_a_later_block(tmp_path, monkeypatch):
+    outcomes = [make_outcome(e, 2, {0} if e < 7 else {1}) for e in range(9)]
+    lines = _same_length_lines(outcomes)
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)
+    log = _agree_with_the_oracle(path)
+    assert log.ids.tolist() == [0] * 7 + [1] * 2
+    assert log.bodies == (((0,), (100.0, 0.0)), ((1,), (0.0, 100.0)))
 
 
 @st.composite
