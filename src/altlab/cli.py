@@ -162,6 +162,8 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
     if args.observed is None or args.random is None:
         raise ConfigError("analyze needs either --fit or both --observed and --random")
+    if args.agents is not None and args.variant != "calt":
+        raise ConfigError(f"analyze --variant {args.variant} takes no --agents")
     record = analysis.compare(args.variant, args.observed, args.random, args.perfect)
     print(f"relative_change_pct: {record.rel_change_pct}")
     print(f"coordination_score_pct: {record.coord_score_pct}")
@@ -175,79 +177,53 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _mean(values) -> float | None:
-    values = [v for v in values if v is not None]
-    return statistics.fmean(values) if values else None
-
-
-def _pstdev(values) -> float | None:
+def _stats(values) -> tuple:
+    """Mean, population sd, min and max of the defined ``values``; all None when there are none."""
     values = [v for v in values if v is not None]
     if not values:
-        return None
-    return statistics.pstdev(values) if len(values) > 1 else 0.0
+        return None, None, None, None
+    return statistics.fmean(values), statistics.pstdev(values), min(values), max(values)
 
 
 def _report_tables(summary: list[harness.SummaryRow], out_dir: Path, sweep_root: Path) -> None:
     ns = sorted({r.n for r in summary})
+    policies = ("qlearning", "random")
 
-    def group(n, policy, **where):
-        return [
-            r
-            for r in summary
-            if (r.n, r.policy) == (n, policy)
-            and all(getattr(r, k) == v for k, v in where.items())
-        ]
+    def rows(n, policy, **cells):
+        cells.update(n=n, policy=policy)
+        return [r for r in summary if all(getattr(r, k) == v for k, v in cells.items())]
 
-    def mean(rows, column):
-        return _mean(getattr(r, column) for r in rows)
-
-    def baseline_panel(n):
-        rand = group(n, "random")
-        if not rand:
-            return []
-        ilf, iqf = (group(n, "random", reward_scheme=s) for s in ("ilf", "iqf"))
-        return [
-            (n, *(mean(rand, c) for c in ("calt", "falt", "ealt")), mean(ilf, "efficiency"),
-             mean(iqf, "efficiency"), mean(rand, "fairness"))
-        ]
+    def mean(n, policy, column, **cells):
+        return _stats(getattr(r, column) for r in rows(n, policy, **cells))[0]
 
     def compared(n, metric):
-        q, b = mean(group(n, "qlearning"), metric), mean(group(n, "random"), metric)
+        q, b = mean(n, "qlearning", metric), mean(n, "random", metric)
         if q is None or b is None:
             return q, b, None, None, "missing_run" if q is None else "missing_baseline"
         try:
-            return q, b, analysis.relative_change(q, b), analysis.coordination_score(q, b), ""
+            record = analysis.compare(metric, q, b)
         except ComparisonError:
             return q, b, None, None, "degenerate_baseline"
+        return q, b, record.rel_change_pct, record.coord_score_pct, ""
 
     def equivalents(n, scheme):
-        rows, status = group(n, "qlearning", reward_scheme=scheme, state_type="B"), ""
-        if not rows:
-            rows, status = group(n, "qlearning", reward_scheme=scheme), "no_type_b"
-        if not rows:
+        trained, status = rows(n, "qlearning", reward_scheme=scheme, state_type="B"), ""
+        if not trained:
+            trained, status = rows(n, "qlearning", reward_scheme=scheme), "no_type_b"
+        if not trained:
             return []
-        calt = mean(rows, "calt")
+        calt = _stats(r.calt for r in trained)[0]
         pa = analysis.pa_equivalent(analysis.alt_ratio_from_calt(calt), n)
         return [(n, scheme, calt, pa.alt_ratio, pa.pa_equiv_agents, pa.pct_of_perfect, status)]
 
-    def calt_spread(n, policy):
-        values = [r.calt for r in group(n, policy)]
-        return _mean(values), _pstdev(values)
-
-    def pct_range(n, policy):
-        values = [100.0 * r.alt_ratio for r in group(n, policy)]
-        return _mean(values), min(values, default=None), max(values, default=None)
-
-    def outcomes(n, policy):
-        rows = group(n, policy)
-        columns = ("efficiency", "reward_fairness", "calt")
-        return [(n, policy, *(mean(rows, c) for c in columns))] if rows else []
-
-    policies = ("qlearning", "random")
+    calt_stats = {(n, p): _stats(r.calt for r in rows(n, p)) for n in ns for p in policies}
+    pct_stats = {(n, p): _stats(100.0 * r.alt_ratio for r in rows(n, p)) for n in ns for p in policies}
     tables = {
         "table2.csv": (
             ("n", "calt", "falt", "ealt", "efficiency_ilf", "efficiency_iqf", "fairness"),
-            [row for n in ns for row in baseline_panel(n)],
+            [(n, *(mean(n, "random", c) for c in ("calt", "falt", "ealt")),
+              *(mean(n, "random", "efficiency", reward_scheme=s) for s in ("ilf", "iqf")),
+              mean(n, "random", "fairness")) for n in ns if rows(n, "random")],
         ),
         "table3.csv": (
             ("n", "metric", "qlearning", "random", "rel_change_pct", "coord_score_pct", "status"),
@@ -261,21 +237,22 @@ def _report_tables(summary: list[harness.SummaryRow], out_dir: Path, sweep_root:
         "fig1.csv": (
             ("n", "calt_qlearning_mean", "calt_qlearning_std", "calt_random_mean",
              "calt_random_std"),
-            [(n, *calt_spread(n, "qlearning"), *calt_spread(n, "random")) for n in ns],
+            [(n, *(calt_stats[n, p][i] for p in policies for i in (0, 1))) for n in ns],
         ),
         "fig2.csv": (
             ("n", "pct_of_perfect_qlearning_mean", "pct_of_perfect_qlearning_min",
              "pct_of_perfect_qlearning_max", "pct_of_perfect_random_mean",
              "pct_of_perfect_random_min", "pct_of_perfect_random_max"),
-            [(n, *pct_range(n, "qlearning"), *pct_range(n, "random")) for n in ns],
+            [(n, *(pct_stats[n, p][i] for p in policies for i in (0, 2, 3))) for n in ns],
         ),
         "fig3.csv": (
             ("n", "policy", "efficiency_mean", "reward_fairness_mean", "calt_mean"),
-            [row for n in ns for p in policies for row in outcomes(n, p)],
+            [(n, p, *(mean(n, p, c) for c in ("efficiency", "reward_fairness", "calt")))
+             for n in ns for p in policies if rows(n, p)],
         ),
     }
-    for name, (columns, rows) in tables.items():
-        harness.write_table(out_dir / name, columns, rows)
+    for name, (columns, body) in tables.items():
+        harness.write_table(out_dir / name, columns, body)
         print(f"wrote {out_dir / name}")
 
     trained = sorted(

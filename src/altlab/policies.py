@@ -7,8 +7,8 @@ a :class:`ConfigError`), and it reads their draws from blocks of raw
 word ``w``; ``integers(0, 2)`` is bit 31 of the next 32-bit half, where a
 fresh word gives its low half and keeps the high half in ``has_uint32`` /
 ``uinteger``.  When play ends (also when a step raises), the
-generator is set back to its state before play and advanced over the
-words used: every value, and the final state, are those of scalar calls.
+generator steps back over the words drawn but not used: every value, and
+the final state, are those of scalar calls.
 Play returns an :class:`~altlab.game.EpisodeLog` with one body per arrival
 set met, so :func:`assign_rewards` runs once per arrival set.
 
@@ -130,24 +130,21 @@ def play(
 
 
 class _Words:
-    """Scalar draws of a PCG64 generator from blocks of up to ``_CHUNK`` words.
+    """Scalar draws of a PCG64 generator from blocks of ``_CHUNK`` words.
     Random play reads ``bg`` itself and reports the coins it used."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.bg = rng.bit_generator
         if not isinstance(self.bg, np.random.PCG64):
             raise ConfigError(f"need a PCG64 generator, got {type(self.bg).__name__}")
-        self._snapshot = self.bg.state
-        self.has_uint32, self.uinteger = self._snapshot["has_uint32"], self._snapshot["uinteger"]
+        state = self.bg.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
         self._rest = iter(())  # the unread words of the last block
-        self.taken = 0  # words read, counting all of _rest
 
     def word(self) -> int:
         w = next(self._rest, None)
         if w is None:
-            size = min(_CHUNK, 16 + self.taken)  # doubling blocks keep short plays cheap
-            self._rest = iter(self.bg.random_raw(size).tolist())
-            self.taken += size
+            self._rest = iter(self.bg.random_raw(_CHUNK).tolist())
             w = next(self._rest)
         return w
 
@@ -163,14 +160,15 @@ class _Words:
         return (w >> 31) & 1
 
     def read_coins(self, block: np.ndarray, used: int) -> None:
-        """Random play read ``used`` coins of ``block``, at least one: count their
-        words; the last word's high half is then buffered (odd count) or spent."""
-        self.taken += (used + 1) // 2
+        """Random play read ``used`` coins of ``block``, at least one: the words
+        after theirs are unread; the last word's high half is then buffered
+        (odd count) or spent."""
+        self._rest = iter(block[(used + 1) // 2 :])
         self.has_uint32, self.uinteger = used % 2, int(block[(used - 1) // 2]) >> 32
 
     def close(self) -> None:
-        self.bg.state = self._snapshot
-        self.bg.advance(self.taken - operator.length_hint(self._rest))
+        # PCG64 advances modulo its period 2**128, so this steps back over the unread words.
+        self.bg.advance(2**128 - operator.length_hint(self._rest))
         self.bg.state = self.bg.state | {"has_uint32": self.has_uint32, "uinteger": self.uinteger}
 
 
@@ -265,7 +263,6 @@ def _play_random(cfg, episodes, words):
             words.read_coins(block, used)
             won = bodies[ids[-1]][0]
             return EpisodeLog(bodies, ids, steps_column), tuple(int(i in won) for i in range(n))
-        words.taken += len(block)
         pending = coins[s * n :]
 
 

@@ -1,12 +1,21 @@
 """End-to-end command-line behavior and exit codes."""
 
+import csv
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from altlab.cli import build_parser, main
-from altlab.harness import read_curve_csv, read_summary, write_episode_log, write_summary
+from altlab.harness import (
+    SUMMARY_COLUMNS,
+    read_curve_csv,
+    read_summary,
+    write_episode_log,
+    write_summary,
+    write_table,
+)
 
 from conftest import make_outcome
 
@@ -108,9 +117,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
         ["--observed", "0.3", "--random", "0.5", "--n-min", "3", "--save", "{out}"],
         ["--observed", "0.3", "--random", "0.5", "--n-max", "4"],
         ["--observed", "0.3", "--random", "0.5", "--save", "{out}"],
+        ["--observed", "0.3", "--random", "0.5", "--variant", "falt", "--agents", "3"],
     ],
     ids=["fit-with-compare-flags", "fit-perfect", "fit-variant", "fit-agents", "compare-with-fit-flags",
-         "compare-n-max", "compare-save"],
+         "compare-n-max", "compare-save", "agents-without-calt"],
 )
 def test_analyze_refuses_the_other_modes_flags(tmp_path, capsys, flags):
     out = tmp_path / "x.json"
@@ -485,6 +495,146 @@ def test_sweep_and_report_artifacts_are_byte_stable(tmp_path, capsys):
     got["summary.csv"] = hashlib.sha256(trimmed.encode()).hexdigest()
     assert sorted(got) == sorted(GOLDEN_ARTIFACTS)
     assert [name for name in sorted(got) if got[name] != GOLDEN_ARTIFACTS[name]] == []
+
+
+REPORT_FILES = ("table2.csv", "table3.csv", "table5.csv", "fig1.csv", "fig2.csv", "fig3.csv",
+                "fig5.csv")
+
+
+def _keep(test):
+    return lambda rows: [row for row in rows if test(row)]
+
+
+# Cut or edited copies of one summary.csv of ``sweep --agents 2,3 --seeds 2``,
+# chosen so that every status of table3 and table5 and a header-only fig5
+# occur: (edit of the rows, table3's status cells, table5's status cells).
+UNEVEN_SUMMARIES = {
+    "full-grid": (lambda rows: rows, [""] * 8, [""] * 4),
+    "no-trained-n3": (
+        _keep(lambda r: (r["n"], r["policy"]) != ("3", "qlearning")),
+        [""] * 4 + ["missing_run"] * 4,
+        [""] * 2,
+    ),
+    "no-baseline-n3": (
+        _keep(lambda r: (r["n"], r["policy"]) != ("3", "random")),
+        [""] * 4 + ["missing_baseline"] * 4,
+        [""] * 4,
+    ),
+    "type-a-only": (_keep(lambda r: r["state_type"] == "A"), [""] * 8, ["no_type_b"] * 4),
+    "trained-b-iqf-only": (
+        _keep(lambda r: (r["policy"], r["state_type"], r["reward_scheme"]) == ("qlearning", "B", "iqf")),
+        ["missing_baseline"] * 8,
+        [""] * 2,
+    ),
+    "random-aalt-zero": (
+        lambda rows: [{**r, "aalt": "0.0"} if r["policy"] == "random" else r for r in rows],
+        ["", "", "degenerate_baseline", ""] * 2,
+        [""] * 4,
+    ),
+    "single-row": (lambda rows: rows[:1], ["missing_run"] * 4, []),
+}
+
+# sha256 of each report file of each summary in UNEVEN_SUMMARIES.
+UNEVEN_REPORTS = {
+    "full-grid": {
+        "table2.csv": "e34ec7340225e737a537e7e87fcf773b7edfb460d0a82eb6ba4c99c290fdd872",
+        "table3.csv": "2766f6291fa4153ed1dc65739b96214769c5a9e2cc6eaed50b773595add68a6f",
+        "table5.csv": "6380b981576952f8b2217f7b5d2329d90a8da85ef51900a7c67ab25210b5f766",
+        "fig1.csv": "0c31480baffee9914b97598c930bb58703b5a7ff7504b9d0cf319618d119ebb7",
+        "fig2.csv": "ba2ac22b830aa40d89e51af06d1b29d1d6f96c1251d24a7179532a8faff945fa",
+        "fig3.csv": "e09ee5a898dbccf3de7d2fdf1bec04efe35e72a41764ac947e2f662d736f81b4",
+        "fig5.csv": "57e7e7bfce251042b5dc9c2b9a3100e79c3bf2bbc2ff2d26c7c09049e3789c5c",
+    },
+    "no-baseline-n3": {
+        "table2.csv": "fd6d3407a5cd562eeddcd673e1e05435f1b08be29a1d851964fbe889d3f708d6",
+        "table3.csv": "39182ee99ac5d0374389fe6197f3dcbba0f464ac3f6fa2096f3cf8b934c84888",
+        "table5.csv": "6380b981576952f8b2217f7b5d2329d90a8da85ef51900a7c67ab25210b5f766",
+        "fig1.csv": "38db4a2079bde31a8f6eb674c8bcb34dac9bc6e0bcbc8c9ccc18a95fbe4a390a",
+        "fig2.csv": "effb9e1f83bb93f193278e11465803e637b634f6a414a513d40e3af4f0eac46a",
+        "fig3.csv": "a8bb06c5317bf3df3ce9fa4b544cdf83a545a7a507fffc3d31bcd2865b8e7a4d",
+        "fig5.csv": "57e7e7bfce251042b5dc9c2b9a3100e79c3bf2bbc2ff2d26c7c09049e3789c5c",
+    },
+    "no-trained-n3": {
+        "table2.csv": "e34ec7340225e737a537e7e87fcf773b7edfb460d0a82eb6ba4c99c290fdd872",
+        "table3.csv": "4d78c785e8698348e520fadb9f176e79ac709d9f4c72e5b8c893e56cae31ee69",
+        "table5.csv": "57d3f00b030e523ddc88706e1e63fa3eb0bc913f8c0da96bedb87a946726b569",
+        "fig1.csv": "70a62195603b613a403f1bbdde54a62c46b66984a66cda9434c5be663216f51d",
+        "fig2.csv": "6f749e9a04ea5955073687157ff225c32a65eb5b8875a275a13c3d24ad70b611",
+        "fig3.csv": "47d50cfabd74280d17adcc3147f908e865cead1a52b08fc381f7fae75c57a6e9",
+        "fig5.csv": "57e7e7bfce251042b5dc9c2b9a3100e79c3bf2bbc2ff2d26c7c09049e3789c5c",
+    },
+    "random-aalt-zero": {
+        "table2.csv": "e34ec7340225e737a537e7e87fcf773b7edfb460d0a82eb6ba4c99c290fdd872",
+        "table3.csv": "708495fa408c32f6e2b5a50446db0ef3da69880a4cbcff93164708c7f0e7b094",
+        "table5.csv": "6380b981576952f8b2217f7b5d2329d90a8da85ef51900a7c67ab25210b5f766",
+        "fig1.csv": "0c31480baffee9914b97598c930bb58703b5a7ff7504b9d0cf319618d119ebb7",
+        "fig2.csv": "ba2ac22b830aa40d89e51af06d1b29d1d6f96c1251d24a7179532a8faff945fa",
+        "fig3.csv": "e09ee5a898dbccf3de7d2fdf1bec04efe35e72a41764ac947e2f662d736f81b4",
+        "fig5.csv": "57e7e7bfce251042b5dc9c2b9a3100e79c3bf2bbc2ff2d26c7c09049e3789c5c",
+    },
+    "single-row": {
+        "table2.csv": "4a9e4c92b0ead6f4165e5b7cc7c60d9de0b36bcaf9abb2cdfbe9463646ff9514",
+        "table3.csv": "174966284602eebb75ff25ab55ebb514bcded5fdb574f55e188ad4eb1eb335f8",
+        "table5.csv": "5cbb6ab3d58b1ea5fe1c8a8b48e8026f02c51ec5498319c7ac44764453c4e6ef",
+        "fig1.csv": "81a039bc408538c580321ea29f629ab5d951387afa0add9ee1243e913cc884d5",
+        "fig2.csv": "1a73c57e5c0558c6d6ce8936e850bda66a51321cd09b877f9bba3c1f55fca9a7",
+        "fig3.csv": "654c74b3f19a73e7012437a839b0ee5866a8408fc15be1d5b6f9ba682b8a9727",
+        "fig5.csv": "2fdc7d0ab4ce1d24a0b90e7a858b16f019e7f23599c75e2704a6f2f0822b70df",
+    },
+    "trained-b-iqf-only": {
+        "table2.csv": "e7dc663e0a6ecad143ab2e29d072d1fc48b82eda0b08617f853dee30876c9ac3",
+        "table3.csv": "813862d0959098e28227b892d29f6c8728b0ca9b93d42c644901e2d19d9aab9e",
+        "table5.csv": "cca5e3785697e98958a62ebb2d669c0ee2e9e90b8e603a372da56b29d715fe1d",
+        "fig1.csv": "60b49441b3e92f87e44e9d6fc9f34f19b11f22c0030747e8a119f0c582bbcf95",
+        "fig2.csv": "fa8e543ad5ceadad6332b5866e4a8fb0c832bb2d417d8e7d546a815cb2ea3b2d",
+        "fig3.csv": "7b58aaceba0665ca7bdd3bc2583abef18a22f752bb3fd4d0baf50190dc2cfdbe",
+        "fig5.csv": "894cf312154a3f0b28515b818a09a9323d071462133afad513baa49c5fc404cf",
+    },
+    "type-a-only": {
+        "table2.csv": "a8e7ced6df9a589eef4670033124076df357305d1a6f8033aec2402940dd09a3",
+        "table3.csv": "40c8b7dedac05f1dd1059ecb0777c9a1b72a0bfddbdf24d22eda67c52e44965f",
+        "table5.csv": "596aca4161d71d72c1fee14a7a68e99d7285e840e78bb9502628bdb9be7adcdb",
+        "fig1.csv": "8b67109a90d1c143f0987eec84a5acb4f7bb9244ac8b19b4334a2459ba05543e",
+        "fig2.csv": "7b449e0f6caac55a8284b35a82fcc534c1bc77e402db6135d10cae3e08621a6e",
+        "fig3.csv": "d5cd91408e4f578bca540d092b1ff688790d98ea67dd51ff6f0af443c2db35cc",
+        "fig5.csv": "57e7e7bfce251042b5dc9c2b9a3100e79c3bf2bbc2ff2d26c7c09049e3789c5c",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def uneven_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("uneven") / "sweep"
+    argv = ["sweep", "--agents", "2,3", "--seeds", "2", "--base", "30", "--baseline-episodes",
+            "150", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(UNEVEN_SUMMARIES))
+def test_report_on_uneven_summaries(uneven_sweep, tmp_path, capsys, case):
+    edit, table3_status, table5_status = UNEVEN_SUMMARIES[case]
+    sweep = tmp_path / "sweep"
+    shutil.copytree(uneven_sweep / "runs", sweep / "runs", ignore=shutil.ignore_patterns("*.jsonl"))
+    rows = edit(read_summary(uneven_sweep / "summary.csv"))
+    write_table(sweep / "summary.csv", SUMMARY_COLUMNS, ([r[c] for c in SUMMARY_COLUMNS] for r in rows))
+    capsys.readouterr()
+    assert main(["report", "--sweep-dir", str(sweep)]) == 0
+    report = sweep / "report"
+    gap = "gap: no training run with a curve, fig5.csv is header-only\n"
+    wrote = [f"wrote {report / name}\n" for name in REPORT_FILES]
+    if not any(r["policy"] == "qlearning" for r in rows):
+        wrote.insert(-1, gap)
+    assert capsys.readouterr().out == "".join(wrote)
+
+    def status(name):
+        with open(report / name, encoding="utf-8", newline="") as fh:
+            return [row["status"] for row in csv.DictReader(fh)]
+
+    assert status("table3.csv") == table3_status
+    assert status("table5.csv") == table5_status
+    got = {name: hashlib.sha256((report / name).read_bytes()).hexdigest() for name in REPORT_FILES}
+    assert got == UNEVEN_REPORTS[case]
 
 
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):

@@ -17,11 +17,11 @@ from conftest import make_outcome, read_log_oracle
 
 from altlab.cli import main
 from altlab.errors import ConfigError, DataError
-from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme
+from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType
 from altlab import harness
 from altlab.harness import read_episode_log, write_episode_log
 from altlab.metrics import compute_panel
-from altlab.policies import run_random
+from altlab.policies import QLearningConfig, run_random, train_run
 
 
 def sample_outcomes():
@@ -111,6 +111,28 @@ def test_reader_keeps_each_body_once(tmp_path):
     assert back == log
     assert len(back.bodies) == len(log.bodies) <= 2**3
     assert np.array_equal(back.steps, log.steps)
+
+
+@pytest.mark.parametrize(
+    "make_log",
+    [
+        lambda: run_random(GameConfig(n_agents=5), 20_000, seed_or_rng=3),
+        lambda: train_run(GameConfig(n_agents=3, state_type=StateType.TYPE_B), QLearningConfig(),
+                          3000, seed_or_rng=3).outcomes,
+    ],
+    ids=["random-n5", "trained-n3-type-b"],
+)
+def test_the_writers_logs_take_the_block_path(tmp_path, monkeypatch, make_log):
+    # A line read line by line pays from_record once per line; the block path
+    # validates each distinct body once.
+    log, path = make_log(), tmp_path / "log.jsonl"
+    write_episode_log(log, path)
+    calls, from_record = [], EpisodeOutcome.from_record
+    monkeypatch.setattr(EpisodeOutcome, "from_record",
+                        staticmethod(lambda record: calls.append(record) or from_record(record)))
+    back = read_episode_log(path)
+    assert back == log and np.array_equal(back.steps, log.steps)
+    assert len(calls) == len(log.bodies)
 
 
 # -- The reader against the line-by-line oracle ----------------------------
