@@ -50,9 +50,9 @@ import os
 import re
 import shutil
 import traceback
-from dataclasses import asdict, astuple, dataclass, fields, make_dataclass
+from dataclasses import asdict, astuple, dataclass, fields, make_dataclass, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -60,7 +60,9 @@ import numpy as np
 
 from . import analysis
 from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
-from .game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id
+from .game import (
+    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id, assign_rewards,
+)
 from .metrics import (
     MetricPanel, _exact_total, _reward_counts, _shifted_mean, compute_panel, window_betas
 )
@@ -467,7 +469,9 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
     A Q-learning spec trains, then greedy-evaluates the frozen tables: the
     evaluation continues the run's RNG stream and arrival bits, plays
     10 * n episodes at the floor epsilon with learning disabled, and lands
-    in panel.csv as the ``greedy_eval`` row, beside curve.csv.
+    in panel.csv as the ``greedy_eval`` row, beside curve.csv.  A random
+    spec pays out, under its own reward scheme, the trajectory that
+    :func:`_random_log` plays for its game.
     """
     run_dir = Path(runs_root) / spec.run_id
     if run_dir.exists() and not overwrite:
@@ -477,7 +481,9 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
     game, qcfg = spec.game, spec.qcfg
     eval_outcomes = curve = None
     if qcfg is None:
-        outcomes = run_random(game, spec.episodes, spec.seed)
+        log = _random_log(replace(game, reward_scheme=RewardScheme.ILF), spec.episodes, spec.seed)
+        bodies = [(won, assign_rewards(frozenset(won), game)) for won, _ in log.bodies]
+        outcomes = EpisodeLog(bodies, log.ids, log.steps)
     else:
         rng = np.random.default_rng(spec.seed)
         trained = train_run(game, qcfg, spec.episodes, rng)
@@ -493,6 +499,14 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
         curve = _training_curve(outcomes, spec.episodes, game, qcfg)
     _persist(run_dir, spec, outcomes, list(panels.items()), curve, overwrite)
     return RunResult(spec, panels["full"], panels.get("greedy_eval"), curve, run_dir)
+
+
+@lru_cache(maxsize=1)
+def _random_log(game: GameConfig, episodes: int, seed: int) -> EpisodeLog:
+    """Random play ignores rewards, so one trajectory serves every reward
+    scheme: a serial sweep runs each ``-ilf``/``-iqf`` baseline pair back to
+    back and plays it once."""
+    return run_random(game, episodes, seed)
 
 
 @dataclass

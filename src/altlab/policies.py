@@ -4,11 +4,12 @@
 PCG64 (altlab makes them with ``default_rng``; any other bit generator is
 a :class:`ConfigError`), and it reads their draws from blocks of raw
 64-bit words.  numpy's ``random()`` is ``(w >> 11) * 2**-53`` of the next
-word ``w``; ``integers(0, 2)`` is bit 31 of the next 32-bit half, where a
-fresh word gives its low half and keeps the high half in ``has_uint32`` /
-``uinteger``.  When play ends (also when a step raises), the
-generator steps back over the words drawn but not used: every value, and
-the final state, are those of scalar calls.
+word ``w``, so ``random() < eps`` holds exactly when
+``w < ceil(min(eps, 1) * 2**53) << 11``; ``integers(0, 2)`` is bit 31 of
+the next 32-bit half, where a fresh word gives its low half and keeps the
+high half in ``has_uint32`` / ``uinteger``.  When play ends (also when a
+step raises), the generator steps back over the words drawn but not used:
+every value, and the final state, are those of scalar calls.
 Play returns an :class:`~altlab.game.EpisodeLog` with one body per arrival
 set met, so :func:`assign_rewards` runs once per arrival set.
 
@@ -20,8 +21,10 @@ Epsilon-greedy training and frozen greedy evaluation go step by step.  A
 Q-agent's table is a plain dict from observation key (the positions tuple,
 plus the previous-arrival bits for Type B) to ``[q_stay, q_move]``; an
 unseen key reads as all zeros and is only inserted by an update.  Each
-agent reads and writes only its own table.  Exploration follows a linear
-epsilon schedule that is shared by all agents within an episode.
+agent reads and writes only its own table, so :func:`_play_q` keeps every
+agent's row of a key in one list, and before each step it tops its unread
+words up to the 2n a step can use.  Exploration follows a linear epsilon
+schedule that is shared by all agents within an episode.
 """
 
 from __future__ import annotations
@@ -101,10 +104,11 @@ def play(
 ) -> tuple[EpisodeLog, tuple[int, ...]]:
     """Play ``episodes`` episodes, starting from the previous-arrival ``bits``.
 
-    Without ``tables`` every agent moves uniformly at random.  With them,
-    agent i acts epsilon-greedily on ``tables[i]`` at ``epsilons[e]`` in
-    episode e (0 when None) and, when ``qcfg`` is given, makes one
-    Q-learning update per step (terminal steps bootstrap to 0).  Each
+    Without ``tables`` every agent moves uniformly at random.  With them
+    (one dict per agent, none shared), agent i acts epsilon-greedily on
+    ``tables[i]`` at ``epsilons[e]`` in episode e (0 when None) and, when
+    ``qcfg`` is given, makes one Q-learning update per step (terminal
+    steps bootstrap to 0).  Each
     step, agents draw from ``rng`` in agent order: a random agent one
     ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
     then one ``integers(0, 2)`` if it explores or its Q-values tie
@@ -114,8 +118,8 @@ def play(
     bits = tuple(bits)
     if episodes < 1 or len(bits) != n or not set(bits) <= {0, 1}:
         raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
-    if tables is not None and len(tables) != n:
-        raise ConfigError(f"got {len(tables)} Q-tables for {n} agents")
+    if tables is not None and len({id(t) for t in tables}) != n:
+        raise ConfigError(f"need {n} Q-tables, one per agent and none shared, got {len(tables)}")
     if tables is None and (epsilons is not None or qcfg is not None):
         raise ConfigError("epsilons and qcfg need Q-tables")
     if epsilons is not None and len(epsilons) != episodes:
@@ -131,7 +135,8 @@ def play(
 
 class _Words:
     """Scalar draws of a PCG64 generator from blocks of ``_CHUNK`` words.
-    Random play reads ``bg`` itself and reports the coins it used."""
+    Random play reads ``bg`` itself and reports the coins it used; Q-play
+    reads ``_rest`` and the buffered half itself and writes them back."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.bg = rng.bit_generator
@@ -172,47 +177,81 @@ class _Words:
         self.bg.state = self.bg.state | {"has_uint32": self.has_uint32, "uinteger": self.uinteger}
 
 
+def _coin_threshold(eps: float) -> int:
+    """The raw words ``w < threshold`` are those whose ``random()`` is below
+    ``eps``; 0 when ``eps`` is not above 0 (or is NaN), which draws no coin."""
+    return math.ceil(min(eps, 1.0) * 2.0**53) << 11 if eps > 0.0 else 0
+
+
 def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
-    """Q-agent play.  Each agent's row is looked up once per step: the rows
-    at the next key serve both the update's bootstrap and the next step."""
+    """Q-agent play.  A step makes one lookup in ``index``: the rows at the
+    next key serve both the update's bootstrap and the next step."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     type_b = cfg.state_type is StateType.TYPE_B
-    coin, bit = words.coin, words.bit
-    zeros, terminal = (0.0,) * n, (None,) * n
-    kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards)
+    learn = qcfg is not None
+    alpha, gamma = (qcfg.alpha, qcfg.gamma) if learn else (None, None)
+    # key -> [table.get(key, unseen) for table in tables].  An unseen row reads
+    # as a tie and bootstraps to gamma * 0.0 == 0.0; the first update of a
+    # key (``fresh``) puts a row in every table that lacks one.
+    unseen, index = (0.0, 0.0), {}
+    kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards, next bits)
     bodies, ids, steps_column = [], [], []
-    for e in range(episodes):
-        eps = 0.0 if epsilons is None else epsilons[e]
-        pos, steps = [0] * n, 0
-        key = (*pos, *bits) if type_b else tuple(pos)
-        rows = [table.get(key) for table in tables]
-        while True:
-            acts = [bit() if eps > 0.0 and coin() < eps or row is None or row[0] == row[1]
-                    else 1 if row[1] > row[0] else 0 for row in rows]
-            pos = [p + a for p, a in zip(pos, acts)]
-            steps += 1
-            done = length in pos or steps >= cap
-            if done:
-                won = frozenset(i for i, p in enumerate(pos) if p == length)
-                if won not in kinds:
-                    kinds[won] = (len(bodies), assign_rewards(won, cfg))
-                    bodies.append((tuple(sorted(won)), kinds[won][1]))
-                (body, rewards), next_rows = kinds[won], terminal
-            else:
-                rewards, next_key = zeros, (*pos, *bits) if type_b else tuple(pos)
-                next_rows = [table.get(next_key) for table in tables]
-            if qcfg is not None:
-                for table, row, nxt, a, r in zip(tables, rows, next_rows, acts, rewards):
-                    target = r + qcfg.gamma * (nxt[1] if nxt[1] > nxt[0] else nxt[0]) if nxt else r
-                    if row is None:
-                        row = table.setdefault(key, [0.0, 0.0])
-                    row[a] += qcfg.alpha * (target - row[a])
-            if done:
-                break
-            key, rows = next_key, next_rows
-        ids.append(body)
-        steps_column.append(steps)
-        bits = tuple(int(i in won) for i in range(n))
+    rest, has, half = words._rest, words.has_uint32, words.uinteger
+    draw, need, hint, add = rest.__next__, 2 * n, operator.length_hint, operator.add
+    try:
+        for e in range(episodes):
+            thr = _coin_threshold(0.0 if epsilons is None else epsilons[e])
+            pos, steps = [0] * n, 0
+            key = (*pos, *bits) if type_b else tuple(pos)
+            rows = index.get(key)
+            if fresh := rows is None:
+                rows = index[key] = [t.get(key, unseen) for t in tables]
+            while True:
+                if hint(rest) < need:
+                    rest = iter([*rest, *words.bg.random_raw(max(_CHUNK, need)).tolist()])
+                    draw = rest.__next__
+                acts = []
+                for q_stay, q_move in rows:
+                    if not (thr and draw() < thr or q_stay == q_move):
+                        acts.append(q_move > q_stay)  # a bool indexes the row as 0 or 1
+                    elif has:
+                        has = 0  # numpy keeps the spent half in uinteger
+                        acts.append(half >> 31)
+                    else:
+                        w = draw()
+                        has, half = 1, w >> 32
+                        acts.append(w >> 31 & 1)
+                pos = list(map(add, pos, acts))
+                steps += 1
+                if length in pos or steps >= cap:
+                    won = frozenset(i for i, p in enumerate(pos) if p == length)
+                    if won not in kinds:
+                        rewards = assign_rewards(won, cfg)
+                        kinds[won] = (len(bodies), rewards, tuple(int(i in won) for i in range(n)))
+                        bodies.append((tuple(sorted(won)), rewards))
+                    body, rewards, bits = kinds[won]
+                    if learn:
+                        if fresh:
+                            rows[:] = [t.setdefault(key, [0.0, 0.0]) for t in tables]
+                        for row, a, r in zip(rows, acts, rewards):
+                            row[a] += alpha * (r - row[a])
+                    break
+                next_key = (*pos, *bits) if type_b else tuple(pos)
+                next_rows = index.get(next_key)
+                if next_fresh := next_rows is None:
+                    next_rows = index[next_key] = [t.get(next_key, unseen) for t in tables]
+                if learn:
+                    if fresh:
+                        rows[:] = [t.setdefault(key, [0.0, 0.0]) for t in tables]
+                    # The target leaves out the zero reward: 0.0 + x and x
+                    # differ only in the sign of a zero, which no update keeps.
+                    for row, (q_stay, q_move), a in zip(rows, next_rows, acts):
+                        row[a] += alpha * (gamma * (q_move if q_move > q_stay else q_stay) - row[a])
+                key, rows, fresh = next_key, next_rows, next_fresh
+            ids.append(body)
+            steps_column.append(steps)
+    finally:
+        words._rest, words.has_uint32, words.uinteger = rest, has, half
     return EpisodeLog(bodies, ids, steps_column), bits
 
 

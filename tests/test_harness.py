@@ -3,6 +3,7 @@
 import json
 import shutil
 from dataclasses import asdict, replace
+from unittest import mock
 
 import pytest
 
@@ -403,6 +404,23 @@ def test_sweep_baselines_share_trajectories_across_schemes(tmp_path):
     for col in ("calt", "falt", "ealt", "fairness", "tt_fairness"):
         assert ilf_row[col] == iqf_row[col]
     assert ilf_row["efficiency"] != iqf_row["efficiency"]
+
+
+def test_serial_sweep_plays_each_baseline_trajectory_once(tmp_path):
+    # Random play ignores rewards: the -ilf and -iqf baselines of one
+    # (n, state type) take one played trajectory, rewarded per scheme.
+    played = []
+
+    def counting(cfg, episodes, seed):
+        played.append((cfg.n_agents, cfg.state_type))
+        return run_random(cfg, episodes, seed)
+
+    harness._random_log.cache_clear()
+    with mock.patch.object(harness, "run_random", counting):
+        result = _tiny_sweep(tmp_path / "s")
+    assert not result.failures
+    assert sorted(played) == [(n, st) for n in (2, 3) for st in StateType]
+    assert len(result.results) == 16
 
 
 def test_sweep_reuses_cached_baselines_and_reports_collisions(tmp_path):

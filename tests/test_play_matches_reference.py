@@ -3,8 +3,8 @@
 Random play, Q-learning and the greedy evaluation after training must
 draw from the generator in the reference's order, so every outcome,
 Q-table and arrival bit, and the generator's final state, match exactly.
-Random play draws its steps in blocks of ``policies._CHUNK``, so its cases
-also cover episodes and runs that cross block boundaries.
+Play draws its words in blocks of ``policies._CHUNK``, so the cases that
+shrink it also cover episodes and runs that cross block boundaries.
 """
 
 import tempfile
@@ -116,6 +116,28 @@ def test_random_play_continues_a_callers_generator_and_bits():
         bits = ref.next_prev_winners(old[-1], cfg)
     assert outcomes == old
     assert new_bits == bits
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    game_configs(), qlearning_configs(), st.sampled_from([1, 2, 7]), st.integers(1, 80),
+    st.integers(1, 30), seeds,
+)
+def test_q_play_matches_reference_across_small_blocks(cfg, qcfg, chunk, episodes, greedy, seed):
+    # Blocks of 1, 2 or 7 words are shorter than the 2n words a step can
+    # use, so Q-play tops up its unread words on almost every step.
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(policies, "_CHUNK", chunk):
+        new = train_run(cfg, qcfg, episodes, new_rng)
+        new_greedy, new_bits = play(
+            cfg, greedy, new_rng, new.final_prev_winners, new.tables, [qcfg.epsilon_min] * greedy
+        )
+    old = ref.train_run(cfg, qcfg, episodes, old_rng)
+    old_greedy = ref.greedy_eval(cfg, qcfg, old, greedy, old_rng)
+    assert_same_training(new, old)
+    assert new_greedy == old_greedy
+    assert new_bits == ref.next_prev_winners(old_greedy[-1], cfg)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 

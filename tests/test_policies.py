@@ -1,6 +1,7 @@
 """Random and Q-learning play: schedules, draws, updates, training runs."""
 
 import copy
+import math
 from unittest import mock
 
 import numpy as np
@@ -116,6 +117,41 @@ def test_word_stream_equals_scalar_draws(seed, buffered, chunk, requests):
     assert stream.bit_generator.state == scalar.bit_generator.state
 
 
+EPSILONS = [0.0, 5e-324, 0.004, 0.9, 1.0, 1.5, math.inf, math.nan]
+
+
+def coin_below(word, eps):
+    return (word >> 11) * 2.0**-53 < eps
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_coin_threshold_at_its_edges(eps):
+    # The words either side of the threshold fall either side of eps; at
+    # eps 0 and NaN the threshold is 0, so every word is at or above it.
+    threshold = policies._coin_threshold(eps)
+    for word in (threshold - 2, threshold - 1, threshold, threshold + 1, 0, 2**64 - 1):
+        if 0 <= word < 2**64:
+            assert (word < threshold) == coin_below(word, eps), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EPSILONS), st.integers(0, 2**64 - 1))
+def test_coin_threshold_equals_the_float_comparison(eps, word):
+    assert (word < policies._coin_threshold(eps)) == coin_below(word, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, math.nan])
+def test_no_coin_is_drawn_at_epsilon_zero_or_nan(eps):
+    # Greedy rows with no ties draw nothing, so the generator stays put.
+    cfg, rng = GameConfig(n_agents=3, path_length=3), np.random.default_rng(8)
+    before = rng.bit_generator.state
+    assert policies._coin_threshold(eps) == 0
+    tables = forced_tables(cfg, MOVE_ROW, STAY_ROW, MOVE_ROW)
+    log, _ = play(cfg, 4, rng, (0, 0, 0), tables, [eps] * 4)
+    assert [ep.arrivals for ep in log] == [frozenset({0, 2})] * 4
+    assert rng.bit_generator.state == before
+
+
 def test_play_refuses_a_non_pcg64_generator():
     rng = np.random.Generator(np.random.MT19937(3))
     before = rng.bit_generator.state
@@ -130,8 +166,9 @@ def test_play_refuses_a_non_pcg64_generator():
 
 
 def test_play_refuses_arguments_it_cannot_use():
-    # Epsilons and a Q-learning config without Q-tables, or epsilons that do
-    # not give one per episode, fail before the generator is touched.
+    # Epsilons and a Q-learning config without Q-tables, epsilons that do
+    # not give one per episode, or one Q-table shared by two agents, fail
+    # before the generator is touched.
     cfg, rng = GameConfig(n_agents=2), np.random.default_rng(4)
     before = rng.bit_generator.state
     tables = [{}, {}]
@@ -141,6 +178,7 @@ def test_play_refuses_arguments_it_cannot_use():
         dict(qcfg=QLearningConfig(), epsilons=[0.5] * 5),
         dict(tables=tables, epsilons=[0.5] * 4),
         dict(tables=tables, epsilons=[0.5] * 6),
+        dict(tables=[tables[0], tables[0]]),
     ):
         with pytest.raises(ConfigError):
             play(cfg, 5, rng, (0, 0), **kwargs)
