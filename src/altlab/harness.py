@@ -504,8 +504,8 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
 @lru_cache(maxsize=1)
 def _random_log(game: GameConfig, episodes: int, seed: int) -> EpisodeLog:
     """Random play ignores rewards, so one trajectory serves every reward
-    scheme: a serial sweep runs each ``-ilf``/``-iqf`` baseline pair back to
-    back and plays it once."""
+    scheme: a sweep, serial or parallel, runs each ``-ilf``/``-iqf`` baseline
+    pair back to back in one process and plays it once."""
     return run_random(game, episodes, seed)
 
 
@@ -634,8 +634,10 @@ def sweep(
     runs_root.mkdir(parents=True, exist_ok=True)
     task = partial(_execute_task, runs_root=runs_root, overwrite=overwrite)
     if workers > 1:
+        # A chunk of one (n, state type)'s baselines runs in one worker, where
+        # _random_log plays their trajectory once.
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            executed = list(pool.map(task, specs))
+            executed = list(pool.map(task, specs, chunksize=len(reward_schemes)))
     else:
         executed = list(map(task, specs))
     results = [result for result, _ in executed if result is not None]

@@ -20,11 +20,13 @@ and finds every episode's end with a cumulative sum over the block.
 Epsilon-greedy training and frozen greedy evaluation go step by step.  A
 Q-agent's table is a plain dict from observation key (the positions tuple,
 plus the previous-arrival bits for Type B) to ``[q_stay, q_move]``; an
-unseen key reads as all zeros and is only inserted by an update.  Each
-agent reads and writes only its own table, so :func:`_play_q` keeps every
-agent's row of a key in one list, and before each step it tops its unread
-words up to the 2n a step can use.  Exploration follows a linear epsilon
-schedule that is shared by all agents within an episode.
+unseen key reads as all zeros.  Training inserts a key at ``[0.0, 0.0]``
+when it first meets it, and the step from that key updates it unless the
+step raises; greedy play inserts none.  Each agent reads and writes only
+its own table, so :func:`_play_q` keeps every agent's row of a key in one
+list, and before each step it tops its unread words up to the 2n a step
+can use.  Exploration follows a linear epsilon schedule that is shared by
+all agents within an episode.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ def play(
 
 
 class _Words:
-    """Scalar draws of a PCG64 generator from blocks of ``_CHUNK`` words.
-    Random play reads ``bg`` itself and reports the coins it used; Q-play
-    reads ``_rest`` and the buffered half itself and writes them back."""
+    """A PCG64 generator's draw position: the unread words of the last block
+    of ``_CHUNK`` and numpy's buffered half.  The kernels read and write it
+    themselves; :meth:`close` hands it back to the generator."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.bg = rng.bit_generator
@@ -145,24 +147,6 @@ class _Words:
         state = self.bg.state
         self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
         self._rest = iter(())  # the unread words of the last block
-
-    def word(self) -> int:
-        w = next(self._rest, None)
-        if w is None:
-            self._rest = iter(self.bg.random_raw(_CHUNK).tolist())
-            w = next(self._rest)
-        return w
-
-    def coin(self) -> float:
-        return (self.word() >> 11) * 2.0**-53
-
-    def bit(self) -> int:
-        if self.has_uint32:
-            self.has_uint32 = 0  # numpy keeps the spent half in uinteger
-            return self.uinteger >> 31
-        w = self.word()
-        self.has_uint32, self.uinteger = 1, w >> 32
-        return (w >> 31) & 1
 
     def read_coins(self, block: np.ndarray, used: int) -> None:
         """Random play read ``used`` coins of ``block``, at least one: the words
@@ -190,10 +174,15 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
     type_b = cfg.state_type is StateType.TYPE_B
     learn = qcfg is not None
     alpha, gamma = (qcfg.alpha, qcfg.gamma) if learn else (None, None)
-    # key -> [table.get(key, unseen) for table in tables].  An unseen row reads
-    # as a tie and bootstraps to gamma * 0.0 == 0.0; the first update of a
-    # key (``fresh``) puts a row in every table that lacks one.
-    unseen, index = (0.0, 0.0), {}
+    # key -> every table's row of key.  Learning inserts them when the key is
+    # first met, as the step from it updates them; greedy play inserts none.
+    index: dict[tuple, list] = {}
+
+    def rows_at(key):
+        rows = [t.setdefault(key, [0.0, 0.0]) if learn else t.get(key, (0.0, 0.0)) for t in tables]
+        index[key] = rows
+        return rows
+
     kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards, next bits)
     bodies, ids, steps_column = [], [], []
     rest, has, half = words._rest, words.has_uint32, words.uinteger
@@ -203,9 +192,7 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
             thr = _coin_threshold(0.0 if epsilons is None else epsilons[e])
             pos, steps = [0] * n, 0
             key = (*pos, *bits) if type_b else tuple(pos)
-            rows = index.get(key)
-            if fresh := rows is None:
-                rows = index[key] = [t.get(key, unseen) for t in tables]
+            rows = index.get(key) or rows_at(key)
             while True:
                 if hint(rest) < need:
                     rest = iter([*rest, *words.bg.random_raw(max(_CHUNK, need)).tolist()])
@@ -231,23 +218,17 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
                         bodies.append((tuple(sorted(won)), rewards))
                     body, rewards, bits = kinds[won]
                     if learn:
-                        if fresh:
-                            rows[:] = [t.setdefault(key, [0.0, 0.0]) for t in tables]
                         for row, a, r in zip(rows, acts, rewards):
                             row[a] += alpha * (r - row[a])
                     break
                 next_key = (*pos, *bits) if type_b else tuple(pos)
-                next_rows = index.get(next_key)
-                if next_fresh := next_rows is None:
-                    next_rows = index[next_key] = [t.get(next_key, unseen) for t in tables]
+                next_rows = index.get(next_key) or rows_at(next_key)
                 if learn:
-                    if fresh:
-                        rows[:] = [t.setdefault(key, [0.0, 0.0]) for t in tables]
                     # The target leaves out the zero reward: 0.0 + x and x
                     # differ only in the sign of a zero, which no update keeps.
                     for row, (q_stay, q_move), a in zip(rows, next_rows, acts):
                         row[a] += alpha * (gamma * (q_move if q_move > q_stay else q_stay) - row[a])
-                key, rows, fresh = next_key, next_rows, next_fresh
+                key, rows = next_key, next_rows
             ids.append(body)
             steps_column.append(steps)
     finally:
@@ -261,7 +242,7 @@ def _play_random(cfg, episodes, words):
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     kinds: dict[bytes, int] = {}  # arrival pattern -> body id
     bodies, ids, steps_column = [], [], []
-    pending = np.array([words.bit()] if words.has_uint32 else [], dtype=np.uint64)
+    pending = np.array([words.uinteger >> 31] if words.has_uint32 else [], dtype=np.uint64)
     while True:
         block = words.bg.random_raw((_CHUNK * n + 1) // 2)
         coins = np.concatenate((pending, (block[:, None] >> np.uint64([31, 63]) & 1).ravel()))

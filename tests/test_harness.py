@@ -406,20 +406,26 @@ def test_sweep_baselines_share_trajectories_across_schemes(tmp_path):
     assert ilf_row["efficiency"] != iqf_row["efficiency"]
 
 
-def test_serial_sweep_plays_each_baseline_trajectory_once(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_plays_each_baseline_trajectory_once(tmp_path, workers):
     # Random play ignores rewards: the -ilf and -iqf baselines of one
     # (n, state type) take one played trajectory, rewarded per scheme.
-    played = []
+    # Calls are counted in a file, so forked workers count too.
+    played = tmp_path / "played"
+    played.touch()
 
     def counting(cfg, episodes, seed):
-        played.append((cfg.n_agents, cfg.state_type))
+        with played.open("a") as fh:
+            fh.write(f"{cfg.n_agents} {cfg.state_type.value}\n")
         return run_random(cfg, episodes, seed)
 
     harness._random_log.cache_clear()
     with mock.patch.object(harness, "run_random", counting):
-        result = _tiny_sweep(tmp_path / "s")
+        result = _tiny_sweep(tmp_path / "s", workers=workers)
     assert not result.failures
-    assert sorted(played) == [(n, st) for n in (2, 3) for st in StateType]
+    assert sorted(played.read_text().splitlines()) == [
+        f"{n} {st.value}" for n in (2, 3) for st in StateType
+    ]
     assert len(result.results) == 16
 
 

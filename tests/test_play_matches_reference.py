@@ -55,6 +55,7 @@ def rows(table) -> dict:
 def assert_same_training(new, old) -> None:
     assert new.outcomes == old.outcomes
     assert [rows(t) for t in new.tables] == [rows(t) for t in old.tables]
+    assert [list(t) for t in new.tables] == [[k for k, _ in t.items()] for t in old.tables]
     assert new.final_prev_winners == old.final_prev_winners
 
 
@@ -72,19 +73,22 @@ def test_random_play_and_training_match_reference(cfg, qcfg, episodes, seed):
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-def assert_same_random_play(cfg, episodes, seed) -> None:
+def assert_same_random_play(cfg, episodes, seed, buffered=False) -> None:
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # both start with half a 64-bit word buffered
+        new_rng.integers(0, 2)
+        old_rng.integers(0, 2)
     assert run_random(cfg, episodes, new_rng) == ref.run_random(cfg, episodes, old_rng)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
-@given(game_configs(), st.sampled_from([1, 2, 7]), st.integers(1, 80), seeds)
-def test_random_play_matches_reference_across_small_blocks(cfg, chunk, episodes, seed):
+@given(game_configs(), st.sampled_from([1, 2, 7]), st.integers(1, 80), seeds, st.booleans())
+def test_random_play_matches_reference_across_small_blocks(cfg, chunk, episodes, seed, buffered):
     # Blocks of 1, 2 or 7 steps: episodes start, end and run on across
     # block boundaries everywhere.
     with mock.patch.object(policies, "_CHUNK", chunk):
-        assert_same_random_play(cfg, episodes, seed)
+        assert_same_random_play(cfg, episodes, seed, buffered)
 
 
 def test_long_random_runs_match_reference():

@@ -93,30 +93,6 @@ def test_block_coin_draws_equal_scalar_draws(seed, offset):
         assert block.bit_generator.state == scalar.bit_generator.state
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**64 - 1),
-    st.booleans(),
-    st.sampled_from([1, 2, 7, 4096]),
-    st.lists(st.sampled_from(["coin", "bit"]), max_size=40),
-)
-def test_word_stream_equals_scalar_draws(seed, buffered, chunk, requests):
-    # Coins and bits from blocks of raw words equal numpy's scalar random()
-    # and integers(0, 2), also from half a word buffered and across blocks,
-    # and close() leaves the generator in the scalar calls' state,
-    # including the spent half numpy keeps in uinteger.
-    stream, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        stream.integers(0, 2)
-        scalar.integers(0, 2)
-    with mock.patch.object(policies, "_CHUNK", chunk):
-        words = policies._Words(stream)
-        drawn = [words.coin() if r == "coin" else words.bit() for r in requests]
-        words.close()
-    assert drawn == [scalar.random() if r == "coin" else int(scalar.integers(0, 2)) for r in requests]
-    assert stream.bit_generator.state == scalar.bit_generator.state
-
-
 EPSILONS = [0.0, 5e-324, 0.004, 0.9, 1.0, 1.5, math.inf, math.nan]
 
 
