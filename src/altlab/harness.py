@@ -493,6 +493,7 @@ def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunRe
             game, eval_episodes, rng, trained.final_prev_winners, trained.tables,
             [qcfg.epsilon_min] * eval_episodes,
         )
+        del trained  # score, curve and save without the Q-store
     panels = {"full": compute_panel(outcomes, game.n_agents, game.r_high)}
     if eval_outcomes is not None:
         panels["greedy_eval"] = compute_panel(eval_outcomes, game.n_agents, game.r_high)

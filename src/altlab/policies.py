@@ -17,16 +17,16 @@ Random play never looks at the state: :func:`_play_random` reads the
 coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word,
 and finds every episode's end with a cumulative sum over the block.
 
-Epsilon-greedy training and frozen greedy evaluation go step by step.  A
-Q-agent's table is a plain dict from observation key (the positions tuple,
-plus the previous-arrival bits for Type B) to ``[q_stay, q_move]``; an
-unseen key reads as all zeros.  Training inserts a key at ``[0.0, 0.0]``
-when it first meets it, and the step from that key updates it unless the
-step raises; greedy play inserts none.  Each agent reads and writes only
-its own table, so :func:`_play_q` keeps every agent's row of a key in one
-list, and before each step it tops its unread words up to the 2n a step
-can use.  Exploration follows a linear epsilon schedule that is shared by
-all agents within an episode.
+Epsilon-greedy training and frozen greedy evaluation go step by step.  The
+Q-agents share one store, a dict from observation key (the positions
+tuple, plus the previous-arrival bits for Type B) to a flat list of 2n
+floats, ``[q_stay_0, q_move_0, ..., q_stay_{n-1}, q_move_{n-1}]``; agent i
+reads and writes only its pair (:func:`agent_table`), and an unseen key
+reads as all zeros.  Training inserts a key's zeros when it first meets
+the key, and the step from that key updates them unless the step raises;
+greedy play inserts none.  Before each step, :func:`_play_q` tops its
+unread words up to the 2n a step can use.  Exploration follows a linear
+epsilon schedule that is shared by all agents within an episode.
 """
 
 from __future__ import annotations
@@ -100,28 +100,27 @@ def play(
     episodes: int,
     rng: np.random.Generator,
     bits: Sequence[int],
-    tables: list[dict] | None = None,
+    tables: dict | None = None,
     epsilons: Sequence[float] | None = None,
     qcfg: QLearningConfig | None = None,
 ) -> tuple[EpisodeLog, tuple[int, ...]]:
     """Play ``episodes`` episodes, starting from the previous-arrival ``bits``.
 
-    Without ``tables`` every agent moves uniformly at random.  With them
-    (one dict per agent, none shared), agent i acts epsilon-greedily on
-    ``tables[i]`` at ``epsilons[e]`` in episode e (0 when None) and, when
-    ``qcfg`` is given, makes one Q-learning update per step (terminal
-    steps bootstrap to 0).  Each
-    step, agents draw from ``rng`` in agent order: a random agent one
-    ``integers(0, 2)``; a Q-agent one ``random()`` coin if epsilon > 0,
-    then one ``integers(0, 2)`` if it explores or its Q-values tie
-    exactly.  Returns the episode log and the bits for the next episode.
+    Without ``tables`` every agent moves uniformly at random.  With a Q-store
+    (one dict of rows of 2n values), agent i acts epsilon-greedily on its pair
+    of each row at ``epsilons[e]`` in episode e (0 when None) and, when
+    ``qcfg`` is given, makes one Q-learning update per step (terminal steps
+    bootstrap to 0).  Each step, agents draw from ``rng`` in agent order: a
+    random agent one ``integers(0, 2)``; a Q-agent one ``random()`` coin if
+    epsilon > 0, then one ``integers(0, 2)`` if it explores or its Q-values
+    tie exactly.  Returns the episode log and the bits for the next episode.
     """
     n = cfg.n_agents
     bits = tuple(bits)
     if episodes < 1 or len(bits) != n or not set(bits) <= {0, 1}:
         raise ConfigError(f"need episodes >= 1 and {n} arrival bits, got {episodes}, {bits}")
-    if tables is not None and len({id(t) for t in tables}) != n:
-        raise ConfigError(f"need {n} Q-tables, one per agent and none shared, got {len(tables)}")
+    if tables is not None and (type(tables) is not dict or {*map(len, tables.values())} - {2 * n}):
+        raise ConfigError(f"need one Q-store dict whose rows hold {2 * n} values, a pair per agent")
     if tables is None and (epsilons is not None or qcfg is not None):
         raise ConfigError("epsilons and qcfg need Q-tables")
     if epsilons is not None and len(epsilons) != episodes:
@@ -167,40 +166,36 @@ def _coin_threshold(eps: float) -> int:
     return math.ceil(min(eps, 1.0) * 2.0**53) << 11 if eps > 0.0 else 0
 
 
-def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
-    """Q-agent play.  A step makes one lookup in ``index``: the rows at the
-    next key serve both the update's bootstrap and the next step."""
+def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
+    """Q-agent play.  A step makes one lookup in ``store``: the row at the
+    next key serves both the update's bootstrap and the next step."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
     type_b = cfg.state_type is StateType.TYPE_B
     learn = qcfg is not None
     alpha, gamma = (qcfg.alpha, qcfg.gamma) if learn else (None, None)
-    # key -> every table's row of key.  Learning inserts them when the key is
-    # first met, as the step from it updates them; greedy play inserts none.
-    index: dict[tuple, list] = {}
+    need, fetch, zeros, pairs = 2 * n, store.get, (0.0,) * (2 * n), range(0, 2 * n, 2)
 
-    def rows_at(key):
-        rows = [t.setdefault(key, [0.0, 0.0]) if learn else t.get(key, (0.0, 0.0)) for t in tables]
-        index[key] = rows
-        return rows
+    def miss(key):  # learning inserts the row the step from key updates; greedy play reads zeros
+        return store.setdefault(key, [0.0] * need) if learn else zeros
 
     kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards, next bits)
     bodies, ids, steps_column = [], [], []
     rest, has, half = words._rest, words.has_uint32, words.uinteger
-    draw, need, hint, add = rest.__next__, 2 * n, operator.length_hint, operator.add
+    draw, hint, add = rest.__next__, operator.length_hint, operator.add
     try:
         for e in range(episodes):
             thr = _coin_threshold(0.0 if epsilons is None else epsilons[e])
             pos, steps = [0] * n, 0
             key = (*pos, *bits) if type_b else tuple(pos)
-            rows = index.get(key) or rows_at(key)
+            row = fetch(key) or miss(key)
             while True:
                 if hint(rest) < need:
                     rest = iter([*rest, *words.bg.random_raw(max(_CHUNK, need)).tolist()])
                     draw = rest.__next__
-                acts = []
-                for q_stay, q_move in rows:
+                acts, it = [], iter(row)
+                for q_stay, q_move in zip(it, it):
                     if not (thr and draw() < thr or q_stay == q_move):
-                        acts.append(q_move > q_stay)  # a bool indexes the row as 0 or 1
+                        acts.append(q_move > q_stay)  # a bool counts as 0 or 1
                     elif has:
                         has = 0  # numpy keeps the spent half in uinteger
                         acts.append(half >> 31)
@@ -218,17 +213,18 @@ def _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg):
                         bodies.append((tuple(sorted(won)), rewards))
                     body, rewards, bits = kinds[won]
                     if learn:
-                        for row, a, r in zip(rows, acts, rewards):
-                            row[a] += alpha * (r - row[a])
+                        for k, r in zip(map(add, pairs, acts), rewards):
+                            row[k] += alpha * (r - row[k])
                     break
-                next_key = (*pos, *bits) if type_b else tuple(pos)
-                next_rows = index.get(next_key) or rows_at(next_key)
+                key = (*pos, *bits) if type_b else tuple(pos)
+                next_row = fetch(key) or miss(key)
                 if learn:
                     # The target leaves out the zero reward: 0.0 + x and x
                     # differ only in the sign of a zero, which no update keeps.
-                    for row, (q_stay, q_move), a in zip(rows, next_rows, acts):
-                        row[a] += alpha * (gamma * (q_move if q_move > q_stay else q_stay) - row[a])
-                key, rows = next_key, next_rows
+                    it = iter(next_row)
+                    for k, q_stay, q_move in zip(map(add, pairs, acts), it, it):
+                        row[k] += alpha * (gamma * (q_move if q_move > q_stay else q_stay) - row[k])
+                row = next_row
             ids.append(body)
             steps_column.append(steps)
     finally:
@@ -286,13 +282,17 @@ def _play_random(cfg, episodes, words):
         pending = coins[s * n :]
 
 
+def agent_table(store: dict, i: int) -> dict[tuple[int, ...], list[float]]:
+    """Agent ``i``'s Q-table, ``{key: [q_stay, q_move]}``, in the store's key order."""
+    return {key: row[2 * i : 2 * i + 2] for key, row in store.items()}
+
+
 @dataclass
 class TrainRun:
-    """Training output: the episode log, one Q-table per agent, and the
-    arrival bits to carry into any follow-on episodes."""
+    """Training output: the episode log, the Q-store, and the arrival bits to carry on."""
 
     outcomes: EpisodeLog
-    tables: list[dict[tuple[int, ...], list[float]]]
+    tables: dict[tuple[int, ...], list[float]]
     final_prev_winners: tuple[int, ...]
 
 
@@ -305,16 +305,15 @@ def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_
     """Train independent Q-learners for ``total_episodes`` episodes.
 
     All agents share the decayed epsilon of the current episode and
-    update their own tables on every step.
+    update their own values on every step.
     """
-    tables: list[dict] = [{} for _ in range(cfg.n_agents)]
+    store: dict = {}
     epsilons = [epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes)]
     rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
-    outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, tables, epsilons, qcfg)
+    outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, store, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    rows = itertools.chain.from_iterable(table.values() for table in tables)
-    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float)
+    values = np.fromiter(itertools.chain.from_iterable(store.values()), dtype=float)
     # A NaN fails the comparison as well.
     if not np.all(np.abs(values) <= bound):
         raise DataError(f"Q-values escaped the discounted-return bound {bound}")
-    return TrainRun(outcomes=outcomes, tables=tables, final_prev_winners=bits)
+    return TrainRun(outcomes=outcomes, tables=store, final_prev_winners=bits)

@@ -66,13 +66,13 @@ def read_log_oracle(path) -> list[EpisodeOutcome]:
     return outcomes
 
 
-def forced_tables(cfg: GameConfig, *rows) -> list[dict]:
-    """One Q-table per agent that holds that agent's row at every reachable key,
-    so that at epsilon 0 the agent always takes the row's preferred action."""
+def forced_tables(cfg: GameConfig, *rows) -> dict:
+    """A Q-store that holds every agent's row at every reachable key, so that
+    at epsilon 0 each agent always takes its row's preferred action."""
     cells = [range(cfg.path_length + 1)] * cfg.n_agents
     if cfg.state_type is StateType.TYPE_B:
         cells += [range(2)] * cfg.n_agents
-    return [{key: list(row) for key in product(*cells)} for row in rows]
+    return {key: [q for row in rows for q in row] for key in product(*cells)}
 
 
 def relabel_outcomes(outcomes, perm: dict[int, int]) -> list[EpisodeOutcome]:

@@ -497,6 +497,25 @@ def test_sweep_and_report_artifacts_are_byte_stable(tmp_path, capsys):
     assert [name for name in sorted(got) if got[name] != GOLDEN_ARTIFACTS[name]] == []
 
 
+# sha256 of the artifacts of ten Q-learners on Type B states, the largest n a
+# sweep trains; panel.csv holds the greedy_eval row.
+GOLDEN_N10_B = {
+    "log.jsonl": "111e44a4c4795853a181b810e23fbe69bddf688c42306f12b4184882e06440bb",
+    "panel.csv": "3f0fb984a0cf3bf3f54acebdb6ff57defee2c8d6296c02522711abebadbfb790",
+    "curve.csv": "752ce1458855352ab73c14610d73cc401e0273accee2f8b5cf0a565276621371",
+}
+
+
+def test_ten_agent_type_b_run_is_byte_stable(tmp_path, capsys):
+    argv = ["simulate", "--agents", "10", "--state-type", "B", "--episodes", "3000",
+            "--seed", "1", "--out", str(tmp_path), "--run-id", "golden"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "golden"
+    got = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in GOLDEN_N10_B}
+    assert got == GOLDEN_N10_B
+
+
 REPORT_FILES = ("table2.csv", "table3.csv", "table5.csv", "fig1.csv", "fig2.csv", "fig3.csv",
                 "fig5.csv")
 

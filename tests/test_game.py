@@ -4,7 +4,6 @@ Moves are forced through frozen Q-tables played greedily at epsilon 0
 (``forced_tables`` in conftest), so every episode below is determined.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ from altlab.game import (
     assign_rewards,
 )
 from altlab.harness import ExperimentSpec
-from altlab.policies import QLearningConfig, play, run_random, train_run
+from altlab.policies import QLearningConfig, agent_table, play, run_random, train_run
 
 
 def play_forced(cfg, *rows, bits=None):
@@ -69,7 +68,7 @@ def test_config_validation():
     assert plain == typed and hash(plain) == hash(typed) and repr(plain) == repr(typed)
     assert plain.state_type is StateType.TYPE_B and type(plain.n_agents) is int
     # A Type B game given as "B" trains on keys with the arrival bits.
-    assert {len(key) for key in train_run(plain, QLearningConfig(), 20, 0).tables[0]} == {4}
+    assert {len(key) for key in train_run(plain, QLearningConfig(), 20, 0).tables} == {4}
     # A huge finite payoff is a valid game, but a run whose total payoff or
     # Q-value bound overflows is not.
     huge = GameConfig(n_agents=2, r_high=1e307)
@@ -95,10 +94,10 @@ def test_step_advances_movers_only():
     # the start, then (S, M, M) from (1, 0, 1), so only agent 2 reaches
     # cell 2 on the second step.
     cfg = GameConfig(n_agents=3)
-    tables = [
-        {(0, 0, 0): list(first), (1, 0, 1): list(second)}
-        for first, second in ((MOVE_ROW, STAY_ROW), (STAY_ROW, MOVE_ROW), (MOVE_ROW, MOVE_ROW))
-    ]
+    tables = {
+        (0, 0, 0): [*MOVE_ROW, *STAY_ROW, *MOVE_ROW],
+        (1, 0, 1): [*STAY_ROW, *MOVE_ROW, *MOVE_ROW],
+    }
     (outcome,), bits = play(cfg, 1, np.random.default_rng(0), (0, 0, 0), tables)
     assert outcome.arrivals == frozenset({2})
     assert outcome.steps_used == 2
@@ -154,9 +153,9 @@ def test_encode_state_type_a_and_b():
     # Learned keys are the positions, plus the previous-arrival bits for Type B.
     for state_type, first_key in ((StateType.TYPE_A, (0, 0)), (StateType.TYPE_B, (0, 0, 1, 0))):
         cfg = GameConfig(n_agents=2, state_type=state_type)
-        tables = [{}, {}]
+        tables = {}
         play(cfg, 1, np.random.default_rng(3), (1, 0), tables, qcfg=QLearningConfig())
-        keys = set(tables[0]) | set(tables[1])
+        keys = set(tables)
         assert first_key in keys
         assert all(len(k) == len(first_key) and k[2:] == first_key[2:] for k in keys)
 
@@ -165,7 +164,7 @@ def test_initial_state_defaults_and_validation():
     # A run starts with every agent at cell 0 and no previous arrivals.
     cfg = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
     trained = train_run(cfg, QLearningConfig(), 1, seed_or_rng=0)
-    assert all((0, 0, 0, 0) in table for table in trained.tables)
+    assert (0, 0, 0, 0) in trained.tables
     rng = np.random.default_rng(0)
     for bits in ((1,), (2, 0)):
         with pytest.raises(ConfigError):
@@ -210,9 +209,10 @@ def test_observations_reach_policies():
     # from the next key; the terminal one pays the winner r_high and the
     # other agent nothing.
     cfg = GameConfig(n_agents=2, state_type=StateType.TYPE_B)
-    tables = forced_tables(cfg, MOVE_ROW, STAY_ROW)
-    before = copy.deepcopy(tables)
-    play(cfg, 1, np.random.default_rng(0), (0, 1), tables, qcfg=QLearningConfig())
+    store = forced_tables(cfg, MOVE_ROW, STAY_ROW)
+    before = [agent_table(store, i) for i in range(2)]
+    play(cfg, 1, np.random.default_rng(0), (0, 1), store, qcfg=QLearningConfig())
+    tables = [agent_table(store, i) for i in range(2)]
     first, last = (0, 0, 0, 1), (1, 0, 0, 1)
     changed = [{k for k in t if t[k] != old[k]} for t, old in zip(tables, before)]
     assert changed == [{first, last}, {first, last}]

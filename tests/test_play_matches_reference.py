@@ -54,8 +54,9 @@ def rows(table) -> dict:
 
 def assert_same_training(new, old) -> None:
     assert new.outcomes == old.outcomes
-    assert [rows(t) for t in new.tables] == [rows(t) for t in old.tables]
-    assert [list(t) for t in new.tables] == [[k for k, _ in t.items()] for t in old.tables]
+    tables = [policies.agent_table(new.tables, i) for i in range(len(old.tables))]
+    assert tables == [rows(t) for t in old.tables]
+    assert [list(t) for t in tables] == [[k for k, _ in t.items()] for t in old.tables]
     assert new.final_prev_winners == old.final_prev_winners
 
 

@@ -14,9 +14,9 @@ from conftest import MOVE_ROW, STAY_ROW, forced_tables, two_agent_random_expecta
 
 from altlab import game, policies
 from altlab.errors import ConfigError, DataError
-from altlab.game import GameConfig
+from altlab.game import GameConfig, StateType
 from altlab.metrics import alt_score
-from altlab.policies import QLearningConfig, epsilon_at, play, run_random, train_run
+from altlab.policies import QLearningConfig, agent_table, epsilon_at, play, run_random, train_run
 
 
 def moves(log, n):
@@ -143,23 +143,26 @@ def test_play_refuses_a_non_pcg64_generator():
 
 def test_play_refuses_arguments_it_cannot_use():
     # Epsilons and a Q-learning config without Q-tables, epsilons that do
-    # not give one per episode, or one Q-table shared by two agents, fail
-    # before the generator is touched.
+    # not give one per episode, per-agent tables instead of one store, or a
+    # store row that is not one (stay, move) pair per agent, fail before the
+    # generator is touched.
     cfg, rng = GameConfig(n_agents=2), np.random.default_rng(4)
     before = rng.bit_generator.state
-    tables = [{}, {}]
+    tables = {}
     for kwargs in (
         dict(qcfg=QLearningConfig()),
         dict(epsilons=[0.5] * 5),
         dict(qcfg=QLearningConfig(), epsilons=[0.5] * 5),
         dict(tables=tables, epsilons=[0.5] * 4),
         dict(tables=tables, epsilons=[0.5] * 6),
-        dict(tables=[tables[0], tables[0]]),
+        dict(tables=[{}, {}]),
+        dict(tables={(0, 0): [0.0] * 4, (1, 0): [0.0] * 3}),
+        dict(tables={(0, 0): [0.0] * 5}),
     ):
         with pytest.raises(ConfigError):
             play(cfg, 5, rng, (0, 0), **kwargs)
         assert rng.bit_generator.state == before, kwargs
-    assert tables == [{}, {}]
+    assert tables == {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -214,7 +217,7 @@ def test_select_action_greedy_and_tie_break():
     assert all(ep.exclusive_winner == 0 for ep in log)
     assert rng.bit_generator.state == state
     # Unseen keys read as an exact tie, broken by the random agent's draw.
-    tied, _ = play(cfg, 5000, np.random.default_rng(1), (0, 0), [{}, {}])
+    tied, _ = play(cfg, 5000, np.random.default_rng(1), (0, 0), {})
     assert tied == run_random(cfg, 5000, seed_or_rng=1)
 
 
@@ -238,10 +241,10 @@ def test_q_update_frozen_example():
     # its own row at (1, 0): target = 0 + 0.999 * 20 = 19.98; new = 10 + 0.3 * 9.98
     cfg = GameConfig(n_agents=2, step_cap=3)
     tables = forced_tables(cfg, STAY_ROW, STAY_ROW)
-    tables[0][(0, 0)] = [0.0, 10.0]
-    tables[0][(1, 0)] = [20.0, 0.0]
+    tables[(0, 0)][:2] = [0.0, 10.0]
+    tables[(1, 0)][:2] = [20.0, 0.0]
     play(cfg, 1, np.random.default_rng(0), (0, 0), tables, qcfg=QLearningConfig())
-    assert tables[0][(0, 0)] == [0.0, pytest.approx(12.994)]
+    assert agent_table(tables, 0)[(0, 0)] == [0.0, pytest.approx(12.994)]
 
 
 def test_q_update_terminal_bootstraps_to_zero():
@@ -249,10 +252,10 @@ def test_q_update_terminal_bootstraps_to_zero():
     # 100, not a bootstrap from its row at the next key.
     cfg = GameConfig(n_agents=2, path_length=1)
     tables = forced_tables(cfg, MOVE_ROW, STAY_ROW)
-    tables[0][(0, 0)] = [-1.0, 0.0]
-    tables[0][(1, 0)] = [0.0, 1000.0]
+    tables[(0, 0)][:2] = [-1.0, 0.0]
+    tables[(1, 0)][:2] = [0.0, 1000.0]
     play(cfg, 1, np.random.default_rng(0), (0, 0), tables, qcfg=QLearningConfig())
-    assert tables[0][(0, 0)] == [-1.0, pytest.approx(30.0)]
+    assert agent_table(tables, 0)[(0, 0)] == [-1.0, pytest.approx(30.0)]
 
 
 def test_q_update_rejects_non_finite_reward():
@@ -266,11 +269,11 @@ def test_q_update_rejects_non_finite_reward():
 def test_qtable_default_lookup_does_not_insert():
     # Unseen keys read as zeros without being inserted; only updates add rows.
     cfg = GameConfig(n_agents=2)
-    tables = [{}, {}]
+    tables = {}
     play(cfg, 20, np.random.default_rng(5), (0, 0), tables, [0.5] * 20)
-    assert tables == [{}, {}]
+    assert tables == {}
     play(cfg, 1, np.random.default_rng(5), (0, 0), tables, qcfg=QLearningConfig())
-    assert all(len(t) > 0 for t in tables)
+    assert len(tables) > 0
 
 
 def test_train_run_shapes_and_determinism():
@@ -280,10 +283,10 @@ def test_train_run_shapes_and_determinism():
     b = train_run(cfg, qcfg, 300, seed_or_rng=7)
     assert len(a.outcomes) == 300
     assert a.outcomes == b.outcomes
-    assert len(a.tables) == 2
-    # per-agent tables are independent objects
-    assert a.tables[0] is not a.tables[1]
-    assert [dict(t.items()) for t in a.tables] == [dict(t.items()) for t in b.tables]
+    assert {len(row) for row in a.tables.values()} == {4}
+    # every key's row is an independent object
+    assert len({id(row) for row in a.tables.values()}) == len(a.tables)
+    assert a.tables == b.tables and list(a.tables) == list(b.tables)
     assert len(a.final_prev_winners) == 2
 
 
@@ -292,8 +295,8 @@ def test_trained_q_values_respect_return_bound():
     qcfg = QLearningConfig()
     result = train_run(cfg, qcfg, 1000, seed_or_rng=9)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    assert all(abs(v) <= bound for t in result.tables for row in t.values() for v in row)
-    assert all(len(t) > 0 for t in result.tables)
+    assert all(abs(v) <= bound for row in result.tables.values() for v in row)
+    assert len(result.tables) > 0
 
 
 def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
@@ -304,7 +307,7 @@ def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
 
     def escaping_play(cfg, episodes, rng, bits, tables, *rest):
         result = real_play(cfg, episodes, rng, bits, tables, *rest)
-        tables[0][(0, 0)] = [bound * 1.01, 0.0]
+        tables[(0, 0)][:2] = [bound * 1.01, 0.0]
         return result
 
     monkeypatch.setattr(policies, "play", escaping_play)
@@ -319,7 +322,7 @@ def test_train_run_raises_on_a_nan_q_value(monkeypatch):
 
     def nan_play(cfg, episodes, rng, bits, tables, *rest):
         result = real_play(cfg, episodes, rng, bits, tables, *rest)
-        tables[1][(9, 9)] = [0.0, float("nan")]
+        tables[(9, 9)] = [0.0, 0.0, 0.0, float("nan")]
         return result
 
     monkeypatch.setattr(policies, "play", nan_play)
@@ -347,6 +350,29 @@ def test_frozen_policy_stops_learning():
     rng = np.random.default_rng(4)
     play(cfg, 50, rng, trained.final_prev_winners, trained.tables, [0.5] * 50)
     assert trained.tables == frozen
+
+
+def test_agent_table_round_trips_the_store_in_key_order():
+    cfg = GameConfig(n_agents=3, state_type=StateType.TYPE_B, path_length=2)
+    rows = (MOVE_ROW, STAY_ROW, (0.5, -0.25))
+    store = forced_tables(cfg, *rows)
+    tables = [agent_table(store, i) for i in range(3)]
+    for table, row in zip(tables, rows):
+        assert list(table) == list(store)
+        assert all(pair == list(row) for pair in table.values())
+    assert {key: [q for t in tables for q in t[key]] for key in tables[0]} == store
+
+
+def test_ten_agent_training_keeps_one_flat_row_per_key():
+    # One row of 2n floats per key, and exactly the keys each of the
+    # reference's per-agent tables holds.
+    cfg, qcfg = GameConfig(n_agents=10, state_type=StateType.TYPE_B), QLearningConfig()
+    store = train_run(cfg, qcfg, 500, seed_or_rng=1).tables
+    assert all(
+        type(row) is list and len(row) == 20 and all(type(q) is float for q in row)
+        for row in store.values()
+    )
+    assert [len(table) for table in ref.train_run(cfg, qcfg, 500, 1).tables] == [len(store)] * 10
 
 
 def test_run_random_rejects_empty_run():
