@@ -63,9 +63,7 @@ from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import (
     EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id, assign_rewards,
 )
-from .metrics import (
-    MetricPanel, _exact_total, _reward_counts, _shifted_mean, compute_panel, window_betas
-)
+from .metrics import MetricPanel, compute_panel, trailing_windows
 from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
@@ -212,7 +210,9 @@ def read_table(path: Path, columns: Sequence[str], build=None) -> list:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != tuple(columns):
+            if reader.fieldnames is None:
+                raise DataError("missing header line")
+            if tuple(reader.fieldnames) != tuple(columns):
                 raise DataError(f"unexpected columns {reader.fieldnames}")
             rows = []
             for row in reader:
@@ -433,33 +433,16 @@ def load_run_result(run_dir: Path) -> RunResult:
 
 
 def _training_curve(
-    outcomes: Sequence[EpisodeOutcome],
-    total_episodes: int,
-    game: GameConfig,
-    qcfg: QLearningConfig,
+    outcomes: EpisodeLog, total_episodes: int, game: GameConfig, qcfg: QLearningConfig
 ) -> list[CurvePoint]:
+    """Every ``total_episodes // CURVE_SAMPLES``-th episode and the last, with its epsilon."""
     stride = max(1, total_episodes // CURVE_SAMPLES)
-    marks = list(range(stride, total_episodes + 1, stride))
-    if marks[-1] != total_episodes:
-        marks.append(total_episodes)
-    n = game.n_agents
-    log = EpisodeLog.from_outcomes(outcomes)
-    batch_calt = window_betas(log, n)["calt"]
-    # paid[e]: how many of each distinct reward episodes 0 .. e - 1 paid.
-    values, counts = _reward_counts(log)
-    paid = np.zeros((len(log) + 1, len(values)), dtype=np.int64)
-    np.cumsum(counts[log.ids], axis=0, out=paid[1:])
-    points = []
-    for mark in marks:
-        start = max(0, mark - CURVE_WINDOW)
-        calt = eff = None
-        if mark - start >= n:
-            # The batches that lie wholly inside episodes start .. mark - 1;
-            # the efficiency is efficiency() of the window.
-            calt = _shifted_mean(batch_calt[start : mark - n + 1])
-            eff = _exact_total(values, paid[mark] - paid[start]) / ((mark - start) * game.r_high)
-        points.append(CurvePoint(mark, epsilon_at(mark - 1, total_episodes, qcfg), calt, eff))
-    return points
+    marks = sorted({*range(stride, total_episodes + 1, stride), total_episodes})
+    windows = trailing_windows(outcomes, game.n_agents, game.r_high, marks, CURVE_WINDOW)
+    return [
+        CurvePoint(mark, epsilon_at(mark - 1, total_episodes, qcfg), calt, eff)
+        for mark, (calt, eff) in zip(marks, windows)
+    ]
 
 
 def run(spec: ExperimentSpec, runs_root: Path, overwrite: bool = False) -> RunResult:
@@ -660,9 +643,4 @@ def sweep(
         )
     else:
         failures_path.unlink(missing_ok=True)
-    return SweepResult(
-        out_root=out_root,
-        results=results,
-        failures=failures,
-        summary_path=summary_path if results else None,
-    )
+    return SweepResult(out_root, results, failures, summary_path if results else None)

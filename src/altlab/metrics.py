@@ -25,9 +25,12 @@ where y_l counts the arrivals of episode l, so the tie-sum
 sum_l (n - y_l) equals n^2 - tau.  A batch with no arrivals (all capped)
 scores 0 on all six.  A run-level score is the mean over all batches.
 
-Every batch count is a difference of two cumulative sums over per-episode
-columns (arrivals per agent, exclusive wins per agent), so one vectorized
-pass scores every batch of a log.  The columns are gathered from the
+Every count is a difference of two rows of one prefix sum over per-episode
+columns (arrivals and exclusive wins per agent, rewards paid), so one
+vectorized pass scores every batch of a log, and the training curve's
+trailing windows (:func:`trailing_windows`) reuse it: a window's calt is the
+mean over the batches that lie wholly inside it, and its efficiency is that
+of the window's episodes.  The columns are gathered from the
 :class:`~altlab.game.EpisodeLog` body table by body id; a plain list of
 outcomes is first made a log with ``EpisodeLog.from_outcomes``.
 
@@ -53,11 +56,18 @@ from .game import EpisodeLog, EpisodeOutcome
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
 
 
-def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
-    """Sums over every run of n consecutive rows of x."""
-    # int32 holds every count of a log that fits in memory (< 2**31 arrivals).
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Row e sums rows 0 .. e - 1 of x, for e = 0 .. len(x)."""
+    # int32 holds every count of a log that fits in memory: an episode
+    # arrives or pays at most n times, so every sum stays below 2**31.
     c = np.zeros((len(x) + 1, *x.shape[1:]), dtype=np.int32)
     np.cumsum(x, axis=0, dtype=np.int32, out=c[1:])
+    return c
+
+
+def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
+    """Sums over every run of n consecutive rows of x."""
+    c = _prefix_sums(x)
     return c[n:] - c[:-n]
 
 
@@ -79,14 +89,8 @@ def _betas(arrived: np.ndarray, n: int) -> dict[str, np.ndarray]:
     # fixed-rotation batches exact (the tie-sum is n * (n - 1) there).
     # Capped episodes push it higher, hence the clamp.
     calt = np.where(some, np.minimum(1.0, ((n * n - tau) / (n * (n - 1))) * qfalt), 0.0)
-    return {
-        "falt": falt,
-        "qfalt": qfalt,
-        "ealt": ealt,
-        "qealt": ealt * ealt,
-        "calt": calt,
-        "aalt": np.divide(g, tau, out=np.zeros(len(tau)), where=some),
-    }
+    aalt = np.divide(g, tau, out=np.zeros(len(tau)), where=some)
+    return dict(zip(VARIANTS, (falt, qfalt, ealt, ealt * ealt, calt, aalt)))
 
 
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
@@ -116,9 +120,7 @@ def alt_score(episodes: Sequence[EpisodeOutcome], n: int, variant: str) -> float
 
 def _min_max_ratio(values: np.ndarray) -> float | None:
     top = values.max()
-    if top == 0:
-        return None
-    return float(values.min() / top)
+    return None if top == 0 else float(values.min() / top)
 
 
 def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
@@ -137,8 +139,8 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     optimum = len(log) * r_high
     if not math.isfinite(optimum):
         raise ConfigError(f"{len(log)} episodes at r_high {r_high} overflow the optimum")
-    values, paid = _reward_counts(log)
-    total = _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid)
+    values, paid = _paid(log)
+    total = _exact_total(values, paid[-1])
     for arrivals, rewards in log.bodies:
         if math.fsum(rewards) > r_high or (len(arrivals) == 1 and rewards[arrivals[0]] != r_high):
             raise DataError(
@@ -147,13 +149,13 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     return total / optimum
 
 
-def _reward_counts(log: EpisodeLog) -> tuple[list[float], np.ndarray]:
-    """The distinct nonzero rewards of a log, and how many of each every
-    body pays: int64[B, V]."""
-    paid = [Counter(filter(None, rewards)) for _, rewards in log.bodies]
-    values = list(dict.fromkeys(r for counts in paid for r in counts))
-    counts = np.array([[c[r] for r in values] for c in paid], dtype=np.int64)
-    return values, counts.reshape(len(paid), len(values))
+def _paid(log: EpisodeLog) -> tuple[list[float], np.ndarray]:
+    """The distinct nonzero rewards of a log, and the prefix sums of how
+    many of each its episodes pay: row e counts episodes 0 .. e - 1."""
+    bodies = [Counter(filter(None, rewards)) for _, rewards in log.bodies]
+    values = list(dict.fromkeys(r for counts in bodies for r in counts))
+    counts = np.array([[c[r] for r in values] for c in bodies], dtype=np.int32)
+    return values, _prefix_sums(counts.reshape(len(bodies), len(values))[log.ids])
 
 
 def _exact_total(values: list[float], counts: np.ndarray) -> float:
@@ -163,6 +165,25 @@ def _exact_total(values: list[float], counts: np.ndarray) -> float:
         return float(sum(Fraction(r) * count for r, count in zip(values, counts.tolist())))
     except (OverflowError, ValueError) as exc:
         raise DataError(f"total reward overflows or is not finite: {exc}") from exc
+
+
+def trailing_windows(
+    episodes: Sequence[EpisodeOutcome], n: int, r_high: float, ends: Sequence[int], width: int
+) -> list[tuple[float | None, float | None]]:
+    """``(calt, efficiency)`` of episodes ``max(0, end - width) .. end - 1``
+    for each end in ``ends``, each equal to the score of that slice of the
+    log; ``(None, None)`` for a window of fewer than n episodes."""
+    log = EpisodeLog.from_outcomes(episodes)
+    batch_calt = window_betas(log, n)["calt"]
+    values, paid = _paid(log)
+
+    def window(start: int, end: int) -> tuple[float | None, float | None]:
+        if end - start < n:
+            return None, None
+        calt = _shifted_mean(batch_calt[start : end - n + 1])  # batches wholly inside
+        return calt, _exact_total(values, paid[end] - paid[start]) / ((end - start) * r_high)
+
+    return [window(max(0, end - width), end) for end in ends]
 
 
 @dataclass(frozen=True)

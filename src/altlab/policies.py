@@ -308,7 +308,8 @@ def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_
     update their own values on every step.
     """
     store: dict = {}
-    epsilons = [epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes)]
+    schedule = (epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes))
+    epsilons = np.fromiter(schedule, float, total_episodes)
     rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
     outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, store, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)

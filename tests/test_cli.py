@@ -298,6 +298,26 @@ def _report_with_edited_row(edit):
     return argv
 
 
+def _report_on_summary(text):
+    """argv of ``report`` on a directory whose summary.csv holds ``text``."""
+
+    def argv(tmp_path):
+        (tmp_path / "summary.csv").write_text(text)
+        return ["report", "--sweep-dir", str(tmp_path)]
+
+    return argv
+
+
+def _baseline_rerun_on_header_only_panel(tmp_path):
+    """argv of a ``baseline`` rerun into its own run directory, whose
+    panel.csv has lost every row but its header."""
+    args = ["baseline", "--agents", "2", "--episodes", "20", "--out", str(tmp_path)]
+    assert main(args) == 0
+    panel = tmp_path / "rand-n2-A-ilf-seed0" / "panel.csv"
+    panel.write_text(panel.read_text().splitlines(keepends=True)[0])
+    return args
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -306,6 +326,9 @@ def _report_with_edited_row(edit):
         _report_with_edited_row(lambda c, h: ["abc" if x == "calt" else v for v, x in zip(c, h)]),
         _report_with_edited_row(lambda c, h: c[:-1]),
         _report_with_edited_row(lambda c, h: [*c, "1"]),
+        _report_on_summary(""),
+        _report_on_summary(",".join("CALT" if c == "calt" else c for c in SUMMARY_COLUMNS) + "\n"),
+        _baseline_rerun_on_header_only_panel,
     ],
     ids=[
         "metrics-missing-log",
@@ -313,13 +336,19 @@ def _report_with_edited_row(edit):
         "report-bad-number-cell",
         "report-truncated-row",
         "report-extra-cell",
+        "report-empty-summary",
+        "report-renamed-header-cell",
+        "baseline-rerun-no-full-row",
     ],
 )
 def test_unreadable_input_exits_3(tmp_path, capsys, argv):
     args = argv(tmp_path)
     capsys.readouterr()
     assert main(args) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # One line that names the input, and no traceback.
+    assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
 
 
 def test_simulate_qlearning_run(tmp_path, capsys):

@@ -100,6 +100,18 @@ def test_curve_csv_round_trip(tmp_path):
     assert read_curve_csv(path) == points
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "missing header line"), ("episode,epsilon\n", "unexpected columns")],
+    ids=["empty", "other-header"],
+)
+def test_read_table_rejects_a_missing_or_other_header(tmp_path, text, message):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"curve.csv: {message}"):
+        read_curve_csv(path)
+
+
 def test_snapshot_round_trip(tmp_path):
     spec = ExperimentSpec(
         game=GameConfig(

@@ -16,7 +16,7 @@ from conftest import (
 
 from altlab.analysis import synth_pa_mixture
 from altlab.errors import ConfigError, DataError, InsufficientDataError
-from altlab.game import EpisodeOutcome, GameConfig, StateType
+from altlab.game import EpisodeOutcome, GameConfig, RewardScheme, StateType
 from altlab.harness import ExperimentSpec, run
 from altlab.metrics import (
     VARIANTS,
@@ -24,9 +24,10 @@ from altlab.metrics import (
     alt_scores,
     compute_panel,
     efficiency,
+    trailing_windows,
     window_betas,
 )
-from altlab.policies import QLearningConfig, run_random
+from altlab.policies import QLearningConfig, run_random, train_run
 
 
 @st.composite
@@ -432,3 +433,31 @@ def test_golden_training_curve_calt(tmp_path):
     assert calts[-1] == 0.034505276878064046
     digest = hashlib.sha256("\n".join(map(repr, calts)).encode()).hexdigest()
     assert digest == "80785b488cd56a3a37822124e1cc3543d96ce5576923f1b5c5bb7951b39052d8"
+
+
+@pytest.mark.parametrize(
+    "cfg, play",
+    [
+        (GameConfig(3), lambda cfg: run_random(cfg, 700, 31)),
+        (GameConfig(10, path_length=5, step_cap=5), lambda cfg: run_random(cfg, 400, 23)),
+        (
+            GameConfig(10, state_type=StateType.TYPE_B, reward_scheme=RewardScheme.IQF),
+            lambda cfg: train_run(cfg, QLearningConfig(), 1500, 32).outcomes,
+        ),
+    ],
+    ids=["random", "capped", "n10-B-trained"],
+)
+def test_trailing_windows_score_their_slices(cfg, play):
+    log = play(cfg)
+    n, r_high, nu = cfg.n_agents, cfg.r_high, len(log)
+    panel = compute_panel(log, n, r_high)
+    assert trailing_windows(log, n, r_high, [nu], nu) == [(panel.calt, panel.efficiency)]
+    ends = [1, n - 1, n, n + 1, 57, 250, nu - 1, nu]
+    for width in (1, n - 1, n, 100, 500):
+        for end, got in zip(ends, trailing_windows(log, n, r_high, ends, width)):
+            start = max(0, end - width)
+            if end - start < n:
+                assert got == (None, None)
+            else:
+                window = log[start:end]
+                assert got == (alt_score(window, n, "calt"), efficiency(window, r_high))
