@@ -22,6 +22,7 @@ body id and step count per episode.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -254,14 +255,19 @@ class EpisodeLog(Sequence):
         fit n agents raises DataError."""
         if n < 2:
             raise ConfigError(f"need at least 2 agents, got {n}")
-        arrived = np.zeros((len(self.bodies), n), dtype=bool)
-        rewards = np.zeros((len(self.bodies), n))
-        for b, (arrivals, paid) in enumerate(self.bodies):
-            if len(paid) != n or not all(0 <= i < n for i in arrivals):
-                raise DataError(
-                    f"episode {int(np.argmax(self.ids == b))}: arrivals {list(arrivals)} "
-                    f"and {len(paid)} rewards do not fit {n} agents"
-                )
-            arrived[b, list(arrivals)] = True
-            rewards[b] = paid
+        arrivals, paid = zip(*self.bodies) if self.bodies else ((), ())
+        try:  # an id beyond int64 overflows; rewards of another length do not reshape
+            flat = np.fromiter(itertools.chain.from_iterable(arrivals), np.int64)
+            rewards = np.array(paid, dtype=float).reshape(len(paid), n)
+            if not np.all((0 <= flat) & (flat < n)):
+                raise ValueError
+        except (OverflowError, ValueError):
+            b = next(b for b, (a, r) in enumerate(self.bodies)
+                     if len(r) != n or not all(0 <= i < n for i in a))
+            raise DataError(
+                f"episode {int(np.argmax(self.ids == b))}: arrivals {list(arrivals[b])} "
+                f"and {len(paid[b])} rewards do not fit {n} agents"
+            ) from None
+        arrived = np.zeros((len(paid), n), dtype=bool)
+        arrived[np.repeat(np.arange(len(paid)), list(map(len, arrivals))), flat] = True
         return arrived, rewards

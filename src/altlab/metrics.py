@@ -26,13 +26,14 @@ sum_l (n - y_l) equals n^2 - tau.  A batch with no arrivals (all capped)
 scores 0 on all six.  A run-level score is the mean over all batches.
 
 Every count is a difference of two rows of one prefix sum over per-episode
-columns (arrivals and exclusive wins per agent, rewards paid), so one
-vectorized pass scores every batch of a log, and the training curve's
-trailing windows (:func:`trailing_windows`) reuse it: a window's calt is the
-mean over the batches that lie wholly inside it, and its efficiency is that
-of the window's episodes.  The columns are gathered from the
-:class:`~altlab.game.EpisodeLog` body table by body id; a plain list of
-outcomes is first made a log with ``EpisodeLog.from_outcomes``.
+columns.  A whole log is scored from the histogram of its batches' (f, tau,
+w, g) tuples: each formula runs once per distinct tuple, and each mean, like
+efficiency's total, is summed exactly and rounded once.  The training
+curve's trailing windows (:func:`trailing_windows`) keep per-batch scores:
+a window's calt is the mean over the batches wholly inside it.  The columns
+are gathered from the :class:`~altlab.game.EpisodeLog` body table by body
+id; a plain list of outcomes is first made a log with
+``EpisodeLog.from_outcomes``.
 
 Traditional metrics summarize whole logs: reward efficiency and three
 fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
@@ -42,10 +43,9 @@ ratio whose max is 0 is undefined and reported as None.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ from .errors import ConfigError, DataError, InsufficientDataError
 from .game import EpisodeLog, EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
+MAX_AGENTS = 6207  # the largest n with (n + 1)**3 * (n**2 + 1) <= 2**63: packed tuples fit int64
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -71,16 +72,21 @@ def _window_sums(x: np.ndarray, n: int) -> np.ndarray:
     return c[n:] - c[:-n]
 
 
-def _betas(arrived: np.ndarray, n: int) -> dict[str, np.ndarray]:
+def _counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(f, tau, w, g) of every batch of the arrival matrix bool[nu, n]."""
     if len(arrived) < n:
         raise InsufficientDataError(
             f"log of {len(arrived)} episodes is shorter than the batch size {n}"
         )
-    y = arrived.sum(axis=1)
-    f = (_window_sums(arrived, n) > 0).sum(axis=1)
-    g = (_window_sums(arrived & (y == 1)[:, None], n) == 1).sum(axis=1)
-    tau = _window_sums(y, n)
-    w = _window_sums(y == 1, n)
+    per_row = np.ones(n, dtype=np.int64)  # a matrix product counts each row's True entries
+    y = arrived @ per_row
+    f = (_window_sums(arrived, n) > 0) @ per_row
+    g = (_window_sums(arrived & (y == 1)[:, None], n) == 1) @ per_row
+    return f, _window_sums(y, n), _window_sums(y == 1, n), g
+
+
+def _formulas(f, tau, w, g, n: int) -> dict[str, np.ndarray]:
+    """The six scores of the count arrays (f, tau, w, g), element by element."""
     some = tau > 0
     falt = np.divide(f, tau, out=np.zeros(len(tau)), where=some)
     qfalt = falt * falt
@@ -96,7 +102,7 @@ def _betas(arrived: np.ndarray, n: int) -> dict[str, np.ndarray]:
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
     log = EpisodeLog.from_outcomes(episodes)
-    return _betas(log.columns(n)[0][log.ids], n)
+    return _formulas(*_counts(log.columns(n)[0][log.ids], n), n)
 
 
 def _shifted_mean(values: np.ndarray) -> float:
@@ -106,16 +112,38 @@ def _shifted_mean(values: np.ndarray) -> float:
     return base + math.fsum((values - base).tolist()) / len(values)
 
 
+def batch_counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct (f, tau, w, g) of the batches of the arrival matrix bool[nu, n], packed
+    as int64s and sorted, how many batches have each, and batch 0's index among them."""
+    if n > MAX_AGENTS:
+        raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
+    f, tau, w, g = _counts(arrived, n)
+    packed = ((f * (n + 1) + w) * (n + 1) + g) * (n * n + 1) + tau
+    tuples, counts = np.unique(packed, return_counts=True)
+    return tuples, counts, int(np.searchsorted(tuples, packed[0]))
+
+
+def scores(tuples: np.ndarray, counts: np.ndarray, first: int, n: int) -> dict[str, float]:
+    """Run-level scores of a :func:`batch_counts` histogram, bit for bit the
+    ``_shifted_mean`` of the per-batch scores: fsum is correctly rounded too."""
+    rest, tau = np.divmod(tuples, n * n + 1)
+    f, w, g = rest // (n + 1) ** 2, rest // (n + 1) % (n + 1), rest % (n + 1)
+    batches, per_tuple = int(counts.sum()), _formulas(f, tau, w, g, n)
+    return {v: float(x[first]) + _exact_total(x - x[first], counts) / batches
+            for v, x in per_tuple.items()}
+
+
 def alt_scores(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, float]:
     """All six run-level alternation scores in a single scan of the log."""
-    return {v: _shifted_mean(b) for v, b in window_betas(episodes, n).items()}
+    log = EpisodeLog.from_outcomes(episodes)
+    return scores(*batch_counts(log.columns(n)[0][log.ids], n), n)
 
 
 def alt_score(episodes: Sequence[EpisodeOutcome], n: int, variant: str) -> float:
     """Run-level score of one variant (falt, qfalt, ealt, qealt, calt, aalt)."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return _shifted_mean(window_betas(episodes, n)[variant])
+    return alt_scores(episodes, n)[variant]
 
 
 def _min_max_ratio(values: np.ndarray) -> float | None:
@@ -140,7 +168,7 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     if not math.isfinite(optimum):
         raise ConfigError(f"{len(log)} episodes at r_high {r_high} overflow the optimum")
     values, paid = _paid(log)
-    total = _exact_total(values, paid[-1])
+    total = _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid)
     for arrivals, rewards in log.bodies:
         if math.fsum(rewards) > r_high or (len(arrivals) == 1 and rewards[arrivals[0]] != r_high):
             raise DataError(
@@ -149,22 +177,29 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     return total / optimum
 
 
-def _paid(log: EpisodeLog) -> tuple[list[float], np.ndarray]:
-    """The distinct nonzero rewards of a log, and the prefix sums of how
-    many of each its episodes pay: row e counts episodes 0 .. e - 1."""
-    bodies = [Counter(filter(None, rewards)) for _, rewards in log.bodies]
-    values = list(dict.fromkeys(r for counts in bodies for r in counts))
-    counts = np.array([[c[r] for r in values] for c in bodies], dtype=np.int32)
-    return values, _prefix_sums(counts.reshape(len(bodies), len(values))[log.ids])
+def _paid(log: EpisodeLog) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rewards of a log, and how many of each every body pays."""
+    sizes = [len(rewards) for _, rewards in log.bodies]
+    flat = np.fromiter(itertools.chain.from_iterable(r for _, r in log.bodies), float, sum(sizes))
+    values, column = np.unique(flat, return_inverse=True)  # a zero adds nothing to a total
+    counts = np.zeros((len(sizes), len(values)), dtype=np.int32)
+    np.add.at(counts, (np.repeat(np.arange(len(sizes)), sizes), column), 1)
+    return values, counts
 
 
-def _exact_total(values: list[float], counts: np.ndarray) -> float:
-    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``: summed
-    exactly and rounded once."""
+def _exact_total(values: Sequence[float], counts: Sequence[int]) -> float:
+    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``: each value is
+    m * 2**(e - 53), and int / int division rounds the integer sum once, correctly."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError(f"total reward is not finite: {values.tolist()}")
+    fractions, exponents = np.frexp(values)
+    low, ints = int(exponents.min(initial=0)), np.ldexp(fractions, 53).astype(np.int64).tolist()
+    terms = zip(np.asarray(counts).tolist(), ints, (exponents - low).tolist())
     try:
-        return float(sum(Fraction(r) * count for r, count in zip(values, counts.tolist())))
-    except (OverflowError, ValueError) as exc:
-        raise DataError(f"total reward overflows or is not finite: {exc}") from exc
+        return sum(c * m << shift for c, m, shift in terms) / (1 << (53 - low))
+    except OverflowError as exc:
+        raise DataError(f"total reward overflows: {exc}") from exc
 
 
 def trailing_windows(
@@ -176,6 +211,7 @@ def trailing_windows(
     log = EpisodeLog.from_outcomes(episodes)
     batch_calt = window_betas(log, n)["calt"]
     values, paid = _paid(log)
+    paid = _prefix_sums(paid[log.ids])
 
     def window(start: int, end: int) -> tuple[float | None, float | None]:
         if end - start < n:
@@ -211,15 +247,15 @@ def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> 
     """Alternation scores plus traditional metrics for one log."""
     log = EpisodeLog.from_outcomes(episodes)
     arrived, rewards = log.columns(n)
-    arrived = arrived[log.ids]
-    betas = _betas(arrived, n)
+    means = scores(*batch_counts(arrived[log.ids], n), n)
+    uses, sole = np.bincount(log.ids, minlength=len(arrived)), arrived.sum(axis=1) == 1
     # Summing down axis 0 adds each agent's payoffs in episode order.
     return MetricPanel(
         nu=len(log),
         batches=len(log) - n + 1,
-        fairness=_min_max_ratio(arrived[arrived.sum(axis=1) == 1].sum(axis=0)),
+        fairness=_min_max_ratio(uses[sole] @ arrived[sole]),
         efficiency=efficiency(log, r_high),
-        tt_fairness=_min_max_ratio(arrived.sum(axis=0)),
+        tt_fairness=_min_max_ratio(uses @ arrived),
         reward_fairness=_min_max_ratio(rewards[log.ids].sum(axis=0)),
-        **{v: _shifted_mean(b) for v, b in betas.items()},
+        **means,
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,7 @@ from .errors import ConfigError, DataError
 from .game import EpisodeLog, GameConfig, StateType, assign_rewards
 
 _CHUNK = 4096  # words per generator call; random play reads at least this many steps
+_BOUND_SLICE = 1 << 16  # Q-values per slice of train_run's bound check
 
 
 @dataclass(frozen=True)
@@ -308,13 +310,13 @@ def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_
     update their own values on every step.
     """
     store: dict = {}
-    schedule = (epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes))
-    epsilons = np.fromiter(schedule, float, total_episodes)
+    epsilons = array("d", (epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes)))
     rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
     outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, store, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)
-    values = np.fromiter(itertools.chain.from_iterable(store.values()), dtype=float)
-    # A NaN fails the comparison as well.
-    if not np.all(np.abs(values) <= bound):
-        raise DataError(f"Q-values escaped the discounted-return bound {bound}")
+    values = itertools.chain.from_iterable(store.values())
+    # Checked a slice at a time, so no copy of every value; a NaN fails the comparison as well.
+    while (chunk := np.fromiter(itertools.islice(values, _BOUND_SLICE), dtype=float)).size:
+        if not np.all(np.abs(chunk) <= bound):
+            raise DataError(f"Q-values escaped the discounted-return bound {bound}")
     return TrainRun(outcomes=outcomes, tables=store, final_prev_winners=bits)

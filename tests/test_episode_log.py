@@ -92,12 +92,22 @@ def test_negative_zero_rewards_keep_their_own_body():
         EpisodeOutcome(1, frozenset({2}), (0.0, 100.0), 2),
         EpisodeOutcome(1, frozenset({-1}), (0.0, 100.0), 2),
         EpisodeOutcome(1, frozenset({0}), (100.0, 0.0, 0.0), 2),
+        EpisodeOutcome(1, frozenset({2**63}), (0.0, 100.0), 2),
+        EpisodeOutcome(1, frozenset({0, 2**64}), (50.0, 50.0), 2),
+        EpisodeOutcome(1, frozenset({-(2**63) - 1}), (0.0, 100.0), 2),
+        EpisodeOutcome(1, frozenset({0}), (100.0,), 2),
     ],
-    ids=["arrival-too-high", "arrival-negative", "reward-length"],
+    ids=["arrival-too-high", "arrival-negative", "reward-length", "arrival-2**63",
+         "arrival-2**64", "arrival-below-int64", "reward-too-short"],
 )
 def test_body_table_rejects_ids_and_rewards_that_do_not_fit_n(episode):
-    log = EpisodeLog.from_outcomes([make_outcome(0, 2, {1}), episode, make_outcome(2, 2, {1})])
-    with pytest.raises(DataError, match="episode 1"):
+    # The message names the first offending body by its first episode,
+    # also when a later body is wrong as well.
+    log = EpisodeLog.from_outcomes([make_outcome(0, 2, {1}), episode, make_outcome(2, 2, {1}),
+                                    episode, EpisodeOutcome(4, frozenset({3}), (0.0, 100.0), 2)])
+    text = (f"episode 1: arrivals {sorted(episode.arrivals)} and {len(episode.rewards)} "
+            "rewards do not fit 2 agents")
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
         log.columns(2)
     with pytest.raises(ConfigError):
         log.columns(1)

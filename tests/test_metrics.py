@@ -1,6 +1,8 @@
 """Alternation and traditional metrics against independent oracles."""
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,14 +18,19 @@ from conftest import (
 
 from altlab.analysis import synth_pa_mixture
 from altlab.errors import ConfigError, DataError, InsufficientDataError
-from altlab.game import EpisodeOutcome, GameConfig, RewardScheme, StateType
+from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType
 from altlab.harness import ExperimentSpec, run
 from altlab.metrics import (
+    MAX_AGENTS,
     VARIANTS,
+    _exact_total,
+    _shifted_mean,
     alt_score,
     alt_scores,
+    batch_counts,
     compute_panel,
     efficiency,
+    scores,
     trailing_windows,
     window_betas,
 )
@@ -461,3 +468,116 @@ def test_trailing_windows_score_their_slices(cfg, play):
             else:
                 window = log[start:end]
                 assert got == (alt_score(window, n, "calt"), efficiency(window, r_high))
+
+
+@st.composite
+def scored_logs(draw):
+    """Random, capped, rotation and perfect-alternation-mixture logs at n = 2 .. 12,
+    and the hand-drawn logs of ``outcome_logs``."""
+    kind = draw(st.sampled_from(["random", "capped", "rotation", "pa", "drawn"]))
+    if kind == "drawn":
+        return draw(outcome_logs())
+    n = draw(st.integers(2, 12))
+    nu = draw(st.integers(n, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "random":
+        return n, run_random(GameConfig(n), nu, seed)
+    if kind == "capped":
+        return n, run_random(GameConfig(n, path_length=5, step_cap=5), nu, seed)
+    x = draw(st.integers(1, n))
+    if kind == "pa":
+        return n, synth_pa_mixture(x, n, nu)
+    # x agents in a drawn order, with a few episodes turned into ties or caps
+    order = draw(st.permutations(range(n)))[:x]
+    episodes = [make_outcome(e, n, {order[e % x]}) for e in range(nu)]
+    for e in draw(st.lists(st.integers(0, nu - 1), max_size=4)):
+        episodes[e] = make_outcome(e, n, draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return n, episodes
+
+
+def histogram_scores(episodes, n):
+    log = EpisodeLog.from_outcomes(episodes)
+    return scores(*batch_counts(log.columns(n)[0][log.ids], n), n)
+
+
+def assert_scores_match_per_batch_means(episodes, n):
+    # The per-batch path: _shifted_mean of every batch's score.
+    oracle = {v: repr(_shifted_mean(b)) for v, b in window_betas(episodes, n).items()}
+    panel = compute_panel(episodes, n, 100.0).as_dict()
+    for ours in (histogram_scores(episodes, n), alt_scores(episodes, n), panel):
+        assert {v: repr(ours[v]) for v in VARIANTS} == oracle
+
+
+@given(scored_logs())
+@settings(max_examples=150, deadline=None)
+def test_histogram_scores_equal_per_batch_means_bit_for_bit(data):
+    n, episodes = data
+    assert_scores_match_per_batch_means(episodes, n)
+
+
+def test_one_tuple_histogram_of_a_long_log():
+    n, nu = 7, 200_000
+    log = synth_pa_mixture(n, n, nu)
+    tuples, counts, first = batch_counts(log.columns(n)[0][log.ids], n)
+    assert first == 0 and counts.tolist() == [nu - n + 1]
+    assert tuples.tolist() == [((n * (n + 1) + n) * (n + 1) + n) * (n * n + 1) + n]
+    assert_scores_match_per_batch_means(log, n)
+    assert set(alt_scores(log, n).values()) == {1.0}
+
+
+def test_packed_counts_stop_at_the_int64_limit():
+    n = MAX_AGENTS
+    top = (n + 1) ** 3 * (n * n + 1) - 1  # f = w = g = n and tau = n**2
+    assert top < 2**63 <= (n + 2) ** 3 * ((n + 1) ** 2 + 1) - 1
+    # The largest tuple at the limit unpacks to its counts.
+    means = scores(np.array([top], dtype=np.int64), np.array([3]), 0, n)
+    assert means == {"falt": 1 / n, "qfalt": (1 / n) ** 2, "ealt": 1.0, "qealt": 1.0,
+                     "calt": 0.0, "aalt": 1 / n}
+    with pytest.raises(ConfigError, match=f"at most {MAX_AGENTS}"):
+        batch_counts(np.zeros((0, n + 1), dtype=bool), n + 1)
+
+
+def exact_oracle(values, counts):
+    """The correctly rounded value of sum(count * value), which ``math.fsum``
+    of the expanded copies returns."""
+    return float(sum(Fraction(v) * c for v, c in zip(values, counts)))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+tiny = st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False)
+
+
+@given(st.lists(st.tuples(st.one_of(finite, tiny), st.integers(0, 40)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_exact_total_equals_fsum_of_the_expanded_copies(terms):
+    values, counts = [v for v, _ in terms], [c for _, c in terms]
+    try:
+        expected = math.fsum(v for v, c in terms for _ in range(c))
+    except OverflowError:  # fsum can overflow midway; the exact sum is then refused or finite
+        try:
+            expected = exact_oracle(values, counts)
+        except OverflowError:
+            with pytest.raises(DataError, match="overflow"):
+                _exact_total(values, counts)
+            return
+    assert _exact_total(values, counts) == expected
+    assert _exact_total(np.array(values, dtype=float), np.array(counts)) == expected
+
+
+@given(st.lists(st.tuples(st.one_of(finite, tiny), st.integers(0, 2**31)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_exact_total_of_large_counts_is_the_rounded_exact_sum(terms):
+    values, counts = [v for v, _ in terms], [c for _, c in terms]
+    try:
+        expected = exact_oracle(values, counts)
+    except OverflowError:
+        with pytest.raises(DataError, match="overflow"):
+            _exact_total(values, counts)
+        return
+    assert _exact_total(values, np.array(counts, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_total_refuses_values_that_are_not_finite(bad):
+    with pytest.raises(DataError, match="not finite"):
+        _exact_total([1.0, bad], [1, 1])

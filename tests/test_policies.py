@@ -314,6 +314,20 @@ def test_train_run_raises_when_q_values_escape_the_bound(monkeypatch):
     with pytest.raises(DataError, match="bound"):
         train_run(cfg, qcfg, 20, seed_or_rng=9)
 
+    # The values are checked a slice at a time: a bad value in the last,
+    # partly filled slice of 3 still raises.
+    monkeypatch.setattr(policies, "_BOUND_SLICE", 3)
+    for bad in (bound * 1.01, -bound * 1.01, math.nan):
+        def late_play(cfg, episodes, rng, bits, tables, *rest):
+            result = real_play(cfg, episodes, rng, bits, tables, *rest)
+            tables[(9, 9)] = [0.0, 0.0, 0.0, bad]
+            assert sum(map(len, tables.values())) % 3 != 0
+            return result
+
+        monkeypatch.setattr(policies, "play", late_play)
+        with pytest.raises(DataError, match="bound"):
+            train_run(cfg, qcfg, 20, seed_or_rng=9)
+
 
 def test_train_run_raises_on_a_nan_q_value(monkeypatch):
     # The NaN is not the first value, where a max() over the values skips it.
