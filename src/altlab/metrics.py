@@ -55,6 +55,7 @@ from .game import EpisodeLog, EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
 MAX_AGENTS = 6207  # the largest n with (n + 1)**3 * (n**2 + 1) <= 2**63: packed tuples fit int64
+_SUM_SLICE = 1 << 14  # episodes per slice of compute_panel's payoff sums
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -243,19 +244,35 @@ class MetricPanel:
         return asdict(self)
 
 
+def _payoff_sums(rewards: np.ndarray, ids: np.ndarray, size: int = _SUM_SLICE) -> np.ndarray:
+    """Each agent's payoffs summed in episode order, the bits of
+    ``rewards[ids].sum(axis=0)``, gathered ``size`` episodes at a time.
+
+    Summing down axis 0 adds row after row, so each slice's sum starts
+    from the previous one, put in place of its first row.  The first slice
+    is summed on its own, to start as the one-pass sum starts: a row of
+    zeros put in front would add 0.0 + -0.0, which is 0.0.
+    """
+    total = rewards[ids[:size]].sum(axis=0)
+    for start in range(size, len(ids), size):
+        block = rewards[ids[start - 1 : start + size]]
+        block[0] = total
+        total = block.sum(axis=0)
+    return total
+
+
 def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> MetricPanel:
     """Alternation scores plus traditional metrics for one log."""
     log = EpisodeLog.from_outcomes(episodes)
     arrived, rewards = log.columns(n)
     means = scores(*batch_counts(arrived[log.ids], n), n)
     uses, sole = np.bincount(log.ids, minlength=len(arrived)), arrived.sum(axis=1) == 1
-    # Summing down axis 0 adds each agent's payoffs in episode order.
     return MetricPanel(
         nu=len(log),
         batches=len(log) - n + 1,
         fairness=_min_max_ratio(uses[sole] @ arrived[sole]),
         efficiency=efficiency(log, r_high),
         tt_fairness=_min_max_ratio(uses @ arrived),
-        reward_fairness=_min_max_ratio(rewards[log.ids].sum(axis=0)),
+        reward_fairness=_min_max_ratio(_payoff_sums(rewards, log.ids)),
         **means,
     )

@@ -24,13 +24,20 @@ floats, ``[q_stay_0, q_move_0, ..., q_stay_{n-1}, q_move_{n-1}]``; agent i
 reads and writes only its pair (:func:`agent_table`), and an unseen key
 reads as all zeros.  Training inserts a key's zeros when it first meets
 the key, and the step from that key updates them unless the step raises;
-greedy play inserts none.  Before each step, :func:`_play_q` tops its
-unread words up to the 2n a step can use.  Exploration follows a linear
-epsilon schedule that is shared by all agents within an episode.
+greedy play inserts none.  Before each step, the kernel tops its unread
+words up to the 2n a step can use.  Exploration follows a linear epsilon
+schedule that is shared by all agents within an episode.
+
+The Q-play kernel is Python source generated for each (n, state type,
+learning) shape by :func:`_q_kernel`, which writes every per-agent loop
+out as straight-line code on local variables, compiles it once and keeps
+it in an ``lru_cache``.  It makes the same draws and float operations, in
+the same order, as a loop over the agents would.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -131,7 +138,8 @@ def play(
     try:
         if tables is None:
             return _play_random(cfg, episodes, words)
-        return _play_q(cfg, episodes, words, bits, tables, epsilons, qcfg)
+        kernel = _q_kernel(n, cfg.state_type is StateType.TYPE_B, qcfg is not None)
+        return kernel(cfg, episodes, words, bits, tables, epsilons, qcfg)
     finally:
         words.close()
 
@@ -168,70 +176,81 @@ def _coin_threshold(eps: float) -> int:
     return math.ceil(min(eps, 1.0) * 2.0**53) << 11 if eps > 0.0 else 0
 
 
+@functools.lru_cache(maxsize=64)
+def _q_kernel(n: int, type_b: bool, learn: bool):
+    """Q-agent play for one (n, state type, learning) shape, compiled once,
+    with every per-agent loop written out: agent i's pair is ``s{i}, m{i}``,
+    its action ``a{i}`` and its position ``p{i}``.  A step makes one lookup
+    in ``store``: the row at the next key serves both the update's bootstrap
+    and the next step.  The kernel reads ``assign_rewards`` and ``_CHUNK``
+    from this module when it runs."""
+
+    def each(text, sep=", "):  # text per agent: {i} its index, {k} its pair's first slot
+        return sep.join(text.format(i=i, k=2 * i) for i in range(n))
+
+    # A tie or explore bit is the buffered half if there is one (numpy keeps
+    # the spent half in uinteger), else bit 31 of a fresh word, whose high
+    # half is then buffered.
+    decide = each("""
+                if not (thr and draw() < thr or s{i} == m{i}): a{i} = m{i} > s{i}
+                elif has: has, a{i} = 0, half >> 31
+                else: w = draw(); has, half, a{i} = 1, w >> 32, w >> 31 & 1""", "")
+    fetch = "fetch(key) or insert(key, [0.0] * need)" if learn else "fetch(key, zeros)"
+    key = f"key = ({each('p{i}')},{each('b{i}') if type_b else ''})"
+    unpack = f"\n            {each('b{i}')}, = bits" if type_b else ""
+    terminal = bootstrap = ""
+    if learn:
+        update = "row[{k} + a{i}] += alpha * (%s - row[{k} + a{i}])"
+        terminal = f"""
+                    {each('r{i}')}, = rewards
+                    {each(update % 'r{i}', '; ')}"""
+        # The target leaves out the zero reward: 0.0 + x and x differ only
+        # in the sign of a zero, which no update keeps.  Every pair of
+        # next_row is read before the first update: when next_row is row,
+        # agent i's pair is one that only agent i's own update writes.
+        bootstrap = f"""
+                {each('t{i}, u{i}')}, = next_row
+                {each(update % 'gamma * (u{i} if u{i} > t{i} else t{i})', '; ')}"""
+    src = f"""
 def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
-    """Q-agent play.  A step makes one lookup in ``store``: the row at the
-    next key serves both the update's bootstrap and the next step."""
-    n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
-    type_b = cfg.state_type is StateType.TYPE_B
-    learn = qcfg is not None
-    alpha, gamma = (qcfg.alpha, qcfg.gamma) if learn else (None, None)
-    need, fetch, zeros, pairs = 2 * n, store.get, (0.0,) * (2 * n), range(0, 2 * n, 2)
-
-    def miss(key):  # learning inserts the row the step from key updates; greedy play reads zeros
-        return store.setdefault(key, [0.0] * need) if learn else zeros
-
-    kinds: dict[frozenset, tuple] = {}  # arrival set -> (body id, rewards, next bits)
-    bodies, ids, steps_column = [], [], []
-    rest, has, half = words._rest, words.has_uint32, words.uinteger
-    draw, hint, add = rest.__next__, operator.length_hint, operator.add
+    length, cap, need, fetch, insert = cfg.path_length, cfg.step_cap, {2 * n}, store.get, store.setdefault
+    alpha, gamma, zeros = (qcfg.alpha, qcfg.gamma, None) if qcfg else (None, None, (0.0,) * need)
+    kinds, bodies, ids, steps_column = {{}}, [], [], []  # arrival flags -> (body id, rewards, next bits)
+    rest, has, half, hint = words._rest, words.has_uint32, words.uinteger, operator.length_hint
+    draw = rest.__next__
     try:
-        for e in range(episodes):
-            thr = _coin_threshold(0.0 if epsilons is None else epsilons[e])
-            pos, steps = [0] * n, 0
-            key = (*pos, *bits) if type_b else tuple(pos)
-            row = fetch(key) or miss(key)
+        for thr in map(_coin_threshold, itertools.repeat(0.0, episodes) if epsilons is None else epsilons):
+            {each('p{i}', ' = ')} = steps = 0{unpack}
+            {key}
+            row = {fetch}
             while True:
                 if hint(rest) < need:
                     rest = iter([*rest, *words.bg.random_raw(max(_CHUNK, need)).tolist()])
                     draw = rest.__next__
-                acts, it = [], iter(row)
-                for q_stay, q_move in zip(it, it):
-                    if not (thr and draw() < thr or q_stay == q_move):
-                        acts.append(q_move > q_stay)  # a bool counts as 0 or 1
-                    elif has:
-                        has = 0  # numpy keeps the spent half in uinteger
-                        acts.append(half >> 31)
-                    else:
-                        w = draw()
-                        has, half = 1, w >> 32
-                        acts.append(w >> 31 & 1)
-                pos = list(map(add, pos, acts))
+                {each('s{i}, m{i}')}, = row{decide}
+                {each('p{i} += a{i}', '; ')}
                 steps += 1
-                if length in pos or steps >= cap:
-                    won = frozenset(i for i, p in enumerate(pos) if p == length)
-                    if won not in kinds:
-                        rewards = assign_rewards(won, cfg)
-                        kinds[won] = (len(bodies), rewards, tuple(int(i in won) for i in range(n)))
-                        bodies.append((tuple(sorted(won)), rewards))
-                    body, rewards, bits = kinds[won]
-                    if learn:
-                        for k, r in zip(map(add, pairs, acts), rewards):
-                            row[k] += alpha * (r - row[k])
+                if {each('p{i} == length', ' or ')} or steps >= cap:
+                    arrived = ({each('p{i} == length')},)
+                    if arrived not in kinds:
+                        won = frozenset(i for i, hit in enumerate(arrived) if hit)
+                        kinds[arrived] = (len(bodies), assign_rewards(won, cfg), tuple(map(int, arrived)))
+                        bodies.append((tuple(sorted(won)), kinds[arrived][1]))
+                    body, rewards, bits = kinds[arrived]{terminal}
                     break
-                key = (*pos, *bits) if type_b else tuple(pos)
-                next_row = fetch(key) or miss(key)
-                if learn:
-                    # The target leaves out the zero reward: 0.0 + x and x
-                    # differ only in the sign of a zero, which no update keeps.
-                    it = iter(next_row)
-                    for k, q_stay, q_move in zip(map(add, pairs, acts), it, it):
-                        row[k] += alpha * (gamma * (q_move if q_move > q_stay else q_stay) - row[k])
+                {key}
+                next_row = {fetch}{bootstrap}
                 row = next_row
             ids.append(body)
             steps_column.append(steps)
     finally:
         words._rest, words.has_uint32, words.uinteger = rest, has, half
     return EpisodeLog(bodies, ids, steps_column), bits
+"""
+    namespace: dict = {}
+    name = f"<altlab Q-kernel n={n} {'B' if type_b else 'A'} {'learning' if learn else 'greedy'}>"
+    exec(compile(src, name, "exec"), globals(), namespace)
+    return namespace["_play_q"]
 
 
 def _play_random(cfg, episodes, words):

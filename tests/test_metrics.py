@@ -24,6 +24,7 @@ from altlab.metrics import (
     MAX_AGENTS,
     VARIANTS,
     _exact_total,
+    _payoff_sums,
     _shifted_mean,
     alt_score,
     alt_scores,
@@ -581,3 +582,17 @@ def test_exact_total_of_large_counts_is_the_rounded_exact_sum(terms):
 def test_exact_total_refuses_values_that_are_not_finite(bad):
     with pytest.raises(DataError, match="not finite"):
         _exact_total([1.0, bad], [1, 1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_payoff_sums_in_slices_keep_the_one_pass_bits(seed):
+    # Payoffs spread over 13 orders of magnitude, so a sum taken in any
+    # other order would round differently; agent 0 is paid only -0.0.
+    rng = np.random.default_rng(seed)
+    rewards = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-5, 8, size=(9, 4))
+    rewards[:, 0] = -0.0
+    ids = rng.integers(0, 9, size=500).astype(np.int32)
+    whole = _payoff_sums(rewards, ids, size=len(ids))
+    assert whole.tobytes() == rewards[ids].sum(axis=0).tobytes()
+    for size in (1, 2, 7):
+        assert _payoff_sums(rewards, ids, size).tobytes() == whole.tobytes(), size

@@ -21,10 +21,10 @@ from altlab.policies import QLearningConfig, play, run_random, train_run
 
 
 @st.composite
-def game_configs(draw, max_agents=6):
+def game_configs(draw, max_agents=6, min_agents=2):
     path_length = draw(st.integers(1, 4))
     return GameConfig(
-        n_agents=draw(st.integers(2, max_agents)),
+        n_agents=draw(st.integers(min_agents, max_agents)),
         state_type=draw(st.sampled_from(StateType)),
         reward_scheme=draw(st.sampled_from(RewardScheme)),
         path_length=path_length,
@@ -173,3 +173,34 @@ def test_greedy_continuation_matches_reference(cfg, qcfg, data, seed):
     assert_same_training(trained[0], old)
     # compute_panel scores the training log, then the greedy evaluation's.
     assert scored == [old.outcomes, old_greedy]
+
+
+def assert_same_q_play(cfg, qcfg, episodes, greedy, seed) -> None:
+    """Training, then greedy play on the same generator and bits."""
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = train_run(cfg, qcfg, episodes, new_rng)
+    new_greedy, new_bits = play(
+        cfg, greedy, new_rng, new.final_prev_winners, new.tables, [qcfg.epsilon_min] * greedy
+    )
+    old = ref.train_run(cfg, qcfg, episodes, old_rng)
+    old_greedy = ref.greedy_eval(cfg, qcfg, old, greedy, old_rng)
+    assert_same_training(new, old)
+    assert new_greedy == old_greedy
+    assert new_bits == ref.next_prev_winners(old_greedy[-1], cfg)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    game_configs(min_agents=7, max_agents=12), qlearning_configs(), st.integers(1, 40),
+    st.integers(1, 20), seeds,
+)
+def test_q_play_matches_reference_at_seven_to_twelve_agents(cfg, qcfg, episodes, greedy, seed):
+    # Each n compiles its own kernel, so the larger shapes are drawn too.
+    assert_same_q_play(cfg, qcfg, episodes, greedy, seed)
+
+
+def test_forty_agent_training_matches_reference():
+    for state_type in StateType:
+        cfg = GameConfig(n_agents=40, state_type=state_type, path_length=3, step_cap=6)
+        assert_same_q_play(cfg, QLearningConfig(), 50, 5, 40)

@@ -389,6 +389,46 @@ def test_ten_agent_training_keeps_one_flat_row_per_key():
     assert [len(table) for table in ref.train_run(cfg, qcfg, 500, 1).tables] == [len(store)] * 10
 
 
+def test_kernel_reads_chunk_and_assign_rewards_when_it_runs():
+    # The kernel for this shape is built before either patch, so the patches
+    # must reach it through the module, not through values it captured.
+    cfg, qcfg = GameConfig(n_agents=3, state_type=StateType.TYPE_B), QLearningConfig()
+    train_run(cfg, qcfg, 5, 0)
+    kernel = policies._q_kernel(3, True, True)
+
+    class RecordingPCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            sizes.append(size)
+            return super().random_raw(size, output)
+
+    def raising(won, cfg):
+        raise RuntimeError("patched assign_rewards")
+
+    sizes = []
+    with mock.patch.object(policies, "_CHUNK", 1):
+        train_run(cfg, qcfg, 5, np.random.Generator(RecordingPCG64(0)))
+    assert sizes and set(sizes) == {6}  # max(_CHUNK, 2n) words per top-up
+    with mock.patch.object(policies, "assign_rewards", raising), pytest.raises(
+        RuntimeError, match="patched"
+    ):
+        train_run(cfg, qcfg, 5, 0)
+    assert policies._q_kernel(3, True, True) is kernel
+
+
+def test_one_kernel_per_shape():
+    policies._q_kernel.cache_clear()
+    cfg, qcfg = GameConfig(n_agents=4, state_type=StateType.TYPE_B), QLearningConfig()
+    for seed in (0, 1):
+        trained = train_run(cfg, qcfg, 20, seed)
+        play(cfg, 5, np.random.default_rng(seed), trained.final_prev_winners, trained.tables, [0.1] * 5)
+    # One kernel for learning and one for greedy play, each built once.
+    assert policies._q_kernel.cache_info().misses == 2
+    assert policies._q_kernel(4, True, True) is policies._q_kernel(4, True, True)
+    assert policies._q_kernel(4, True, True) is not policies._q_kernel(4, True, False)
+    assert policies._q_kernel(4, False, True) is not policies._q_kernel(4, True, True)
+    assert policies._q_kernel(5, True, True) is not policies._q_kernel(4, True, True)
+
+
 def test_run_random_rejects_empty_run():
     with pytest.raises(ConfigError):
         run_random(GameConfig(n_agents=2), 0)
