@@ -106,15 +106,16 @@ def assign_rewards(arrival_ids: frozenset[int], cfg: GameConfig) -> tuple[float,
     ``r_low``; an all-agent tie or an empty arrival set pays zero to
     everyone.
     """
-    if any(i < 0 or i >= cfg.n_agents for i in arrival_ids):
-        raise ConfigError(f"arrival ids {sorted(arrival_ids)} out of range for n={cfg.n_agents}")
-    k = len(arrival_ids)
-    rewards = [0.0] * cfg.n_agents
+    n, k = cfg.n_agents, len(arrival_ids)
+    if k and (min(arrival_ids) < 0 or max(arrival_ids) >= n):
+        raise ConfigError(f"arrival ids {sorted(arrival_ids)} out of range for n={n}")
+    rewards = [0.0] * n
     if k == 1:
         rewards[next(iter(arrival_ids))] = cfg.r_high
-    elif 1 < k < cfg.n_agents:
+    elif 1 < k < n:
+        r_low = cfg.r_low
         for i in arrival_ids:
-            rewards[i] = cfg.r_low
+            rewards[i] = r_low
     return tuple(rewards)
 
 

@@ -32,7 +32,9 @@ summary.csv and spec.snapshot share one parser.  An unreadable or
 unparsable input raises :class:`DataError`.
 
 An episode log is an :class:`~altlab.game.EpisodeLog` in memory.  Its
-writer encodes each distinct record body once; its reader looks up blocks of
+writer formats each body's text once, and the text after the episode number
+once for each distinct (body, steps) pair; it joins the lines a slice at a
+time, with the bytes of one record per episode.  Its reader looks up blocks of
 lines in that layout by the text after the episode number, and validates
 each distinct body text once, through :meth:`EpisodeOutcome.from_record`.
 """
@@ -50,9 +52,10 @@ import os
 import re
 import shutil
 import traceback
-from dataclasses import asdict, astuple, dataclass, fields, make_dataclass, replace
+from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache, partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -235,22 +238,32 @@ _CANONICAL_TAIL = re.compile(
     r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
 )
 _BLOCK = 1 << 18  # characters of whole lines the reader holds at once
+_WRITE_SLICE = 1 << 12  # lines the writer joins into one string
 
 
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     log = EpisodeLog.from_outcomes(outcomes)
-    heads, tails = [], []
-    for arrivals, rewards in log.bodies:
-        # The record of each body, around a placeholder episode 0 and 1 step.
-        text = _encode(EpisodeOutcome(0, frozenset(arrivals), rewards, 1).to_record())
-        head, tail = text.removeprefix('{"episode":0').split('"steps":1')
-        heads.append(f'{head}"steps":')
-        tails.append(f"{tail}\n")
+    # The text between each body's braces, then the text after the episode
+    # number for each distinct (body id, steps) pair, in the order of its code.
+    bodies = [
+        _encode({"arrivals": sorted(arrivals),
+                 "exclusive_winner": arrivals[0] if len(arrivals) == 1 else None,
+                 "rewards": list(rewards)})[1:-1]
+        for arrivals, rewards in log.bodies
+    ]
+    codes, pairs = np.unique(log.ids.astype(np.int64) << 32 | log.steps.view(np.uint32),
+                             return_inverse=True)
+    tails = [
+        f',{bodies[b]},"steps":{steps},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
+        for b, steps in zip((codes >> 32).tolist(), codes.astype(np.uint32).view(np.int32).tolist())
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f'{{"episode":{e}{heads[b]}{steps}{tails[b]}'
-            for e, (b, steps) in enumerate(zip(log.ids.tolist(), log.steps.tolist()))
-        )
+        for start in range(0, len(log), _WRITE_SLICE):
+            chosen = pairs[start : start + _WRITE_SLICE].tolist()
+            lines = [""] * (2 * len(chosen))
+            lines[::2] = map('{"episode":%d'.__mod__, range(start, start + len(chosen)))
+            lines[1::2] = map(tails.__getitem__, chosen)
+            fh.write("".join(lines))
 
 
 def read_episode_log(path: Path) -> EpisodeLog:
@@ -333,7 +346,7 @@ def read_panel_csv(path: Path) -> dict[str, MetricPanel]:
 
 
 def write_curve_csv(points: Sequence[CurvePoint], path: Path) -> None:
-    write_table(path, CURVE_COLUMNS, map(astuple, points))
+    write_table(path, CURVE_COLUMNS, map(attrgetter(*CURVE_COLUMNS), points))
 
 
 def read_curve_csv(path: Path) -> list[CurvePoint]:
@@ -550,7 +563,7 @@ def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[Summar
 
 
 def write_summary(rows: Sequence[SummaryRow], path: Path) -> None:
-    write_table(path, SUMMARY_COLUMNS, map(astuple, rows))
+    write_table(path, SUMMARY_COLUMNS, map(attrgetter(*SUMMARY_COLUMNS), rows))
 
 
 def read_summary(path: Path) -> list[dict[str, str]]:

@@ -55,7 +55,7 @@ from .game import EpisodeLog, EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
 MAX_AGENTS = 6207  # the largest n with (n + 1)**3 * (n**2 + 1) <= 2**63: packed tuples fit int64
-_SUM_SLICE = 1 << 14  # episodes per slice of compute_panel's payoff sums
+_SUM_SLICE = 1 << 14  # batches or episodes per slice of compute_panel's counts and sums
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -118,8 +118,10 @@ def batch_counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, i
     as int64s and sorted, how many batches have each, and batch 0's index among them."""
     if n > MAX_AGENTS:
         raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
-    f, tau, w, g = _counts(arrived, n)
-    packed = ((f * (n + 1) + w) * (n + 1) + g) * (n * n + 1) + tau
+    packed = np.empty(max(0, len(arrived) - n + 1), dtype=np.int64)
+    for start in range(0, max(1, len(packed)), _SUM_SLICE):  # once at least: a short log raises
+        f, tau, w, g = _counts(arrived[start : start + _SUM_SLICE + n - 1], n)
+        packed[start : start + len(tau)] = ((f * (n + 1) + w) * (n + 1) + g) * (n * n + 1) + tau
     tuples, counts = np.unique(packed, return_counts=True)
     return tuples, counts, int(np.searchsorted(tuples, packed[0]))
 
@@ -188,19 +190,32 @@ def _paid(log: EpisodeLog) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
-def _exact_total(values: Sequence[float], counts: Sequence[int]) -> float:
-    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``: each value is
-    m * 2**(e - 53), and int / int division rounds the integer sum once, correctly."""
+def _exact_terms(values: Sequence[float]) -> tuple[list[int], list[int], int]:
+    """``values`` as integers over one power of two: each value is
+    m * 2**(e - 53), returned as its m and its shift e - low, and 2**(53 - low)."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise DataError(f"total reward is not finite: {values.tolist()}")
     fractions, exponents = np.frexp(values)
-    low, ints = int(exponents.min(initial=0)), np.ldexp(fractions, 53).astype(np.int64).tolist()
-    terms = zip(np.asarray(counts).tolist(), ints, (exponents - low).tolist())
+    low = int(exponents.min(initial=0))
+    mantissas = np.ldexp(fractions, 53).astype(np.int64).tolist()
+    return mantissas, (exponents - low).tolist(), 1 << (53 - low)
+
+
+def _sum_terms(terms: tuple[list[int], list[int], int], counts: Sequence[int]) -> float:
+    """The exact sum of ``counts[v]`` copies of each value that :func:`_exact_terms`
+    made ``terms``: int / int division rounds the integer sum once, correctly."""
+    mantissas, shifts, scale = terms
     try:
-        return sum(c * m << shift for c, m, shift in terms) / (1 << (53 - low))
+        terms = zip(np.asarray(counts).tolist(), mantissas, shifts)
+        return sum(c * m << shift for c, m, shift in terms) / scale
     except OverflowError as exc:
         raise DataError(f"total reward overflows: {exc}") from exc
+
+
+def _exact_total(values: Sequence[float], counts: Sequence[int]) -> float:
+    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``."""
+    return _sum_terms(_exact_terms(values), counts)
 
 
 def trailing_windows(
@@ -212,13 +227,13 @@ def trailing_windows(
     log = EpisodeLog.from_outcomes(episodes)
     batch_calt = window_betas(log, n)["calt"]
     values, paid = _paid(log)
-    paid = _prefix_sums(paid[log.ids])
+    terms, paid = _exact_terms(values), _prefix_sums(paid[log.ids])
 
     def window(start: int, end: int) -> tuple[float | None, float | None]:
         if end - start < n:
             return None, None
         calt = _shifted_mean(batch_calt[start : end - n + 1])  # batches wholly inside
-        return calt, _exact_total(values, paid[end] - paid[start]) / ((end - start) * r_high)
+        return calt, _sum_terms(terms, paid[end] - paid[start]) / ((end - start) * r_high)
 
     return [window(max(0, end - width), end) for end in ends]
 

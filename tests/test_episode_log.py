@@ -385,6 +385,50 @@ def test_block_reader_adds_a_body_first_seen_in_a_later_block(tmp_path, monkeypa
     assert log.bodies == (((0,), (100.0, 0.0)), ((1,), (0.0, 100.0)))
 
 
+# -- The writer against the record-by-record oracle -------------------------
+
+
+def oracle_log_text(outcomes):
+    return "".join(harness._encode(o.to_record()) + "\n" for o in outcomes)
+
+
+@st.composite
+def writer_logs(draw):
+    # A few bodies and step counts, repeated, so that (body, steps) pairs
+    # recur; rewards need not pay by the game's rule for the writer.
+    n = draw(st.integers(2, 12))
+    reward = st.sampled_from([0.0, -0.0, 100.0, 3.0, 7, 0, 1 / 3, 1e-300, 7e12, 2.5e-5])
+    bodies = draw(st.lists(
+        st.tuples(st.sets(st.integers(0, n - 1)), st.lists(reward, min_size=n, max_size=n)),
+        min_size=1, max_size=6,
+    ))
+    steps = draw(st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(bodies), st.sampled_from(steps)), max_size=30))
+    return [EpisodeOutcome(e, frozenset(a), tuple(r), k) for e, ((a, r), k) in enumerate(picks)]
+
+
+def assert_writer_matches_oracle(outcomes, sizes):
+    want = oracle_log_text(outcomes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        for size in sizes:
+            with mock.patch.object(harness, "_WRITE_SLICE", size):
+                write_episode_log(outcomes, path)
+            assert path.read_text(encoding="utf-8") == want, size
+
+
+@given(writer_logs())
+@settings(max_examples=300, deadline=None)
+def test_writer_bytes_equal_the_record_by_record_oracle(outcomes):
+    assert_writer_matches_oracle(outcomes, (1, 7, harness._WRITE_SLICE))
+
+
+def test_writer_bytes_equal_the_oracle_over_several_slices():
+    log = run_random(GameConfig(n_agents=4, step_cap=3), 3 * harness._WRITE_SLICE + 5, seed_or_rng=9)
+    assert set(log.steps.tolist()) == {2, 3} and any(not arrivals for arrivals, _ in log.bodies)
+    assert_writer_matches_oracle(log, (harness._WRITE_SLICE,))
+
+
 @st.composite
 def outcome_lists(draw):
     n = draw(st.integers(2, 5))

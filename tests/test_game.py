@@ -4,7 +4,9 @@ Moves are forced through frozen Q-tables played greedily at epsilon 0
 (``forced_tables`` in conftest), so every episode below is determined.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +149,32 @@ def test_assign_rewards_exclusive_partial_full_none():
     )
     with pytest.raises(ConfigError):
         assign_rewards(frozenset({5}), cfg)
+
+
+@pytest.mark.parametrize("scheme", list(RewardScheme))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_assign_rewards_pays_every_arrival_set_by_the_rule(n, scheme):
+    cfg = GameConfig(n_agents=n, reward_scheme=scheme, r_high=100.0)
+    share = 100.0 / n if scheme is RewardScheme.ILF else 100.0 / (n * n)
+    for k in range(n + 1):
+        for arrived in itertools.combinations(range(n), k):
+            if k == 1:
+                want = tuple(100.0 if i in arrived else 0.0 for i in range(n))
+            elif 1 < k < n:
+                want = tuple(share if i in arrived else 0.0 for i in range(n))
+            else:
+                want = (0.0,) * n
+            # repr tells 0.0 from -0.0 and a float from an int.
+            assert repr(assign_rewards(frozenset(arrived), cfg)) == repr(want)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("bad", ["negative", "n"])
+def test_assign_rewards_refuses_ids_outside_zero_to_n(n, bad):
+    arrived = frozenset({0, -1}) if bad == "negative" else frozenset({n, 1})
+    text = f"arrival ids {sorted(arrived)} out of range for n={n}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        assign_rewards(arrived, GameConfig(n_agents=n))
 
 
 def test_encode_state_type_a_and_b():

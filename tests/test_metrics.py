@@ -3,6 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from altlab.analysis import synth_pa_mixture
 from altlab.errors import ConfigError, DataError, InsufficientDataError
 from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType
 from altlab.harness import ExperimentSpec, run
+from altlab import metrics
 from altlab.metrics import (
     MAX_AGENTS,
     VARIANTS,
@@ -582,6 +584,32 @@ def test_exact_total_of_large_counts_is_the_rounded_exact_sum(terms):
 def test_exact_total_refuses_values_that_are_not_finite(bad):
     with pytest.raises(DataError, match="not finite"):
         _exact_total([1.0, bad], [1, 1])
+
+
+def _sliced_batch_counts(arrived, n, size):
+    with mock.patch.object(metrics, "_SUM_SLICE", size):
+        tuples, counts, first = batch_counts(arrived, n)
+    return tuples.tolist(), counts.tolist(), first
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_batch_counts_in_slices_equal_the_one_slice_counts(n, size):
+    # Logs of n batches' worth, of one batch, and of one batch less and one
+    # more than a slice boundary, with capped rows and full ties among them.
+    rng = np.random.default_rng(n * 100 + size)
+    logs = [rng.random((nu, n)) < 0.3 for nu in (n, n - 1 + 3 * size - 1, n - 1 + 3 * size + 1)]
+    logs[0][0] = False
+    logs[1][-1] = True
+    if n == 10:
+        log = run_random(GameConfig(n_agents=10), 1000, seed_or_rng=size)
+        logs.append(log.columns(n)[0][log.ids])
+    for arrived in logs:
+        whole = _sliced_batch_counts(arrived, n, len(arrived))
+        assert sum(whole[1]) == len(arrived) - n + 1
+        assert _sliced_batch_counts(arrived, n, size) == whole, len(arrived)
+    with pytest.raises(InsufficientDataError, match="shorter than the batch size"):
+        _sliced_batch_counts(logs[0][1:], n, size)
 
 
 @pytest.mark.parametrize("seed", range(5))
