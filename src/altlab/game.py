@@ -81,8 +81,8 @@ class GameConfig:
                 raise ConfigError(f"{name} cannot be {value!r}") from None
         if self.n_agents < 2:
             raise ConfigError(f"n_agents must be >= 2, got {self.n_agents}")
-        if self.path_length < 1:
-            raise ConfigError(f"path_length must be >= 1, got {self.path_length}")
+        if not 1 <= self.path_length < 2**31:  # no episode is shorter: steps must fit int32
+            raise ConfigError(f"path_length must be >= 1 and < 2**31, got {self.path_length}")
         if self.step_cap < self.path_length:
             raise ConfigError(
                 f"step_cap {self.step_cap} cannot be below path_length {self.path_length}"

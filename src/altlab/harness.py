@@ -66,7 +66,7 @@ from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import (
     EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id, assign_rewards,
 )
-from .metrics import MetricPanel, compute_panel, trailing_windows
+from .metrics import MAX_AGENTS, MetricPanel, compute_panel, trailing_windows
 from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
 
 SCHEMA_VERSION = "altlab-run@1"
@@ -92,6 +92,8 @@ class ExperimentSpec:
         return "random" if self.qcfg is None else "qlearning"
 
     def __post_init__(self) -> None:
+        if (n := self.game.n_agents) > MAX_AGENTS:
+            raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
         if self.episodes < self.game.n_agents:
             raise ConfigError(
                 f"need at least n={self.game.n_agents} episodes for one batch, "
@@ -381,7 +383,8 @@ def read_snapshot(path: Path) -> ExperimentSpec:
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSION:
         raise SchemaVersionError(
-            f"{path}: snapshot schema {schema!r} is not supported, expected {SCHEMA_VERSION!r}"
+            f"{path}: snapshot schema {schema!r} is not supported, expected {SCHEMA_VERSION!r}; "
+            "pass overwrite to replace it"
         )
     try:
         qdata = payload["qlearning"]

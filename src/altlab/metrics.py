@@ -26,14 +26,15 @@ sum_l (n - y_l) equals n^2 - tau.  A batch with no arrivals (all capped)
 scores 0 on all six.  A run-level score is the mean over all batches.
 
 Every count is a difference of two rows of one prefix sum over per-episode
-columns.  A whole log is scored from the histogram of its batches' (f, tau,
-w, g) tuples: each formula runs once per distinct tuple, and each mean, like
-efficiency's total, is summed exactly and rounded once.  The training
-curve's trailing windows (:func:`trailing_windows`) keep per-batch scores:
-a window's calt is the mean over the batches wholly inside it.  The columns
-are gathered from the :class:`~altlab.game.EpisodeLog` body table by body
-id; a plain list of outcomes is first made a log with
-``EpisodeLog.from_outcomes``.
+columns.  One pass, a slice of batches at a time, packs each batch's (f, tau,
+w, g) into one int64 code (so n is at most ``MAX_AGENTS``, 6,207), and each
+formula runs once per distinct code.  A log's scores are summed exactly from
+the histogram of its codes and rounded once, like efficiency's total.
+Per-batch scores (:func:`window_betas`) are gathered from the per-code values;
+the training curve's window calt (:func:`trailing_windows`) is their mean over
+the batches wholly inside the window.  The columns are gathered from the
+:class:`~altlab.game.EpisodeLog` body table by body id; a plain list of
+outcomes is first made a log with ``EpisodeLog.from_outcomes``.
 
 Traditional metrics summarize whole logs: reward efficiency and three
 fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
@@ -55,7 +56,7 @@ from .game import EpisodeLog, EpisodeOutcome
 
 VARIANTS = ("falt", "qfalt", "ealt", "qealt", "calt", "aalt")
 MAX_AGENTS = 6207  # the largest n with (n + 1)**3 * (n**2 + 1) <= 2**63: packed tuples fit int64
-_SUM_SLICE = 1 << 14  # batches or episodes per slice of compute_panel's counts and sums
+_SUM_SLICE = 1 << 14  # batches or episodes per slice of the batch counts and payoff sums
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -86,8 +87,10 @@ def _counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return f, _window_sums(y, n), _window_sums(y == 1, n), g
 
 
-def _formulas(f, tau, w, g, n: int) -> dict[str, np.ndarray]:
-    """The six scores of the count arrays (f, tau, w, g), element by element."""
+def _formulas(codes: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The six scores of packed (f, tau, w, g) codes, element by element."""
+    rest, tau = np.divmod(codes, n * n + 1)
+    f, w, g = rest // (n + 1) ** 2, rest // (n + 1) % (n + 1), rest % (n + 1)
     some = tau > 0
     falt = np.divide(f, tau, out=np.zeros(len(tau)), where=some)
     qfalt = falt * falt
@@ -100,10 +103,23 @@ def _formulas(f, tau, w, g, n: int) -> dict[str, np.ndarray]:
     return dict(zip(VARIANTS, (falt, qfalt, ealt, ealt * ealt, calt, aalt)))
 
 
+def _batch_codes(arrived: np.ndarray, n: int) -> np.ndarray:
+    """Each batch's (f, tau, w, g) of the arrival matrix bool[nu, n], packed
+    as one int64, counted ``_SUM_SLICE`` batches at a time."""
+    if n > MAX_AGENTS:
+        raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
+    packed = np.empty(max(0, len(arrived) - n + 1), dtype=np.int64)
+    for start in range(0, max(1, len(packed)), _SUM_SLICE):  # once at least: a short log raises
+        f, tau, w, g = _counts(arrived[start : start + _SUM_SLICE + n - 1], n)
+        packed[start : start + len(tau)] = ((f * (n + 1) + w) * (n + 1) + g) * (n * n + 1) + tau
+    return packed
+
+
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
     log = EpisodeLog.from_outcomes(episodes)
-    return _formulas(*_counts(log.columns(n)[0][log.ids], n), n)
+    tuples, batch = np.unique(_batch_codes(log.columns(n)[0][log.ids], n), return_inverse=True)
+    return {v: x[batch] for v, x in _formulas(tuples, n).items()}
 
 
 def _shifted_mean(values: np.ndarray) -> float:
@@ -114,14 +130,9 @@ def _shifted_mean(values: np.ndarray) -> float:
 
 
 def batch_counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct (f, tau, w, g) of the batches of the arrival matrix bool[nu, n], packed
-    as int64s and sorted, how many batches have each, and batch 0's index among them."""
-    if n > MAX_AGENTS:
-        raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
-    packed = np.empty(max(0, len(arrived) - n + 1), dtype=np.int64)
-    for start in range(0, max(1, len(packed)), _SUM_SLICE):  # once at least: a short log raises
-        f, tau, w, g = _counts(arrived[start : start + _SUM_SLICE + n - 1], n)
-        packed[start : start + len(tau)] = ((f * (n + 1) + w) * (n + 1) + g) * (n * n + 1) + tau
+    """The distinct :func:`_batch_codes` of the arrival matrix bool[nu, n], sorted,
+    how many batches have each, and batch 0's index among them."""
+    packed = _batch_codes(arrived, n)
     tuples, counts = np.unique(packed, return_counts=True)
     return tuples, counts, int(np.searchsorted(tuples, packed[0]))
 
@@ -129,9 +140,7 @@ def batch_counts(arrived: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, i
 def scores(tuples: np.ndarray, counts: np.ndarray, first: int, n: int) -> dict[str, float]:
     """Run-level scores of a :func:`batch_counts` histogram, bit for bit the
     ``_shifted_mean`` of the per-batch scores: fsum is correctly rounded too."""
-    rest, tau = np.divmod(tuples, n * n + 1)
-    f, w, g = rest // (n + 1) ** 2, rest // (n + 1) % (n + 1), rest % (n + 1)
-    batches, per_tuple = int(counts.sum()), _formulas(f, tau, w, g, n)
+    batches, per_tuple = int(counts.sum()), _formulas(tuples, n)
     return {v: float(x[first]) + _exact_total(x - x[first], counts) / batches
             for v, x in per_tuple.items()}
 
@@ -190,32 +199,22 @@ def _paid(log: EpisodeLog) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
-def _exact_terms(values: Sequence[float]) -> tuple[list[int], list[int], int]:
-    """``values`` as integers over one power of two: each value is
-    m * 2**(e - 53), returned as its m and its shift e - low, and 2**(53 - low)."""
+def _exact_total(values: Sequence[float], counts: Sequence) -> float | list[float]:
+    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``; given a matrix
+    of counts, the list of each row's.  Each value is m * 2**(e - 53), an integer
+    over 2**(53 - low); int / int division rounds each integer sum once, correctly."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise DataError(f"total reward is not finite: {values.tolist()}")
     fractions, exponents = np.frexp(values)
     low = int(exponents.min(initial=0))
-    mantissas = np.ldexp(fractions, 53).astype(np.int64).tolist()
-    return mantissas, (exponents - low).tolist(), 1 << (53 - low)
-
-
-def _sum_terms(terms: tuple[list[int], list[int], int], counts: Sequence[int]) -> float:
-    """The exact sum of ``counts[v]`` copies of each value that :func:`_exact_terms`
-    made ``terms``: int / int division rounds the integer sum once, correctly."""
-    mantissas, shifts, scale = terms
+    terms = list(zip(np.ldexp(fractions, 53).astype(np.int64).tolist(), (exponents - low).tolist()))
     try:
-        terms = zip(np.asarray(counts).tolist(), mantissas, shifts)
-        return sum(c * m << shift for c, m, shift in terms) / scale
+        totals = [sum(c * m << shift for c, (m, shift) in zip(row, terms)) / (1 << (53 - low))
+                  for row in np.atleast_2d(counts).tolist()]
     except OverflowError as exc:
         raise DataError(f"total reward overflows: {exc}") from exc
-
-
-def _exact_total(values: Sequence[float], counts: Sequence[int]) -> float:
-    """``math.fsum`` of ``counts[v]`` copies of each ``values[v]``."""
-    return _sum_terms(_exact_terms(values), counts)
+    return totals if np.ndim(counts) == 2 else totals[0]
 
 
 def trailing_windows(
@@ -227,15 +226,14 @@ def trailing_windows(
     log = EpisodeLog.from_outcomes(episodes)
     batch_calt = window_betas(log, n)["calt"]
     values, paid = _paid(log)
-    terms, paid = _exact_terms(values), _prefix_sums(paid[log.ids])
-
-    def window(start: int, end: int) -> tuple[float | None, float | None]:
-        if end - start < n:
-            return None, None
-        calt = _shifted_mean(batch_calt[start : end - n + 1])  # batches wholly inside
-        return calt, _sum_terms(terms, paid[end] - paid[start]) / ((end - start) * r_high)
-
-    return [window(max(0, end - width), end) for end in ends]
+    paid, ends = _prefix_sums(paid[log.ids]), np.asarray(ends, dtype=np.intp)
+    starts = np.maximum(0, ends - width)
+    totals = _exact_total(values, paid[ends] - paid[starts])
+    return [  # a window's calt is the mean over the batches wholly inside it
+        (None, None) if end - start < n
+        else (_shifted_mean(batch_calt[start : end - n + 1]), total / ((end - start) * r_high))
+        for start, end, total in zip(starts.tolist(), ends.tolist(), totals)
+    ]
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["--base", "0"],
         ["--baseline-episodes", "1"],
         ["--base", "9" * 401],
+        ["--agents", "6208"],
     ):
         assert main(["sweep", "--out", str(tmp_path / "sweep"), *flags]) == 2, flags
     assert not (tmp_path / "sweep").exists()
@@ -82,6 +83,9 @@ def test_usage_errors_exit_2(tmp_path):
         ("baseline", ["--run-id", ".rand.tmp-1"]),
         ("simulate", ["--base", "9" * 401]),
         ("baseline", ["--agents", "3", "--reward", "iqf", "--r-high", "5e-324"]),
+        ("baseline", ["--agents", "6208", "--episodes", "6208"]),
+        *((command, ["--episodes", "2", "--path-length", "3000000000", "--step-cap", "4000000000"])
+          for command in ("baseline", "simulate")),
     ):
         argv = [command, "--agents", "2", *flags, "--out", str(tmp_path / "r")]
         assert main(argv) == 2, (command, flags)
@@ -693,6 +697,35 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     assert main([*_tiny_sweep_args(out), "--base", "31"]) == 4
     err = capsys.readouterr().err
     assert "failed" in err
+
+
+def test_a_run_of_an_older_schema_is_kept_until_overwrite(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    run_dir = out / "runs" / "rand-n2-A-ilf"
+    argv = ["baseline", "--agents", "2", "--episodes", "30", "--run-id", run_dir.name,
+            "--out", str(run_dir.parent)]
+    assert main(argv) == 0
+    snapshot = run_dir / "spec.snapshot"
+    snapshot.write_text(snapshot.read_text().replace('"altlab-run@1"', '"altlab-run@0"'))
+
+    def files():
+        return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    before = files()
+    capsys.readouterr()
+    assert main(argv) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(snapshot) in line
+    assert "'altlab-run@0'" in line and "'altlab-run@1'" in line and "overwrite" in line
+    assert files() == before
+    sweep = ["sweep", "--agents", "2", "--state-types", "A", "--rewards", "ilf", "--base", "5",
+             "--baseline-episodes", "30", "--out", str(out)]
+    assert main(sweep) == 4
+    assert f"== {run_dir.name} ==" in (out / "failures.txt").read_text()
+    assert files() == before
+    assert main([*argv, "--overwrite"]) == 0
+    assert '"altlab-run@1"' in snapshot.read_text()
+    capsys.readouterr()
 
 
 def test_sweep_completes_when_a_baseline_scores_zero(tmp_path, capsys):

@@ -43,6 +43,10 @@ def test_config_validation():
         GameConfig(n_agents=2, path_length=0)
     with pytest.raises(ConfigError):
         GameConfig(n_agents=2, path_length=5, step_cap=4)
+    # The steps column is int32, and no episode is shorter than path_length.
+    with pytest.raises(ConfigError, match=r"< 2\*\*31"):
+        GameConfig(n_agents=2, path_length=2**31, step_cap=2**31)
+    assert GameConfig(n_agents=2, path_length=2**31 - 1, step_cap=2**31 - 1).path_length == 2**31 - 1
     for r_high in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
             GameConfig(n_agents=2, r_high=r_high)

@@ -538,6 +538,10 @@ def test_packed_counts_stop_at_the_int64_limit():
                      "calt": 0.0, "aalt": 1 / n}
     with pytest.raises(ConfigError, match=f"at most {MAX_AGENTS}"):
         batch_counts(np.zeros((0, n + 1), dtype=bool), n + 1)
+    with pytest.raises(ConfigError, match=f"at most {MAX_AGENTS}"):
+        window_betas([], n + 1)
+    with pytest.raises(ConfigError, match=f"at most {MAX_AGENTS}"):
+        trailing_windows([], n + 1, 100.0, [], 5)
 
 
 def exact_oracle(values, counts):
@@ -565,6 +569,16 @@ def test_exact_total_equals_fsum_of_the_expanded_copies(terms):
             return
     assert _exact_total(values, counts) == expected
     assert _exact_total(np.array(values, dtype=float), np.array(counts)) == expected
+    # A matrix of counts gives each row's total, and no rows give no totals.
+    rows = np.array([counts, counts[::-1], [c // 2 for c in counts]], dtype=np.int64)
+    try:
+        per_row = [_exact_total(values, row) for row in rows]
+    except DataError:
+        with pytest.raises(DataError, match="overflow"):
+            _exact_total(values, rows)
+    else:
+        assert _exact_total(values, rows) == per_row
+    assert _exact_total(values, rows[:0]) == []
 
 
 @given(st.lists(st.tuples(st.one_of(finite, tiny), st.integers(0, 2**31)), max_size=12))
@@ -584,12 +598,25 @@ def test_exact_total_of_large_counts_is_the_rounded_exact_sum(terms):
 def test_exact_total_refuses_values_that_are_not_finite(bad):
     with pytest.raises(DataError, match="not finite"):
         _exact_total([1.0, bad], [1, 1])
+    with pytest.raises(DataError, match="not finite"):
+        _exact_total([1.0, bad], [[1, 1]])
 
 
 def _sliced_batch_counts(arrived, n, size):
     with mock.patch.object(metrics, "_SUM_SLICE", size):
         tuples, counts, first = batch_counts(arrived, n)
     return tuples.tolist(), counts.tolist(), first
+
+
+def _sliced_windows(episodes, n, size):
+    """The bytes of every per-batch score, and a curve of every width-(n + 1)
+    window and of the whole log, with ``size`` batches per slice."""
+    ends = list(range(len(episodes) + 1))
+    with mock.patch.object(metrics, "_SUM_SLICE", size):
+        betas = {v: x.tobytes() for v, x in window_betas(episodes, n).items()}
+        curve = trailing_windows(episodes, n, 100.0, ends, n + 1)
+        whole = trailing_windows(episodes, n, 100.0, [len(episodes)], len(episodes))
+    return betas, repr(curve), repr(whole)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
@@ -608,8 +635,15 @@ def test_batch_counts_in_slices_equal_the_one_slice_counts(n, size):
         whole = _sliced_batch_counts(arrived, n, len(arrived))
         assert sum(whole[1]) == len(arrived) - n + 1
         assert _sliced_batch_counts(arrived, n, size) == whole, len(arrived)
+        # The per-batch scores and the curve read the same sliced counts.
+        episodes = [make_outcome(e, n, set(np.flatnonzero(row).tolist()))
+                    for e, row in enumerate(arrived)]
+        one_slice = _sliced_windows(episodes, n, len(arrived))
+        assert _sliced_windows(episodes, n, size) == one_slice, len(arrived)
     with pytest.raises(InsufficientDataError, match="shorter than the batch size"):
         _sliced_batch_counts(logs[0][1:], n, size)
+    with pytest.raises(InsufficientDataError, match="shorter than the batch size"):
+        _sliced_windows([make_outcome(0, n, {0})] * (n - 1), n, size)
 
 
 @pytest.mark.parametrize("seed", range(5))
