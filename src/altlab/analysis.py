@@ -214,8 +214,8 @@ def episodes_for(n: int, base: int = 1000) -> int:
         raise ConfigError(f"need at least 2 agents, got {n}")
     if base < 1:
         raise ConfigError(f"base must be >= 1, got {base}")
-    growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
-    try:
+    try:  # n!/2 leaves the float range at n = 171, base * growth at a huge base
+        growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
         return math.floor(base * growth)
     except OverflowError:
-        raise ConfigError(f"base overflows the training budget at n={n}") from None
+        raise ConfigError(f"the training budget at n={n} overflows") from None

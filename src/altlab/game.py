@@ -23,6 +23,7 @@ body id and step count per episode.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from collections.abc import Sequence
@@ -197,11 +198,50 @@ class EpisodeOutcome:
         return outcome
 
 
-def _body_id(index: dict, ep: EpisodeOutcome) -> int:
-    """Id of ``ep``'s body in ``index`` (key -> (id, body)), added if new.
-    Rewards are keyed by ``repr``, which keeps -0.0 apart from 0.0."""
-    body = (tuple(sorted(ep.arrivals)), ep.rewards)
-    return index.setdefault((body[0], repr(ep.rewards)), (len(index), body))[0]
+def _accept_bodies(texts: list[str], capped: list[bool]) -> list[tuple] | None:
+    """Bodies ``(arrivals, rewards)`` of brace-free body texts in the writer's
+    layout, whose lines state ``capped``; None unless all are accepted.
+
+    An accept filter: it must never accept a record that
+    :meth:`EpisodeOutcome.from_record` refuses, nor give another body (reprs
+    included).  It takes sorted in-range integer arrivals, the winner and
+    ``capped`` they imply, and finite float rewards paid as the game pays;
+    anything else, integer rewards say, is left to ``from_record``.
+    """
+    try:  # one object per text, with the body's three keys in order
+        records = json.loads("[{" + "},{".join(texts) + "}]")
+        if len(records) != len(texts) or {*map(tuple, records)} != {
+                ("arrivals", "exclusive_winner", "rewards")}:
+            return None
+        arrivals, winners, rewards = zip(*map(dict.values, records))
+        flat, paid = [*itertools.chain(*arrivals)], [*itertools.chain(*rewards)]
+        ids = np.fromiter(flat, np.int64, len(flat))
+    except (TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    if ({*map(type, arrivals), *map(type, rewards)} != {list} or {*map(type, flat)} - {int}
+            or {*map(type, paid)} - {float} or {*map(type, winners)} - {int, type(None)}
+            or winners != tuple(a[0] if len(a) == 1 else None for a in arrivals)):
+        return None
+    k, n = (np.fromiter(map(len, x), np.intp, len(x)) for x in (arrivals, rewards))
+    body, start, paid = np.repeat(np.arange(len(k)), k), np.cumsum(n) - n, np.array(paid, float)
+    if not (np.all((0 <= ids) & (ids < n[body])) and np.all(np.diff(ids)[np.diff(body) == 0] > 0)
+            and np.array_equal(capped, k == 0) and np.all(np.isfinite(paid))):
+        return None
+    # A sole win or partial tie pays its arrivers the first one's share (> 0), no one else.
+    pays, share, due = (0 < k) & (k < n), np.zeros(len(k)), np.zeros(len(paid))
+    share[pays] = paid[start[pays] + ids[(np.cumsum(k) - k)[pays]]]
+    due[start[body] + ids] = share[body]
+    if np.all(share[pays] > 0.0) and np.array_equal(paid, due):
+        return list(zip(map(tuple, arrivals), map(tuple, rewards)))
+    return None
+
+
+def _body_id(index: dict, arrivals, rewards: tuple[float, ...]) -> int:
+    """Id of the body (sorted ``arrivals``, ``rewards``) in ``index`` (key ->
+    (id, body)), added if new.  Rewards are keyed by ``repr``, which keeps
+    -0.0 apart from 0.0."""
+    body = (tuple(sorted(arrivals)), rewards)
+    return index.setdefault((body[0], repr(rewards)), (len(index), body))[0]
 
 
 class EpisodeLog(Sequence):
@@ -231,7 +271,7 @@ class EpisodeLog(Sequence):
         index: dict = {}
         ids, steps = [], []
         for ep in outcomes:
-            ids.append(_body_id(index, ep))
+            ids.append(_body_id(index, ep.arrivals, ep.rewards))
             steps.append(ep.steps_used)
         return cls([body for _, body in index.values()], ids, steps)
 

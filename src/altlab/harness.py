@@ -35,8 +35,9 @@ An episode log is an :class:`~altlab.game.EpisodeLog` in memory.  Its
 writer formats each body's text once, and the text after the episode number
 once for each distinct (body, steps) pair; it joins the lines a slice at a
 time, with the bytes of one record per episode.  Its reader looks up blocks of
-lines in that layout by the text after the episode number, and validates
-each distinct body text once, through :meth:`EpisodeOutcome.from_record`.
+lines in that layout by the text after the episode number, and checks each
+block's new body texts together; any other block is validated line by line,
+through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import traceback
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache, partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -64,7 +65,8 @@ import numpy as np
 from . import analysis
 from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import (
-    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _body_id, assign_rewards,
+    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _accept_bodies, _body_id,
+    assign_rewards,
 )
 from .metrics import MAX_AGENTS, MetricPanel, compute_panel, trailing_windows
 from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
@@ -234,9 +236,10 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 # The text after '{"episode":E,' in the writer's layout: a body text whose
 # only quoted strings are its three keys, so that the line has each of its six
-# keys once and the body text alone sets its values, then canonical steps.
+# keys once and the body text alone sets its values, and with no braces, so
+# that joined body texts parse as one object each; then canonical steps.
 _CANONICAL_TAIL = re.compile(
-    r'("arrivals":[^"]*"exclusive_winner":[^"]*"rewards":[^"]*)'
+    r'("arrivals":[^"{}]*"exclusive_winner":[^"{}]*"rewards":[^"{}]*)'
     r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
 )
 _BLOCK = 1 << 18  # characters of whole lines the reader holds at once
@@ -271,22 +274,18 @@ def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
 def read_episode_log(path: Path) -> EpisodeLog:
     """Episodes of a log.jsonl file; the ``episode`` field must count up from 0.
 
-    Lines are read in blocks.  In a block whose every line is in the writer's
-    layout and numbered in sequence, each distinct text after the episode
-    number is matched once and each distinct body text validated once; any
-    other block is parsed and validated line by line.
+    Lines are read in blocks, and each line is looked up by the text after its
+    episode head.  In a block in the writer's layout, numbered in sequence, a
+    new such text is matched once and the new body texts accepted together by
+    ``_accept_bodies``; any other block is parsed and validated line by line.
     """
-    tails, blocks, count, lineno = _Tails(), [], 0, 0
+    codes, blocks, count, lineno = _Codes(), [], 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             while lines := fh.readlines(_BLOCK):
-                heads = list(map('{"episode":%d,'.__mod__, range(count, count + len(lines))))
-                try:
-                    if not all(map(str.startswith, lines, heads)):
-                        raise KeyError("episode")
-                    codes = map(tails.__getitem__, map(str.removeprefix, lines, heads))
-                    block = np.fromiter(codes, "<i8", len(lines))
-                except KeyError:
+                if (tails := _cut_heads(lines, count)) is not None and codes.add(tails):
+                    block = np.fromiter(map(codes.__getitem__, tails), "<i8", len(lines))
+                else:
                     block = []
                     for at, line in enumerate(lines, start=lineno + 1):
                         if not (line := line.strip()):
@@ -302,37 +301,57 @@ def read_episode_log(path: Path) -> EpisodeLog:
                                 f"{path}: line {at}: episode {outcome.episode_index} out of "
                                 f"sequence, expected {count + len(block)}"
                             )
-                        block.append(_body_id(tails.index, outcome) << 32 | outcome.steps_used)
+                        body = _body_id(codes.index, outcome.arrivals, outcome.rewards)
+                        block.append(body << 32 | outcome.steps_used)
                 blocks.append(np.asarray(block, dtype="<i8"))
                 count, lineno = count + len(block), lineno + len(lines)
-                del lines, heads  # so that the next block is read without this one
+                del lines, tails  # so that the next block is read without this one
     except (OSError, UnicodeError) as exc:
         raise DataError(f"{path}: unreadable log: {exc}") from exc
     # Each little-endian code is two int32 words: its steps, then its body id.
     words = np.concatenate([np.zeros(0, "<i8"), *blocks]).view("<i4")
-    return EpisodeLog([body for _, body in tails.index.values()], words[1::2], words[::2])
+    return EpisodeLog([body for _, body in codes.index.values()], words[1::2], words[::2])
 
 
-class _Tails(dict):
-    """Tail -> body id << 32 | steps.  A new tail is matched on lookup, and a
-    new body text validated; a tail that is not in the writer's layout, or
-    whose body ``from_record`` refuses, raises KeyError."""
+def _cut_heads(lines: list[str], first: int) -> list[str] | None:
+    """The text after '{"episode":E,' of each line, with E counting up from
+    ``first``; None if a line starts otherwise."""
+    tails, end = [], first + len(lines)
+    while first < end:  # one comparison per run of episode numbers of one width
+        stop, width = min(end, 10 ** len(str(first))), len('{"episode":%d,' % first)
+        run = lines[len(tails) : len(tails) + stop - first]
+        heads = '{"episode":%d,' * len(run) % tuple(range(first, stop))
+        if "".join(map(itemgetter(slice(width)), run)) != heads:
+            return None
+        tails += map(itemgetter(slice(width, None)), run)
+        first = stop
+    return tails
+
+
+class _Codes(dict):
+    """Tail -> body id << 32 | steps, for the text after the episode head of
+    each line of a block in the writer's layout."""
 
     def __init__(self) -> None:
         super().__init__()
         self.index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
         self.known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
 
-    def __missing__(self, tail: str) -> int:
-        if (m := _CANONICAL_TAIL.fullmatch(tail)) is None:
-            raise KeyError(tail)
-        if (b := self.known.get(m.group(1, 3))) is None:
-            try:
-                outcome = EpisodeOutcome.from_record(json.loads('{"episode":0,' + tail))
-            except (json.JSONDecodeError, DataError) as exc:
-                raise KeyError(tail) from exc
-            b = self.known[m.group(1, 3)] = _body_id(self.index, outcome)
-        return self.setdefault(tail, b << 32 | int(m[2]))
+    def add(self, tails: list[str]) -> bool:
+        """Code a block's new tails in order of first appearance, or add
+        nothing and return False unless ``_accept_bodies`` takes them all."""
+        new = [*dict.fromkeys(itertools.filterfalse(self.__contains__, tails))]
+        if not all(matches := [*map(_CANONICAL_TAIL.fullmatch, new)]):
+            return False
+        fresh = [*dict.fromkeys(k for m in matches if (k := m.group(1, 3)) not in self.known)]
+        if fresh:
+            texts, capped = zip(*fresh)
+            if (bodies := _accept_bodies(texts, [c == "true" for c in capped])) is None:
+                return False
+            for key, body in zip(fresh, bodies):
+                self.known[key] = _body_id(self.index, *body)
+        self.update((t, self.known[m.group(1, 3)] << 32 | int(m[2])) for t, m in zip(new, matches))
+        return True
 
 
 def write_panel_csv(rows: Sequence[tuple[str, MetricPanel]], path: Path) -> None:

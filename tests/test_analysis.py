@@ -165,3 +165,14 @@ def test_episodes_for_scaling_and_validation():
     for n, base in ((2, 9 * 10**400), (10, 10**308)):
         with pytest.raises(ConfigError):
             episodes_for(n, base=base)
+
+
+def test_episodes_for_keeps_its_bits_up_to_the_float_range():
+    for n in range(2, 171):
+        growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
+        for base in (1, 1000):
+            assert episodes_for(n, base) == math.floor(base * growth), (n, base)
+    # beyond it n!/2 is no float
+    for n in (171, 200):
+        with pytest.raises(ConfigError, match=f"^the training budget at n={n} overflows$"):
+            episodes_for(n)

@@ -61,6 +61,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["--baseline-episodes", "1"],
         ["--base", "9" * 401],
         ["--agents", "6208"],
+        ["--agents", "200"],
     ):
         assert main(["sweep", "--out", str(tmp_path / "sweep"), *flags]) == 2, flags
     assert not (tmp_path / "sweep").exists()
@@ -82,6 +83,7 @@ def test_usage_errors_exit_2(tmp_path):
         ("simulate", ["--run-id", "a/b"]),
         ("baseline", ["--run-id", ".rand.tmp-1"]),
         ("simulate", ["--base", "9" * 401]),
+        ("simulate", ["--agents", "200"]),
         ("baseline", ["--agents", "3", "--reward", "iqf", "--r-high", "5e-324"]),
         ("baseline", ["--agents", "6208", "--episodes", "6208"]),
         *((command, ["--episodes", "2", "--path-length", "3000000000", "--step-cap", "4000000000"])

@@ -10,14 +10,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_outcome, read_log_oracle
 
 from altlab.cli import main
 from altlab.errors import ConfigError, DataError
-from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType
+from altlab.game import (
+    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _accept_bodies,
+)
 from altlab import harness
 from altlab.harness import read_episode_log, write_episode_log
 from altlab.metrics import compute_panel
@@ -133,16 +135,20 @@ def test_reader_keeps_each_body_once(tmp_path):
     ids=["random-n5", "trained-n3-type-b"],
 )
 def test_the_writers_logs_take_the_block_path(tmp_path, monkeypatch, make_log):
-    # A line read line by line pays from_record once per line; the block path
-    # validates each distinct body once.
+    # A block read line by line pays from_record once per line; on the block
+    # path no line does, and the bulk check sees each distinct body text once.
     log, path = make_log(), tmp_path / "log.jsonl"
     write_episode_log(log, path)
     calls, from_record = [], EpisodeOutcome.from_record
     monkeypatch.setattr(EpisodeOutcome, "from_record",
                         staticmethod(lambda record: calls.append(record) or from_record(record)))
+    checked, accept = [], harness._accept_bodies
+    monkeypatch.setattr(harness, "_accept_bodies",
+                        lambda texts, capped: checked.extend(texts) or accept(texts, capped))
     back = read_episode_log(path)
     assert back == log and np.array_equal(back.steps, log.steps)
-    assert len(calls) == len(log.bodies)
+    assert calls == []
+    assert len(checked) == len(set(checked)) == len(log.bodies)
 
 
 # -- The reader against the line-by-line oracle ----------------------------
@@ -383,6 +389,99 @@ def test_block_reader_adds_a_body_first_seen_in_a_later_block(tmp_path, monkeypa
     log = _agree_with_the_oracle(path)
     assert log.ids.tolist() == [0] * 7 + [1] * 2
     assert log.bodies == (((0,), (100.0, 0.0)), ((1,), (0.0, 100.0)))
+
+
+# -- The bulk body check against from_record --------------------------------
+
+_BODY_KEYS = ("arrivals", "exclusive_winner", "rewards")
+# Texts for a body's values: FIELD_VALUES', plus spellings that JSON reads
+# as another type, or that the writer would not write.
+BODY_VALUES = {
+    "arrivals": [*map(_text, FIELD_VALUES["arrivals"]), "[2,0,1]", "[0,1,1]", "[2]", "[-0]",
+                 "[true]", f"[{2**64}]"],
+    "exclusive_winner": [*map(_text, FIELD_VALUES["exclusive_winner"]), "2", "false", "-0"],
+    "rewards": [*map(_text, FIELD_VALUES["rewards"]), "[1e2,0.0]", "[100,0.0]", "[0.0,-0.0]",
+                "[NaN,0.0]", "[Infinity,0.0]", "[1e400,0.0]", "[0.0,0.0,0.0]", "[50.0,0.0,50.0]"],
+}
+
+
+def _writer_body(outcome: EpisodeOutcome) -> str:
+    record = outcome.to_record()
+    return _text({key: record[key] for key in _BODY_KEYS})[1:-1]
+
+
+@st.composite
+def body_texts(draw):
+    """A body text in the writer's layout and its line's capped flag: a body
+    that pays as the game does, with up to two values replaced or respelled."""
+    n = draw(st.integers(2, 4))
+    arrivals = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    if draw(st.booleans()):
+        arrivals = sorted(set(arrivals))
+    share = draw(st.sampled_from(["100.0", "1e2", "25.0", "1e308", "100", "NaN", "Infinity",
+                                  "-1.0", "0.0"]))
+    zero = draw(st.sampled_from(["0.0", "-0.0", "0e0", "0"]))
+    paid = 0 < len(set(arrivals)) < n
+    # Agent ids as JSON integers, or respelled in one or both fields.
+    respelled = draw(st.sampled_from([(), (), ("arrivals",), ("exclusive_winner",),
+                                      ("arrivals", "exclusive_winner")]))
+    spell = draw(st.sampled_from(["{}.0", "true", "-{}"]))
+    winner = arrivals[0] if len(set(arrivals)) == 1 else None
+    ids = {key: [spell.format(i) if key in respelled else str(i) for i in values]
+           for key, values in (("arrivals", arrivals), ("exclusive_winner", [winner]))}
+    values = {
+        "arrivals": "[" + ",".join(ids["arrivals"]) + "]",
+        "exclusive_winner": "null" if winner is None else ids["exclusive_winner"][0],
+        "rewards": "[" + ",".join(share if paid and i in arrivals else zero
+                                  for i in range(n)) + "]",
+    }
+    for key in draw(st.lists(st.sampled_from(_BODY_KEYS), max_size=2)):
+        values[key] = draw(st.sampled_from(BODY_VALUES[key]))
+    capped = draw(st.booleans()) if draw(st.integers(0, 5)) == 0 else not arrivals
+    return ",".join(f'"{key}":{values[key]}' for key in _BODY_KEYS), capped
+
+
+@given(bodies=st.lists(body_texts(), min_size=1, max_size=4))
+@example(bodies=[('"arrivals":[-1],"exclusive_winner":-1,"rewards":[0.0,100.0]', False)])
+@settings(max_examples=500, deadline=None)
+def test_the_bulk_check_accepts_only_what_from_record_accepts(bodies):
+    texts, capped = (list(x) for x in zip(*bodies))
+    outcomes = []
+    for text, flag in bodies:
+        record = json.loads(f'{{"episode":0,{text},"steps":1,"capped":{_text(flag)}}}')
+        try:
+            outcomes.append(EpisodeOutcome.from_record(record))
+        except DataError:
+            outcomes.append(None)
+    # Checked alone or together, each body is accepted or refused alike.
+    singles = [_accept_bodies([text], [flag]) for text, flag in bodies]
+    accepted = _accept_bodies(texts, capped)
+    assert accepted == (None if None in singles else [body for [body] in singles])
+    event(f"{len(singles) - singles.count(None)} of {len(singles)} accepted")
+    for single, ep in zip(singles, outcomes):
+        if single is not None:
+            assert ep is not None
+            assert single == [(tuple(sorted(ep.arrivals)), ep.rewards)]
+            assert repr(single[0][1]) == repr(ep.rewards)
+    # Bodies as the writer writes them, with arrivals in range, are all accepted.
+    if all(ep is not None and text == _writer_body(ep)
+           and max(ep.arrivals, default=-1) < len(ep.rewards) for text, ep in zip(texts, outcomes)):
+        assert accepted is not None
+
+
+@pytest.mark.parametrize("block", [harness._BLOCK, 200])
+def test_a_spliced_body_is_read_as_the_oracle_reads_it(tmp_path, monkeypatch, block):
+    # Joined with the next new body text, a body that closes its own braces
+    # would shift values from one record to the next.
+    lines = [_text(make_outcome(e, 2, {e % 2}).to_record()) for e in range(6)]
+    lines[3] = lines[3].replace('0.0]', '0.0]},{', 1)
+    lines[4] = lines[4].replace('"rewards":[', '"rewards":[1]},{"arrivals":[0],"rewards":[', 1)
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    assert _agree_with_the_oracle(path) is None
+    with pytest.raises(DataError, match="line 4: invalid JSON"):
+        read_episode_log(path)
 
 
 # -- The writer against the record-by-record oracle -------------------------
