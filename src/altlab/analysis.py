@@ -214,7 +214,9 @@ def episodes_for(n: int, base: int = 1000) -> int:
         raise ConfigError(f"need at least 2 agents, got {n}")
     if base < 1:
         raise ConfigError(f"base must be >= 1, got {base}")
-    try:  # n!/2 leaves the float range at n = 171, base * growth at a huge base
+    if n > 170:  # n!/2 leaves the float range at n = 171: refused before the factorial
+        raise ConfigError(f"the training budget at n={n} overflows")
+    try:  # base * growth leaves it at a huge base
         growth = (n / 2.0) ** 2 * (1.0 + math.log(math.factorial(n) / 2.0))
         return math.floor(base * growth)
     except OverflowError:

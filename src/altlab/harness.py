@@ -246,16 +246,24 @@ _BLOCK = 1 << 18  # characters of whole lines the reader holds at once
 _WRITE_SLICE = 1 << 12  # lines the writer joins into one string
 
 
+def _body_texts(bodies: Sequence[tuple]) -> list[str]:
+    """The text between each body's braces in a log line: one encoding of all
+    the bodies, cut at the '},{' between them, as body texts hold no braces."""
+    if not bodies:
+        return []
+    return _encode([
+        {"arrivals": sorted(arrivals),
+         "exclusive_winner": arrivals[0] if len(arrivals) == 1 else None,
+         "rewards": list(rewards)}
+        for arrivals, rewards in bodies
+    ])[2:-2].split("},{")
+
+
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     log = EpisodeLog.from_outcomes(outcomes)
-    # The text between each body's braces, then the text after the episode
-    # number for each distinct (body id, steps) pair, in the order of its code.
-    bodies = [
-        _encode({"arrivals": sorted(arrivals),
-                 "exclusive_winner": arrivals[0] if len(arrivals) == 1 else None,
-                 "rewards": list(rewards)})[1:-1]
-        for arrivals, rewards in log.bodies
-    ]
+    bodies = _body_texts(log.bodies)
+    # The text after the episode number for each distinct (body id, steps)
+    # pair, in the order of its code; each slice of lines is one format.
     codes, pairs = np.unique(log.ids.astype(np.int64) << 32 | log.steps.view(np.uint32),
                              return_inverse=True)
     tails = [
@@ -265,10 +273,10 @@ def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(log), _WRITE_SLICE):
             chosen = pairs[start : start + _WRITE_SLICE].tolist()
-            lines = [""] * (2 * len(chosen))
-            lines[::2] = map('{"episode":%d'.__mod__, range(start, start + len(chosen)))
-            lines[1::2] = map(tails.__getitem__, chosen)
-            fh.write("".join(lines))
+            args = [0] * (2 * len(chosen))
+            args[::2] = range(start, start + len(chosen))
+            args[1::2] = map(tails.__getitem__, chosen)
+            fh.write('{"episode":%d%s' * len(chosen) % tuple(args))
 
 
 def read_episode_log(path: Path) -> EpisodeLog:
@@ -292,7 +300,7 @@ def read_episode_log(path: Path) -> EpisodeLog:
                             continue
                         try:
                             outcome = EpisodeOutcome.from_record(json.loads(line))
-                        except json.JSONDecodeError as exc:
+                        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
                             raise DataError(f"{path}: line {at}: invalid JSON: {exc}") from exc
                         except DataError as exc:
                             raise DataError(f"{path}: line {at}: {exc}") from exc
@@ -397,7 +405,7 @@ def read_snapshot(path: Path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: unreadable snapshot: {exc}") from exc
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSION:

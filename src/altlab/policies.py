@@ -14,8 +14,13 @@ Play returns an :class:`~altlab.game.EpisodeLog` with one body per arrival
 set met, so :func:`assign_rewards` runs once per arrival set.
 
 Random play never looks at the state: :func:`_play_random` reads the
-coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word,
-and finds every episode's end with a cumulative sum over the block.
+coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word.
+A cumulative sum over the block and a gather from each agent's moves give
+the step at which an agent starting at any step would arrive, so the
+episode ends follow with one Python walk over the episode starts.  Body
+ids are per block too: each episode's arrival row packs into one key, and
+a key not met before gets the next id, in order of first appearance, from
+one :func:`assign_rewards` call.
 
 Epsilon-greedy training and frozen greedy evaluation go step by step.  The
 Q-agents share one store, a dict from observation key (the positions
@@ -102,6 +107,19 @@ def epsilon_at(episode_index: int, total_episodes: int, cfg: QLearningConfig | N
         return cfg.epsilon_min
     frac = episode_index / decay_end
     return cfg.epsilon_initial + (cfg.epsilon_min - cfg.epsilon_initial) * frac
+
+
+def _epsilon_schedule(total_episodes: int, cfg: QLearningConfig) -> array:
+    """``epsilon_at(e, total_episodes, cfg)`` for every episode e of a run,
+    bit for bit: numpy makes the same float operations in the same order.
+    An ``array("d")``, so the kernel reads Python floats."""
+    if total_episodes < 1:
+        raise ConfigError(f"total_episodes must be >= 1, got {total_episodes}")
+    decay_end = math.floor(cfg.decay_end_fraction * total_episodes)
+    schedule = np.full(total_episodes, cfg.epsilon_min, dtype=float)
+    frac = np.arange(decay_end) / decay_end
+    schedule[:decay_end] = cfg.epsilon_initial + (cfg.epsilon_min - cfg.epsilon_initial) * frac
+    return array("d", schedule.tobytes())
 
 
 def play(
@@ -257,49 +275,66 @@ def _play_random(cfg, episodes, words):
     """Random play.  An episode that runs past a block carries its coins into
     the next, so memory stays at one block plus at most ``step_cap`` steps."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
-    kinds: dict[bytes, int] = {}  # arrival pattern -> body id
-    bodies, ids, steps_column = [], [], []
-    pending = np.array([words.uinteger >> 31] if words.has_uint32 else [], dtype=np.uint64)
+    kinds: dict[bytes, int] = {}  # packed arrival row -> body id
+    bodies, ids, steps_column, count = [], [], [], 0
+    pending = np.array([words.uinteger >> 31] if words.has_uint32 else [], dtype=np.uint8)
     while True:
         block = words.bg.random_raw((_CHUNK * n + 1) // 2)
-        coins = np.concatenate((pending, (block[:, None] >> np.uint64([31, 63]) & 1).ravel()))
+        # Bit 31 of each 32-bit half, low half first: the top bit of bytes 3 and 7.
+        coins = np.concatenate((pending, block.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7))
         rows = len(coins) // n
-        moves = coins[: rows * n].reshape(rows, n)
-        # pos[i, j]: agent i's moves in the block's first j steps, so an
-        # episode from step s to step j leaves it at pos[i, j] - pos[i, s].
-        pos = np.zeros((n, rows + 1), dtype=np.int32)
-        np.cumsum(moves.T, axis=1, dtype=np.int32, out=pos[:, 1:])
+        # flat: agent after agent, the steps of its moves, then step rows,
+        # past the block, as i * (rows + 1) + step.  before[i, s]: agent i's
+        # moves in the first s steps, so from step s its length-th move is
+        # its move number before[i, s] + length - 1, or past the block.
+        ahead = np.ones((n, rows + 1), dtype=bool)
+        ahead[:, :rows] = coins[: rows * n].reshape(rows, n).T
+        flat = np.flatnonzero(ahead)
+        before = np.zeros((n, rows + 1), dtype=np.int32)
+        np.cumsum(ahead[:, :rows], axis=1, dtype=np.int32, out=before[:, 1:])
+        past = np.cumsum(before[:, -1] + 1) - 1  # where in flat each agent's step rows is
+        nth = past - before[:, -1] + (length - 1)  # and its length-th move from step 0
+        # reach[i, s]: the step count at which agent i, starting at step s,
+        # arrives; rows + 1 when the block is too short to tell.
+        reach = np.empty((n, rows), dtype=np.int32)
+        for i, (moved, at, end) in enumerate(zip(before[:, :-1], nth, past)):
+            arrive = flat[np.minimum(moved + at, end)]
+            np.subtract(arrive, i * (rows + 1) - 1, out=reach[i], casting="unsafe")
         # ends[s]: where an episode starting at s ends, rows + 1 or more
         # when the block is too short to tell.
-        ends = np.arange(rows) + min(cap, rows + 1)
-        for agent in pos:
-            np.minimum(ends, np.searchsorted(agent, agent[:-1] + length), out=ends)
+        ends = np.minimum(reach.min(axis=0), np.arange(rows) + min(cap, rows + 1))
         starts, s, stop = [], 0, ends.tolist()
-        need = episodes - len(ids)
+        need = episodes - count
         while len(starts) < need and s < rows and stop[s] <= rows:
             starts.append(s)
             s = stop[s]
         first = np.array(starts, dtype=np.intp)
         last = ends[first]
-        hits = (pos[:, last] - pos[:, first]).T == length
-        for row, start, end in zip(hits, starts, last.tolist()):
-            used = end * n - len(pending)
-            key = row.tobytes()
-            if key not in kinds:
-                won = tuple(np.flatnonzero(row).tolist())
+        hits = (reach[:, first] == last).T  # hits[e, i]: agent i arrived in episode e
+        keys = np.packbits(hits, axis=1)
+        keys, seen, inverse = np.unique(
+            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True, return_inverse=True
+        )
+        # A key not met before gets the next id, in order of first appearance.
+        code = [*map(kinds.get, keys := keys.tolist())]
+        for k in np.argsort(seen).tolist():
+            if code[k] is None:
+                won = tuple(np.flatnonzero(hits[seen[k]]).tolist())
                 try:
                     rewards = assign_rewards(frozenset(won), cfg)
                 except BaseException:
-                    words.read_coins(block, used)  # stop after the raising episode
+                    words.read_coins(block, int(last[seen[k]]) * n - len(pending))  # stop after it
                     raise
-                kinds[key] = len(bodies)
+                code[k] = kinds[keys[k]] = len(bodies)
                 bodies.append((won, rewards))
-            ids.append(kinds[key])
-            steps_column.append(end - start)
-        if len(ids) == episodes:
-            words.read_coins(block, used)
-            won = bodies[ids[-1]][0]
-            return EpisodeLog(bodies, ids, steps_column), tuple(int(i in won) for i in range(n))
+        ids.append(np.array(code, dtype=np.int32)[inverse])
+        steps_column.append(last - first)
+        count += len(starts)
+        if count == episodes:
+            words.read_coins(block, int(last[-1]) * n - len(pending))
+            won = bodies[ids[-1][-1]][0]
+            log = EpisodeLog(bodies, np.concatenate(ids), np.concatenate(steps_column))
+            return log, tuple(int(i in won) for i in range(n))
         pending = coins[s * n :]
 
 
@@ -329,7 +364,7 @@ def train_run(cfg: GameConfig, qcfg: QLearningConfig, total_episodes: int, seed_
     update their own values on every step.
     """
     store: dict = {}
-    epsilons = array("d", (epsilon_at(e, total_episodes, qcfg) for e in range(total_episodes)))
+    epsilons = _epsilon_schedule(total_episodes, qcfg)
     rng = np.random.default_rng(seed_or_rng)  # returns a Generator unchanged
     outcomes, bits = play(cfg, total_episodes, rng, (0,) * cfg.n_agents, store, epsilons, qcfg)
     bound = cfg.r_high / (1.0 - qcfg.gamma)

@@ -176,3 +176,14 @@ def test_episodes_for_keeps_its_bits_up_to_the_float_range():
     for n in (171, 200):
         with pytest.raises(ConfigError, match=f"^the training budget at n={n} overflows$"):
             episodes_for(n)
+
+
+@pytest.mark.parametrize("n", [171, 6208, 3_000_000])
+def test_episodes_for_refuses_a_large_n_before_the_factorial(monkeypatch, n):
+    # The factorial of 3,000,000 alone takes over a minute.
+    def no_factorial(k):
+        raise AssertionError(f"factorial({k}) taken")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    with pytest.raises(ConfigError, match=f"^the training budget at n={n} overflows$"):
+        episodes_for(n)

@@ -324,6 +324,14 @@ def _baseline_rerun_on_header_only_panel(tmp_path):
     return args
 
 
+def _metrics_on_deeply_nested_log(tmp_path):
+    """argv of ``metrics`` on a one-line log whose arrivals open 100,000
+    brackets, deeper than the JSON parser's recursion limit."""
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"episode":0,"arrivals":' + "[" * 100_000 + "\n")
+    return ["metrics", "--log", str(log), "--agents", "2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -335,6 +343,7 @@ def _baseline_rerun_on_header_only_panel(tmp_path):
         _report_on_summary(""),
         _report_on_summary(",".join("CALT" if c == "calt" else c for c in SUMMARY_COLUMNS) + "\n"),
         _baseline_rerun_on_header_only_panel,
+        _metrics_on_deeply_nested_log,
     ],
     ids=[
         "metrics-missing-log",
@@ -345,6 +354,7 @@ def _baseline_rerun_on_header_only_panel(tmp_path):
         "report-empty-summary",
         "report-renamed-header-cell",
         "baseline-rerun-no-full-row",
+        "metrics-deeply-nested-line",
     ],
 )
 def test_unreadable_input_exits_3(tmp_path, capsys, argv):

@@ -492,10 +492,10 @@ def oracle_log_text(outcomes):
 
 
 @st.composite
-def writer_logs(draw):
+def writer_logs(draw, max_agents=12):
     # A few bodies and step counts, repeated, so that (body, steps) pairs
     # recur; rewards need not pay by the game's rule for the writer.
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_agents))
     reward = st.sampled_from([0.0, -0.0, 100.0, 3.0, 7, 0, 1 / 3, 1e-300, 7e12, 2.5e-5])
     bodies = draw(st.lists(
         st.tuples(st.sets(st.integers(0, n - 1)), st.lists(reward, min_size=n, max_size=n)),
@@ -519,6 +519,36 @@ def assert_writer_matches_oracle(outcomes, sizes):
 @given(writer_logs())
 @settings(max_examples=300, deadline=None)
 def test_writer_bytes_equal_the_record_by_record_oracle(outcomes):
+    assert_writer_matches_oracle(outcomes, (1, 7, harness._WRITE_SLICE))
+
+
+@given(writer_logs(max_agents=70))
+@settings(max_examples=100, deadline=None)
+def test_body_texts_are_one_per_body_up_to_seventy_agents(outcomes):
+    # The writer encodes all bodies at once and cuts the text at '},{'.
+    log = EpisodeLog.from_outcomes(outcomes)
+    want = []
+    for arrivals, rewards in log.bodies:
+        record = EpisodeOutcome(0, frozenset(arrivals), rewards, 1).to_record()
+        body = {k: record[k] for k in ("arrivals", "exclusive_winner", "rewards")}
+        want.append(harness._encode(body)[1:-1])
+    assert harness._body_texts(log.bodies) == want
+    assert_writer_matches_oracle(outcomes, (7, harness._WRITE_SLICE))
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        [],
+        [make_outcome(e, 3, set(), steps=1000) for e in range(5)],
+        [EpisodeOutcome(e, frozenset({e % 70, 69 - e % 70}), tuple(map(float, range(70))), e + 1)
+         for e in range(140)],
+    ],
+    ids=["no-episodes", "one-body", "seventy-agents"],
+)
+def test_writer_bytes_equal_the_oracle_at_the_edges(outcomes):
+    assert len(harness._body_texts(EpisodeLog.from_outcomes(outcomes).bodies)) == len(
+        {(o.arrivals, o.rewards) for o in outcomes})
     assert_writer_matches_oracle(outcomes, (1, 7, harness._WRITE_SLICE))
 
 

@@ -142,6 +142,13 @@ def test_snapshot_rejects_other_schema_versions(tmp_path):
             read_snapshot(path)
 
 
+def test_a_snapshot_nested_too_deeply_is_unreadable(tmp_path):
+    path = tmp_path / "spec.snapshot"
+    path.write_text('{"schema": ' + "[" * 100_000)
+    with pytest.raises(DataError, match=r"spec\.snapshot: unreadable snapshot: .*recursion"):
+        read_snapshot(path)
+
+
 @pytest.mark.parametrize(
     "edit",
     [

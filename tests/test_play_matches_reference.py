@@ -11,6 +11,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,28 @@ def test_random_play_matches_reference_across_small_blocks(cfg, chunk, episodes,
     # block boundaries everywhere.
     with mock.patch.object(policies, "_CHUNK", chunk):
         assert_same_random_play(cfg, episodes, seed, buffered)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    game_configs(min_agents=7, max_agents=12), st.sampled_from([1, 2, 7, None]),
+    st.integers(1, 80), seeds, st.booleans(),
+)
+def test_random_play_matches_reference_at_seven_to_twelve_agents(cfg, chunk, episodes, seed, buffered):
+    # Each block packs an arrival row into one key of one or two bytes.
+    with mock.patch.object(policies, "_CHUNK", chunk or policies._CHUNK):
+        assert_same_random_play(cfg, episodes, seed, buffered)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("chunk", [1, 2, 7, policies._CHUNK])
+@pytest.mark.parametrize("n", [40, 70])
+def test_forty_and_seventy_agent_random_play_matches_reference(n, chunk, buffered):
+    # Keys of 5 and 9 bytes, the last one partly filled.  Sole wins recur
+    # within and across blocks, and most ties are first met in a later block.
+    cfg = GameConfig(n_agents=n, path_length=5, step_cap=6)
+    with mock.patch.object(policies, "_CHUNK", chunk):
+        assert_same_random_play(cfg, 150, n + chunk, buffered)
 
 
 def test_long_random_runs_match_reference():

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,26 @@ def test_epsilon_schedule_monotone_and_bounded():
     decay_end = int(0.75 * total)
     assert values[decay_end] == pytest.approx(0.004)
     assert values[decay_end - 1] > 0.004
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 4, 10_000, 385_281])
+@pytest.mark.parametrize(
+    "qcfg",
+    [
+        QLearningConfig(),
+        QLearningConfig(decay_end_fraction=1.0),  # the decay ends with the run
+        QLearningConfig(decay_end_fraction=1e-6),  # it ends at episode 0 up to 999,999 episodes
+        QLearningConfig(epsilon_initial=1, epsilon_min=0),  # integer epsilons come out as floats
+    ],
+    ids=["default", "decay-to-the-end", "no-decay", "integer-epsilons"],
+)
+def test_train_runs_epsilon_schedule_is_epsilon_at_bit_for_bit(total, qcfg):
+    want = array("d", [epsilon_at(e, total, qcfg) for e in range(total)])
+    got = policies._epsilon_schedule(total, qcfg)
+    assert type(got) is array and got.tobytes() == want.tobytes()
+    assert all(type(eps) is float for eps in got[:5])
+    with pytest.raises(ConfigError):
+        policies._epsilon_schedule(0, qcfg)
 
 
 def test_epsilon_schedule_rejects_out_of_range():
