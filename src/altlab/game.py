@@ -18,6 +18,13 @@ reward rule, the :class:`EpisodeOutcome` record, whose exclusive winner
 and ``capped`` flag follow from its arrivals, and :class:`EpisodeLog`, the
 in-memory log: each distinct (arrivals, rewards) body once, and an int32
 body id and step count per episode.
+
+The same log on disk is ``log.jsonl``, one :meth:`EpisodeOutcome.to_record`
+object per line.  Its writer formats each body's text once, and the text after
+the episode number once per distinct (body, steps) pair.  Its reader looks up
+blocks of lines in that layout by the text after the episode number and checks
+each block's new body texts together; any other block is validated line by
+line, through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ import itertools
 import json
 import math
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -198,44 +207,6 @@ class EpisodeOutcome:
         return outcome
 
 
-def _accept_bodies(texts: list[str], capped: list[bool]) -> list[tuple] | None:
-    """Bodies ``(arrivals, rewards)`` of brace-free body texts in the writer's
-    layout, whose lines state ``capped``; None unless all are accepted.
-
-    An accept filter: it must never accept a record that
-    :meth:`EpisodeOutcome.from_record` refuses, nor give another body (reprs
-    included).  It takes sorted in-range integer arrivals, the winner and
-    ``capped`` they imply, and finite float rewards paid as the game pays;
-    anything else, integer rewards say, is left to ``from_record``.
-    """
-    try:  # one object per text, with the body's three keys in order
-        records = json.loads("[{" + "},{".join(texts) + "}]")
-        if len(records) != len(texts) or {*map(tuple, records)} != {
-                ("arrivals", "exclusive_winner", "rewards")}:
-            return None
-        arrivals, winners, rewards = zip(*map(dict.values, records))
-        flat, paid = [*itertools.chain(*arrivals)], [*itertools.chain(*rewards)]
-        ids = np.fromiter(flat, np.int64, len(flat))
-    except (TypeError, ValueError, OverflowError, RecursionError):
-        return None
-    if ({*map(type, arrivals), *map(type, rewards)} != {list} or {*map(type, flat)} - {int}
-            or {*map(type, paid)} - {float} or {*map(type, winners)} - {int, type(None)}
-            or winners != tuple(a[0] if len(a) == 1 else None for a in arrivals)):
-        return None
-    k, n = (np.fromiter(map(len, x), np.intp, len(x)) for x in (arrivals, rewards))
-    body, start, paid = np.repeat(np.arange(len(k)), k), np.cumsum(n) - n, np.array(paid, float)
-    if not (np.all((0 <= ids) & (ids < n[body])) and np.all(np.diff(ids)[np.diff(body) == 0] > 0)
-            and np.array_equal(capped, k == 0) and np.all(np.isfinite(paid))):
-        return None
-    # A sole win or partial tie pays its arrivers the first one's share (> 0), no one else.
-    pays, share, due = (0 < k) & (k < n), np.zeros(len(k)), np.zeros(len(paid))
-    share[pays] = paid[start[pays] + ids[(np.cumsum(k) - k)[pays]]]
-    due[start[body] + ids] = share[body]
-    if np.all(share[pays] > 0.0) and np.array_equal(paid, due):
-        return list(zip(map(tuple, arrivals), map(tuple, rewards)))
-    return None
-
-
 def _body_id(index: dict, arrivals, rewards: tuple[float, ...]) -> int:
     """Id of the body (sorted ``arrivals``, ``rewards``) in ``index`` (key ->
     (id, body)), added if new.  Rewards are keyed by ``repr``, which keeps
@@ -312,3 +283,177 @@ class EpisodeLog(Sequence):
         arrived = np.zeros((len(paid), n), dtype=bool)
         arrived[np.repeat(np.arange(len(paid)), list(map(len, arrivals))), flat] = True
         return arrived, rewards
+
+
+# json.dumps would build a new encoder for every record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+# The text after '{"episode":E,' in the writer's layout: a body text, then
+# canonical steps.  A body text's only quoted strings are its three keys, so a
+# line has each of its six keys once and its body text alone sets their values;
+# it holds no braces, so body texts join and split at '},{', one object each.
+_CANONICAL_TAIL = re.compile(
+    r'("arrivals":[^"{}]*"exclusive_winner":[^"{}]*"rewards":[^"{}]*)'
+    r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
+)
+_BLOCK = 1 << 18  # characters of whole lines the reader holds at once
+_WRITE_SLICE = 1 << 12  # lines the writer joins into one string
+
+
+def _body_texts(bodies: Sequence[tuple]) -> list[str]:
+    """The text between each body's braces in a log line: one encoding of all
+    the bodies, cut at the '},{' between them."""
+    if not bodies:
+        return []
+    return _encode([
+        {"arrivals": sorted(arrivals),
+         "exclusive_winner": arrivals[0] if len(arrivals) == 1 else None,
+         "rewards": list(rewards)}
+        for arrivals, rewards in bodies
+    ])[2:-2].split("},{")
+
+
+def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
+    log = EpisodeLog.from_outcomes(outcomes)
+    bodies = _body_texts(log.bodies)
+    # The text after the episode number for each distinct (body id, steps)
+    # pair, in the order of its code; each slice of lines is one format.
+    codes, pairs = np.unique(log.ids.astype(np.int64) << 32 | log.steps.view(np.uint32),
+                             return_inverse=True)
+    tails = [
+        f',{bodies[b]},"steps":{steps},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
+        for b, steps in zip((codes >> 32).tolist(), codes.astype(np.uint32).view(np.int32).tolist())
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(log), _WRITE_SLICE):
+            chosen = pairs[start : start + _WRITE_SLICE].tolist()
+            args = [0] * (2 * len(chosen))
+            args[::2] = range(start, start + len(chosen))
+            args[1::2] = map(tails.__getitem__, chosen)
+            fh.write('{"episode":%d%s' * len(chosen) % tuple(args))
+
+
+def read_episode_log(path: Path) -> EpisodeLog:
+    """Episodes of a log.jsonl file; the ``episode`` field must count up from 0.
+
+    Lines are read in blocks, and each line is looked up by the text after its
+    episode head.  In a block in the writer's layout, numbered in sequence, a
+    new such text is matched once and the new body texts accepted together by
+    ``_accept_bodies``; any other block is parsed and validated line by line.
+    """
+    codes, blocks, count, lineno = _Codes(), [], 0, 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := fh.readlines(_BLOCK):
+                if (tails := _cut_heads(lines, count)) is not None and codes.add(tails):
+                    block = np.fromiter(map(codes.__getitem__, tails), "<i8", len(lines))
+                else:
+                    block = []
+                    for at, line in enumerate(lines, start=lineno + 1):
+                        if not (line := line.strip()):
+                            continue
+                        try:  # ValueError: bad JSON, or an integer of over 4,300 digits
+                            record = json.loads(line)
+                        except (ValueError, RecursionError) as exc:  # or too deep a nesting
+                            raise DataError(f"{path}: line {at}: invalid JSON: {exc}") from exc
+                        try:
+                            outcome = EpisodeOutcome.from_record(record)
+                        except DataError as exc:
+                            raise DataError(f"{path}: line {at}: {exc}") from exc
+                        if outcome.episode_index != count + len(block):
+                            raise DataError(
+                                f"{path}: line {at}: episode {outcome.episode_index} out of "
+                                f"sequence, expected {count + len(block)}"
+                            )
+                        body = _body_id(codes.index, outcome.arrivals, outcome.rewards)
+                        block.append(body << 32 | outcome.steps_used)
+                blocks.append(np.asarray(block, dtype="<i8"))
+                count, lineno = count + len(block), lineno + len(lines)
+                del lines, tails  # so that the next block is read without this one
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"{path}: unreadable log: {exc}") from exc
+    # Each little-endian code is two int32 words: its steps, then its body id.
+    words = np.concatenate([np.zeros(0, "<i8"), *blocks]).view("<i4")
+    return EpisodeLog([body for _, body in codes.index.values()], words[1::2], words[::2])
+
+
+def _cut_heads(lines: list[str], first: int) -> list[str] | None:
+    """The text after '{"episode":E,' of each line, with E counting up from
+    ``first``; None if a line starts otherwise."""
+    tails, end = [], first + len(lines)
+    while first < end:  # one comparison per run of episode numbers of one width
+        stop, width = min(end, 10 ** len(str(first))), len('{"episode":%d,' % first)
+        run = lines[len(tails) : len(tails) + stop - first]
+        heads = '{"episode":%d,' * len(run) % tuple(range(first, stop))
+        if "".join(map(operator.itemgetter(slice(width)), run)) != heads:
+            return None
+        tails += map(operator.itemgetter(slice(width, None)), run)
+        first = stop
+    return tails
+
+
+def _accept_bodies(texts: list[str], capped: list[bool]) -> list[tuple] | None:
+    """Bodies ``(arrivals, rewards)`` of body texts in the writer's layout,
+    whose lines state ``capped``; None unless all are accepted.
+
+    An accept filter: it must never accept a record that
+    :meth:`EpisodeOutcome.from_record` refuses, nor give another body (reprs
+    included).  It takes sorted in-range integer arrivals, the winner and
+    ``capped`` they imply, and finite rewards paid as the game pays, an integer
+    read as ``from_record`` reads it; anything else is left to ``from_record``.
+    """
+    try:  # one object per text, with the body's three keys in order
+        records = json.loads("[{" + "},{".join(texts) + "}]")
+        if len(records) != len(texts) or {*map(tuple, records)} != {
+                ("arrivals", "exclusive_winner", "rewards")}:
+            return None
+        arrivals, winners, rewards = zip(*map(dict.values, records))
+        flat, stated = [*itertools.chain(*arrivals)], [*itertools.chain(*rewards)]
+        ids, paid = np.fromiter(flat, np.int64, len(flat)), np.array(stated, float)
+    except (TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    if ({*map(type, arrivals), *map(type, rewards)} != {list} or {*map(type, flat)} - {int}
+            or (kinds := {*map(type, stated)}) - {int, float}
+            or {*map(type, winners)} - {int, type(None)}
+            or winners != tuple(a[0] if len(a) == 1 else None for a in arrivals)):
+        return None
+    k, n = (np.fromiter(map(len, x), np.intp, len(x)) for x in (arrivals, rewards))
+    body, start = np.repeat(np.arange(len(k)), k), np.cumsum(n) - n
+    if not (np.all((0 <= ids) & (ids < n[body])) and np.all(np.diff(ids)[np.diff(body) == 0] > 0)
+            and np.array_equal(capped, k == 0) and np.all(np.isfinite(paid))):
+        return None
+    # A sole win or partial tie pays its arrivers the first one's share (> 0), no one else.
+    pays, share, due = (0 < k) & (k < n), np.zeros(len(k)), np.zeros(len(paid))
+    share[pays] = paid[start[pays] + ids[(np.cumsum(k) - k)[pays]]]
+    due[start[body] + ids] = share[body]
+    if np.all(share[pays] > 0.0) and np.array_equal(paid, due):
+        if int in kinds:  # read as from_record reads them, as floats
+            rewards = [[*map(float, r)] for r in rewards]
+        return list(zip(map(tuple, arrivals), map(tuple, rewards)))
+    return None
+
+
+class _Codes(dict):
+    """Tail -> body id << 32 | steps, for the text after the episode head of
+    each line of a block in the writer's layout."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
+        self.known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
+
+    def add(self, tails: list[str]) -> bool:
+        """Code a block's new tails in order of first appearance, or add
+        nothing and return False unless ``_accept_bodies`` takes them all."""
+        new = [*dict.fromkeys(itertools.filterfalse(self.__contains__, tails))]
+        if not all(matches := [*map(_CANONICAL_TAIL.fullmatch, new)]):
+            return False
+        fresh = [*dict.fromkeys(k for m in matches if (k := m.group(1, 3)) not in self.known)]
+        if fresh:
+            texts, capped = zip(*fresh)
+            if (bodies := _accept_bodies(texts, [c == "true" for c in capped])) is None:
+                return False
+            for key, body in zip(fresh, bodies):
+                self.known[key] = _body_id(self.index, *body)
+        self.update((t, self.known[m.group(1, 3)] << 32 | int(m[2])) for t, m in zip(new, matches))
+        return True

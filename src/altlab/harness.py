@@ -1,10 +1,10 @@
-"""Experiment harness: runs, persistence, and the full sweep grid.
+"""Experiment harness: runs, CSV tables, snapshots, and the full sweep grid.
 
 :func:`run` plays one spec (random play, or Q-learning followed by a
 greedy evaluation), scores it and writes it into its own directory under
 a runs root:
 
-    <run_id>/log.jsonl       canonical episode log, one JSON object per line
+    <run_id>/log.jsonl       episode log, written and read by :mod:`altlab.game`
     <run_id>/panel.csv       run-level metrics (plus a greedy-eval row for
                              trained runs)
     <run_id>/curve.csv       training curve (trained runs only)
@@ -30,14 +30,6 @@ from dataclass fields, and :func:`parse_fields` rebuilds a dataclass from text
 or JSON values by each field's annotation, so panel.csv, curve.csv,
 summary.csv and spec.snapshot share one parser.  An unreadable or
 unparsable input raises :class:`DataError`.
-
-An episode log is an :class:`~altlab.game.EpisodeLog` in memory.  Its
-writer formats each body's text once, and the text after the episode number
-once for each distinct (body, steps) pair; it joins the lines a slice at a
-time, with the bytes of one record per episode.  Its reader looks up blocks of
-lines in that layout by the text after the episode number, and checks each
-block's new body texts together; any other block is validated line by line,
-through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -50,13 +42,12 @@ import itertools
 import json
 import math
 import os
-import re
 import shutil
 import traceback
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache, partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -65,8 +56,8 @@ import numpy as np
 from . import analysis
 from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import (
-    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _accept_bodies, _body_id,
-    assign_rewards,
+    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, assign_rewards,
+    read_episode_log, write_episode_log,
 )
 from .metrics import MAX_AGENTS, MetricPanel, compute_panel, trailing_windows
 from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
@@ -231,137 +222,6 @@ def read_table(path: Path, columns: Sequence[str], build=None) -> list:
         raise DataError(f"{path}: {exc}") from exc
 
 
-# json.dumps would build a new encoder for every record.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-# The text after '{"episode":E,' in the writer's layout: a body text whose
-# only quoted strings are its three keys, so that the line has each of its six
-# keys once and the body text alone sets its values, and with no braces, so
-# that joined body texts parse as one object each; then canonical steps.
-_CANONICAL_TAIL = re.compile(
-    r'("arrivals":[^"{}]*"exclusive_winner":[^"{}]*"rewards":[^"{}]*)'
-    r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
-)
-_BLOCK = 1 << 18  # characters of whole lines the reader holds at once
-_WRITE_SLICE = 1 << 12  # lines the writer joins into one string
-
-
-def _body_texts(bodies: Sequence[tuple]) -> list[str]:
-    """The text between each body's braces in a log line: one encoding of all
-    the bodies, cut at the '},{' between them, as body texts hold no braces."""
-    if not bodies:
-        return []
-    return _encode([
-        {"arrivals": sorted(arrivals),
-         "exclusive_winner": arrivals[0] if len(arrivals) == 1 else None,
-         "rewards": list(rewards)}
-        for arrivals, rewards in bodies
-    ])[2:-2].split("},{")
-
-
-def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
-    log = EpisodeLog.from_outcomes(outcomes)
-    bodies = _body_texts(log.bodies)
-    # The text after the episode number for each distinct (body id, steps)
-    # pair, in the order of its code; each slice of lines is one format.
-    codes, pairs = np.unique(log.ids.astype(np.int64) << 32 | log.steps.view(np.uint32),
-                             return_inverse=True)
-    tails = [
-        f',{bodies[b]},"steps":{steps},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
-        for b, steps in zip((codes >> 32).tolist(), codes.astype(np.uint32).view(np.int32).tolist())
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(log), _WRITE_SLICE):
-            chosen = pairs[start : start + _WRITE_SLICE].tolist()
-            args = [0] * (2 * len(chosen))
-            args[::2] = range(start, start + len(chosen))
-            args[1::2] = map(tails.__getitem__, chosen)
-            fh.write('{"episode":%d%s' * len(chosen) % tuple(args))
-
-
-def read_episode_log(path: Path) -> EpisodeLog:
-    """Episodes of a log.jsonl file; the ``episode`` field must count up from 0.
-
-    Lines are read in blocks, and each line is looked up by the text after its
-    episode head.  In a block in the writer's layout, numbered in sequence, a
-    new such text is matched once and the new body texts accepted together by
-    ``_accept_bodies``; any other block is parsed and validated line by line.
-    """
-    codes, blocks, count, lineno = _Codes(), [], 0, 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while lines := fh.readlines(_BLOCK):
-                if (tails := _cut_heads(lines, count)) is not None and codes.add(tails):
-                    block = np.fromiter(map(codes.__getitem__, tails), "<i8", len(lines))
-                else:
-                    block = []
-                    for at, line in enumerate(lines, start=lineno + 1):
-                        if not (line := line.strip()):
-                            continue
-                        try:
-                            outcome = EpisodeOutcome.from_record(json.loads(line))
-                        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
-                            raise DataError(f"{path}: line {at}: invalid JSON: {exc}") from exc
-                        except DataError as exc:
-                            raise DataError(f"{path}: line {at}: {exc}") from exc
-                        if outcome.episode_index != count + len(block):
-                            raise DataError(
-                                f"{path}: line {at}: episode {outcome.episode_index} out of "
-                                f"sequence, expected {count + len(block)}"
-                            )
-                        body = _body_id(codes.index, outcome.arrivals, outcome.rewards)
-                        block.append(body << 32 | outcome.steps_used)
-                blocks.append(np.asarray(block, dtype="<i8"))
-                count, lineno = count + len(block), lineno + len(lines)
-                del lines, tails  # so that the next block is read without this one
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"{path}: unreadable log: {exc}") from exc
-    # Each little-endian code is two int32 words: its steps, then its body id.
-    words = np.concatenate([np.zeros(0, "<i8"), *blocks]).view("<i4")
-    return EpisodeLog([body for _, body in codes.index.values()], words[1::2], words[::2])
-
-
-def _cut_heads(lines: list[str], first: int) -> list[str] | None:
-    """The text after '{"episode":E,' of each line, with E counting up from
-    ``first``; None if a line starts otherwise."""
-    tails, end = [], first + len(lines)
-    while first < end:  # one comparison per run of episode numbers of one width
-        stop, width = min(end, 10 ** len(str(first))), len('{"episode":%d,' % first)
-        run = lines[len(tails) : len(tails) + stop - first]
-        heads = '{"episode":%d,' * len(run) % tuple(range(first, stop))
-        if "".join(map(itemgetter(slice(width)), run)) != heads:
-            return None
-        tails += map(itemgetter(slice(width, None)), run)
-        first = stop
-    return tails
-
-
-class _Codes(dict):
-    """Tail -> body id << 32 | steps, for the text after the episode head of
-    each line of a block in the writer's layout."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
-        self.known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
-
-    def add(self, tails: list[str]) -> bool:
-        """Code a block's new tails in order of first appearance, or add
-        nothing and return False unless ``_accept_bodies`` takes them all."""
-        new = [*dict.fromkeys(itertools.filterfalse(self.__contains__, tails))]
-        if not all(matches := [*map(_CANONICAL_TAIL.fullmatch, new)]):
-            return False
-        fresh = [*dict.fromkeys(k for m in matches if (k := m.group(1, 3)) not in self.known)]
-        if fresh:
-            texts, capped = zip(*fresh)
-            if (bodies := _accept_bodies(texts, [c == "true" for c in capped])) is None:
-                return False
-            for key, body in zip(fresh, bodies):
-                self.known[key] = _body_id(self.index, *body)
-        self.update((t, self.known[m.group(1, 3)] << 32 | int(m[2])) for t, m in zip(new, matches))
-        return True
-
-
 def write_panel_csv(rows: Sequence[tuple[str, MetricPanel]], path: Path) -> None:
     write_table(path, PANEL_COLUMNS, [(w, *p.as_dict().values()) for w, p in rows])
 
@@ -405,7 +265,7 @@ def read_snapshot(path: Path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too long a number
         raise DataError(f"{path}: unreadable snapshot: {exc}") from exc
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA_VERSION:

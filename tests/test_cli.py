@@ -11,6 +11,7 @@ from altlab.cli import build_parser, main
 from altlab.harness import (
     SUMMARY_COLUMNS,
     read_curve_csv,
+    read_episode_log,
     read_summary,
     write_episode_log,
     write_summary,
@@ -332,6 +333,29 @@ def _metrics_on_deeply_nested_log(tmp_path):
     return ["metrics", "--log", str(log), "--agents", "2"]
 
 
+def _metrics_on_a_5000_digit_step_count(tmp_path):
+    """argv of ``metrics`` on a one-line log whose steps have 5,000 digits,
+    more than Python parses as one integer."""
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"episode":0,"arrivals":[0],"exclusive_winner":0,"rewards":[100.0,0.0],'
+                   f'"steps":{"1" * 5000},"capped":false}}\n')
+    return ["metrics", "--log", str(log), "--agents", "2"]
+
+
+def _baseline_rerun_on_snapshot(content: bytes):
+    """argv of a ``baseline`` rerun into its own run directory, whose
+    spec.snapshot has been replaced by ``content``."""
+
+    def argv(tmp_path):
+        args = ["baseline", "--agents", "2", "--episodes", "20", "--out", str(tmp_path)]
+        assert main(args) == 0
+        snapshot = tmp_path / "rand-n2-A-ilf-seed0" / "spec.snapshot"
+        snapshot.write_bytes(content(snapshot.read_bytes()))
+        return args
+
+    return argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -344,6 +368,9 @@ def _metrics_on_deeply_nested_log(tmp_path):
         _report_on_summary(",".join("CALT" if c == "calt" else c for c in SUMMARY_COLUMNS) + "\n"),
         _baseline_rerun_on_header_only_panel,
         _metrics_on_deeply_nested_log,
+        _metrics_on_a_5000_digit_step_count,
+        _baseline_rerun_on_snapshot(lambda text: text.replace(b'"seed": 0', b'"seed": ' + b"1" * 5000)),
+        _baseline_rerun_on_snapshot(lambda text: b"\xff" + text),
     ],
     ids=[
         "metrics-missing-log",
@@ -355,6 +382,9 @@ def _metrics_on_deeply_nested_log(tmp_path):
         "report-renamed-header-cell",
         "baseline-rerun-no-full-row",
         "metrics-deeply-nested-line",
+        "metrics-5000-digit-steps",
+        "baseline-rerun-5000-digit-seed",
+        "baseline-rerun-snapshot-not-utf-8",
     ],
 )
 def test_unreadable_input_exits_3(tmp_path, capsys, argv):
@@ -365,6 +395,25 @@ def test_unreadable_input_exits_3(tmp_path, capsys, argv):
     assert err.startswith("error:")
     # One line that names the input, and no traceback.
     assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", [2**31 - 1, 2**31])
+def test_metrics_reads_steps_up_to_the_int32_column(tmp_path, capsys, steps):
+    # 2**31 - 1 has ten digits, so its line is read line by line, not as a block.
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(
+        f'{{"episode":{e},"arrivals":[{e}],"exclusive_winner":{e},"rewards":{rewards},'
+        f'"steps":{k},"capped":false}}\n'
+        for e, (rewards, k) in enumerate([("[100.0,0.0]", 2), ("[0.0,100.0]", steps)])
+    ))
+    code = main(["metrics", "--log", str(log), "--agents", "2"])
+    err = capsys.readouterr().err
+    if steps < 2**31:
+        assert code == 0 and err == ""
+        assert read_episode_log(log).steps.tolist() == [2, steps]
+    else:
+        assert code == 3
+        assert err == f"error: {log}: line 2: steps {steps} do not fit the int32 steps column\n"
 
 
 def test_simulate_qlearning_run(tmp_path, capsys):

@@ -20,7 +20,7 @@ from altlab.errors import ConfigError, DataError
 from altlab.game import (
     EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _accept_bodies,
 )
-from altlab import harness
+from altlab import game
 from altlab.harness import read_episode_log, write_episode_log
 from altlab.metrics import compute_panel
 from altlab.policies import QLearningConfig, run_random, train_run
@@ -142,13 +142,45 @@ def test_the_writers_logs_take_the_block_path(tmp_path, monkeypatch, make_log):
     calls, from_record = [], EpisodeOutcome.from_record
     monkeypatch.setattr(EpisodeOutcome, "from_record",
                         staticmethod(lambda record: calls.append(record) or from_record(record)))
-    checked, accept = [], harness._accept_bodies
-    monkeypatch.setattr(harness, "_accept_bodies",
+    checked, accept = [], game._accept_bodies
+    monkeypatch.setattr(game, "_accept_bodies",
                         lambda texts, capped: checked.extend(texts) or accept(texts, capped))
     back = read_episode_log(path)
     assert back == log and np.array_equal(back.steps, log.steps)
     assert calls == []
     assert len(checked) == len(set(checked)) == len(log.bodies)
+
+
+def test_integer_rewards_take_the_block_path(tmp_path, monkeypatch):
+    # Another tool may write rewards as JSON integers; from_record reads them
+    # as floats, and so does the bulk check, so no line is read alone.
+    log, path = run_random(GameConfig(n_agents=5), 20_000, seed_or_rng=3), tmp_path / "log.jsonl"
+    write_episode_log(log, path)
+    text = re.sub(r'"rewards":\[[^]]*\]', lambda m: m[0].replace(".0", ""), path.read_text())
+    rewards = re.findall(r'"rewards":\[([^]]*)\]', text)
+    assert len(rewards) == len(log) and ".0" not in "".join(rewards)
+    path.write_text(text, encoding="utf-8")
+    calls, from_record = [], EpisodeOutcome.from_record
+    monkeypatch.setattr(EpisodeOutcome, "from_record",
+                        staticmethod(lambda record: calls.append(record) or from_record(record)))
+    back = read_episode_log(path)
+    assert calls == []
+    want = read_log_oracle(path)
+    assert back == want == log and np.array_equal(back.steps, log.steps)
+    assert [repr(ep.rewards) for ep in back] == [repr(ep.rewards) for ep in want]
+    assert back.bodies == log.bodies
+
+
+def test_an_integer_reward_beyond_floats_is_refused_by_from_record(tmp_path):
+    lines = [_text(make_outcome(e, 2, {e % 2}).to_record()) for e in range(4)]
+    lines[2] = lines[2].replace("100.0", "1" + "0" * 400)
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(DataError) as error:
+        read_episode_log(path)
+    assert str(error.value) == (
+        f"{path}: line 3: malformed episode record: int too large to convert to float")
+    assert _agree_with_the_oracle(path) is None
 
 
 # -- The reader against the line-by-line oracle ----------------------------
@@ -328,7 +360,7 @@ def test_block_reader_agrees_with_the_oracle_across_block_boundaries(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(harness, "_BLOCK", hint):
+        with mock.patch.object(game, "_BLOCK", hint):
             got = _agree_with_the_oracle(path)
     event("accepted" if got is not None else "rejected")
     if not where and got is not None:
@@ -356,7 +388,7 @@ def test_block_reader_accepts_what_the_oracle_accepts(tmp_path, monkeypatch, edi
     lines = _same_length_lines(outcomes)
     path = tmp_path / "log.jsonl"
     path.write_bytes("".join(edit(lines)).encode("utf-8"))
-    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)  # three lines a block
+    monkeypatch.setattr(game, "_BLOCK", 3 * len(lines[0]) - 1)  # three lines a block
     assert _agree_with_the_oracle(path) == outcomes
 
 
@@ -374,7 +406,7 @@ def test_block_reader_names_a_bad_line_in_the_third_block(tmp_path, monkeypatch,
     lines[7] = edit(lines[7])
     path = tmp_path / "log.jsonl"
     path.write_text("".join(lines))
-    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)
+    monkeypatch.setattr(game, "_BLOCK", 3 * len(lines[0]) - 1)
     with pytest.raises(DataError, match=error):
         read_episode_log(path)
     assert _agree_with_the_oracle(path) is None
@@ -385,7 +417,7 @@ def test_block_reader_adds_a_body_first_seen_in_a_later_block(tmp_path, monkeypa
     lines = _same_length_lines(outcomes)
     path = tmp_path / "log.jsonl"
     path.write_text("".join(lines))
-    monkeypatch.setattr(harness, "_BLOCK", 3 * len(lines[0]) - 1)
+    monkeypatch.setattr(game, "_BLOCK", 3 * len(lines[0]) - 1)
     log = _agree_with_the_oracle(path)
     assert log.ids.tolist() == [0] * 7 + [1] * 2
     assert log.bodies == (((0,), (100.0, 0.0)), ((1,), (0.0, 100.0)))
@@ -469,7 +501,7 @@ def test_the_bulk_check_accepts_only_what_from_record_accepts(bodies):
         assert accepted is not None
 
 
-@pytest.mark.parametrize("block", [harness._BLOCK, 200])
+@pytest.mark.parametrize("block", [game._BLOCK, 200])
 def test_a_spliced_body_is_read_as_the_oracle_reads_it(tmp_path, monkeypatch, block):
     # Joined with the next new body text, a body that closes its own braces
     # would shift values from one record to the next.
@@ -478,7 +510,7 @@ def test_a_spliced_body_is_read_as_the_oracle_reads_it(tmp_path, monkeypatch, bl
     lines[4] = lines[4].replace('"rewards":[', '"rewards":[1]},{"arrivals":[0],"rewards":[', 1)
     path = tmp_path / "log.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    monkeypatch.setattr(harness, "_BLOCK", block)
+    monkeypatch.setattr(game, "_BLOCK", block)
     assert _agree_with_the_oracle(path) is None
     with pytest.raises(DataError, match="line 4: invalid JSON"):
         read_episode_log(path)
@@ -488,7 +520,7 @@ def test_a_spliced_body_is_read_as_the_oracle_reads_it(tmp_path, monkeypatch, bl
 
 
 def oracle_log_text(outcomes):
-    return "".join(harness._encode(o.to_record()) + "\n" for o in outcomes)
+    return "".join(game._encode(o.to_record()) + "\n" for o in outcomes)
 
 
 @st.composite
@@ -511,7 +543,7 @@ def assert_writer_matches_oracle(outcomes, sizes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         for size in sizes:
-            with mock.patch.object(harness, "_WRITE_SLICE", size):
+            with mock.patch.object(game, "_WRITE_SLICE", size):
                 write_episode_log(outcomes, path)
             assert path.read_text(encoding="utf-8") == want, size
 
@@ -519,7 +551,7 @@ def assert_writer_matches_oracle(outcomes, sizes):
 @given(writer_logs())
 @settings(max_examples=300, deadline=None)
 def test_writer_bytes_equal_the_record_by_record_oracle(outcomes):
-    assert_writer_matches_oracle(outcomes, (1, 7, harness._WRITE_SLICE))
+    assert_writer_matches_oracle(outcomes, (1, 7, game._WRITE_SLICE))
 
 
 @given(writer_logs(max_agents=70))
@@ -531,9 +563,9 @@ def test_body_texts_are_one_per_body_up_to_seventy_agents(outcomes):
     for arrivals, rewards in log.bodies:
         record = EpisodeOutcome(0, frozenset(arrivals), rewards, 1).to_record()
         body = {k: record[k] for k in ("arrivals", "exclusive_winner", "rewards")}
-        want.append(harness._encode(body)[1:-1])
-    assert harness._body_texts(log.bodies) == want
-    assert_writer_matches_oracle(outcomes, (7, harness._WRITE_SLICE))
+        want.append(game._encode(body)[1:-1])
+    assert game._body_texts(log.bodies) == want
+    assert_writer_matches_oracle(outcomes, (7, game._WRITE_SLICE))
 
 
 @pytest.mark.parametrize(
@@ -547,15 +579,15 @@ def test_body_texts_are_one_per_body_up_to_seventy_agents(outcomes):
     ids=["no-episodes", "one-body", "seventy-agents"],
 )
 def test_writer_bytes_equal_the_oracle_at_the_edges(outcomes):
-    assert len(harness._body_texts(EpisodeLog.from_outcomes(outcomes).bodies)) == len(
+    assert len(game._body_texts(EpisodeLog.from_outcomes(outcomes).bodies)) == len(
         {(o.arrivals, o.rewards) for o in outcomes})
-    assert_writer_matches_oracle(outcomes, (1, 7, harness._WRITE_SLICE))
+    assert_writer_matches_oracle(outcomes, (1, 7, game._WRITE_SLICE))
 
 
 def test_writer_bytes_equal_the_oracle_over_several_slices():
-    log = run_random(GameConfig(n_agents=4, step_cap=3), 3 * harness._WRITE_SLICE + 5, seed_or_rng=9)
+    log = run_random(GameConfig(n_agents=4, step_cap=3), 3 * game._WRITE_SLICE + 5, seed_or_rng=9)
     assert set(log.steps.tolist()) == {2, 3} and any(not arrivals for arrivals, _ in log.bodies)
-    assert_writer_matches_oracle(log, (harness._WRITE_SLICE,))
+    assert_writer_matches_oracle(log, (game._WRITE_SLICE,))
 
 
 @st.composite

@@ -150,6 +150,22 @@ def test_a_snapshot_nested_too_deeply_is_unreadable(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, error",
+    [
+        (b'{"schema": "altlab-run@1", "seed": ' + b"1" * 5000 + b"}", "4300 digits"),
+        (b"\xff{}", "utf-8"),
+    ],
+    ids=["5000-digit-seed", "bad-utf-8"],
+)
+def test_a_snapshot_that_json_cannot_decode_is_unreadable(tmp_path, content, error):
+    # json.load raises a plain ValueError for either, not a JSONDecodeError.
+    path = tmp_path / "spec.snapshot"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=rf"spec\.snapshot: unreadable snapshot: .*{error}"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda p: p.update(episodes=10.9),
