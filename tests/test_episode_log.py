@@ -475,6 +475,7 @@ def body_texts(draw):
 
 @given(bodies=st.lists(body_texts(), min_size=1, max_size=4))
 @example(bodies=[('"arrivals":[-1],"exclusive_winner":-1,"rewards":[0.0,100.0]', False)])
+@example(bodies=[('"arrivals":[-1],"exclusive_winner":-1,"rewards":[]', False)])
 @settings(max_examples=500, deadline=None)
 def test_the_bulk_check_accepts_only_what_from_record_accepts(bodies):
     texts, capped = (list(x) for x in zip(*bodies))
@@ -497,7 +498,8 @@ def test_the_bulk_check_accepts_only_what_from_record_accepts(bodies):
             assert repr(single[0][1]) == repr(ep.rewards)
     # Bodies as the writer writes them, with arrivals in range, are all accepted.
     if all(ep is not None and text == _writer_body(ep)
-           and max(ep.arrivals, default=-1) < len(ep.rewards) for text, ep in zip(texts, outcomes)):
+           and all(0 <= i < len(ep.rewards) for i in ep.arrivals)
+           for text, ep in zip(texts, outcomes)):
         assert accepted is not None
 
 
