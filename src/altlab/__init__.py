@@ -7,7 +7,6 @@ from .errors import (
     ComparisonError,
     ConfigError,
     DataError,
-    FitError,
     InsufficientDataError,
     SchemaVersionError,
 )

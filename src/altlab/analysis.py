@@ -3,23 +3,23 @@
 Observed scores are judged against a random-policy reference two ways:
 relative change (percent above or below the reference) and a
 coordination score that normalizes the gap to the headroom between the
-reference and a perfect score.  The calt score additionally maps
-through a square root to an alternation ratio, interpreted as the
-equivalent fraction of agents participating in a perfect rotation.
+reference and a perfect score.  Any variant's score also maps exactly to
+an alternation ratio, the fraction of agents in a fixed rotation that
+scores the same (:func:`alt_ratio`: identity for falt and ealt, square
+root for qfalt, qealt and calt, (score + 1) / 2 for aalt, undefined at
+aalt 0), restated as agents in a perfect rotation by :func:`pa_equivalent`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparisonError, ConfigError, FitError
+from .errors import ComparisonError, ConfigError
 from .game import EpisodeLog
-from .metrics import VARIANTS, alt_score
+from .metrics import VARIANTS
 
 # Offset subtracted before the square root so a score that is zero up to
 # accumulated rounding still maps to a ratio of exactly zero.
@@ -96,6 +96,25 @@ def alt_ratio_from_calt(calt: float) -> float:
     return math.sqrt(shifted)
 
 
+def alt_ratio(variant: str, score: float) -> float | None:
+    """The rotating fraction x / n of a fixed rotation that scores ``score``.
+
+    A fixed rotation of x of n agents scores falt = ealt = x / n,
+    qfalt = qealt = calt = (x / n)^2 and aalt = max(0, 2x - n) / n; each
+    branch inverts one.  Every x <= n / 2 scores aalt 0, so that ratio is
+    None.
+    """
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if not 0.0 <= score <= 1.0:
+        raise ComparisonError(f"{variant} score must be in [0, 1], got {score}")
+    if variant == "calt":
+        return alt_ratio_from_calt(score)
+    if variant == "aalt":
+        return (score + 1.0) / 2.0 if score > 0.0 else None
+    return math.sqrt(score) if variant in ("qfalt", "qealt") else score
+
+
 @dataclass(frozen=True)
 class PAEquivalent:
     """Alternation ratio restated as agents-in-rotation and percent of perfect."""
@@ -135,73 +154,6 @@ def synth_pa_mixture(
         raise ConfigError(f"need at least n={n} episodes, got {nu}")
     bodies = [((w,), tuple(r_high if i == w else 0.0 for i in range(n))) for w in range(x)]
     return EpisodeLog(bodies, np.arange(nu) % x, np.full(nu, 2))
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    """Power-law map from a run-level score to an alternation ratio."""
-
-    variant: str
-    scale: float
-    exponent: float
-    n_range: tuple[int, int]
-    max_fit_error: float
-
-    def predict(self, value: float) -> float:
-        if value <= 0.0:
-            return 0.0
-        return self.scale * value**self.exponent
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "scale": self.scale,
-                "exponent": self.exponent,
-                "n_min": self.n_range[0],
-                "n_max": self.n_range[1],
-                "max_fit_error": self.max_fit_error,
-            },
-            indent=2,
-        )
-
-
-def fit_alt_ratio_regression(
-    variant: str,
-    n_range: tuple[int, int] = (2, 10),
-    samples: Sequence[tuple[int, int, float]] | None = None,
-) -> RegressionFit:
-    """Fit ratio = scale * value^exponent on fixed-rotation mixtures.
-
-    Samples are (x, n, score) triples; by default one for every 1 <= x <= n
-    across ``n_range``, scored on 10 * n episodes.  The fit is least squares
-    in log-log space, so for calt it recovers the square-root mapping.
-    """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    lo, hi = n_range
-    if not 2 <= lo <= hi <= 40:
-        raise ConfigError(f"n_range must satisfy 2 <= lo <= hi <= 40, got {n_range}")
-    if samples is None:
-        samples = [
-            (x, n, alt_score(synth_pa_mixture(x, n, 10 * n), n, variant))
-            for n in range(lo, hi + 1)
-            for x in range(1, n + 1)
-        ]
-    points = [(value, x / n) for x, n, value in samples if value > 0.0]
-    if len(points) < 3:
-        raise FitError(f"need at least 3 positive samples, got {len(points)}")
-    log_v = np.log([v for v, _ in points])
-    log_r = np.log([r for _, r in points])
-    exponent, intercept = np.polyfit(log_v, log_r, 1)
-    fit = RegressionFit(
-        variant=variant,
-        scale=float(math.exp(intercept)),
-        exponent=float(exponent),
-        n_range=(lo, hi),
-        max_fit_error=0.0,
-    )
-    return replace(fit, max_fit_error=float(max(abs(fit.predict(v) - r) for v, r in points)))
 
 
 def episodes_for(n: int, base: int = 1000) -> int:

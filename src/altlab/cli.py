@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness
-from .errors import ComparisonError, ConfigError, DataError, FitError
+from .errors import ComparisonError, ConfigError, DataError
 from .game import GameConfig, RewardScheme, StateType
 from .metrics import VARIANTS, compute_panel
 from .policies import QLearningConfig
@@ -42,8 +42,8 @@ def _game_from_args(args) -> GameConfig:
     )
 
 
-def _print_panel(panel) -> None:
-    for name, value in panel.as_dict().items():
+def _print_values(values: dict) -> None:
+    for name, value in values.items():
         print(f"{name}: {'undefined' if value is None else value}")
 
 
@@ -83,7 +83,7 @@ def _run_single(args) -> int:
     )
     result = harness.run(spec, Path(args.out or _default_out()), overwrite=args.overwrite)
     print(f"run: {result.run_dir}")
-    _print_panel(result.panel)
+    _print_values(result.panel.as_dict())
     if result.greedy_panel is not None:
         print(f"greedy_eval_calt: {result.greedy_panel.calt}")
     return EXIT_OK
@@ -92,7 +92,7 @@ def _run_single(args) -> int:
 def cmd_metrics(args) -> int:
     outcomes = harness.read_episode_log(Path(args.log))
     panel = compute_panel(outcomes, args.agents, args.r_high)
-    _print_panel(panel)
+    _print_values(panel.as_dict())
     if args.csv:
         harness.write_panel_csv([("full", panel)], Path(args.csv))
         print(f"wrote {args.csv}")
@@ -135,45 +135,22 @@ def cmd_sweep(args) -> int:
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
-# analyze's flags of each mode, with their defaults.
-_FIT_FLAGS = {"n_min": 2, "n_max": 10, "save": None}
-_COMPARE_FLAGS = {"observed": None, "random": None, "perfect": 1.0, "variant": "calt", "agents": None}
-
-
 def cmd_analyze(args) -> int:
-    """Fit the ratio mapping (``--fit``) or compare scores; the other mode's flags are refused."""
-    fits = args.fit is not None
-    own, other = (_FIT_FLAGS, _COMPARE_FLAGS) if fits else (_COMPARE_FLAGS, _FIT_FLAGS)
-    stray = [f"--{name.replace('_', '-')}" for name in other if getattr(args, name) is not None]
-    if stray:
-        raise ConfigError(f"analyze {'with' if fits else 'without'} --fit takes no {', '.join(stray)}")
-    for name, default in own.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    if fits:
-        fit = analysis.fit_alt_ratio_regression(args.fit, (args.n_min, args.n_max))
-        print(
-            f"{fit.variant}: ratio = {fit.scale:.6g} * value^{fit.exponent:.6g} "
-            f"(max fit error {fit.max_fit_error:.3g})"
-        )
-        if args.save:
-            Path(args.save).write_text(fit.to_json() + "\n", encoding="utf-8")
-            print(f"wrote {args.save}")
-        return EXIT_OK
+    """Compare a score with its random reference and map it to an alternation ratio."""
     if args.observed is None or args.random is None:
-        raise ConfigError("analyze needs either --fit or both --observed and --random")
-    if args.agents is not None and args.variant != "calt":
-        raise ConfigError(f"analyze --variant {args.variant} takes no --agents")
+        raise ConfigError("analyze needs both --observed and --random")
     record = analysis.compare(args.variant, args.observed, args.random, args.perfect)
-    print(f"relative_change_pct: {record.rel_change_pct}")
-    print(f"coordination_score_pct: {record.coord_score_pct}")
-    if args.variant == "calt":
-        ratio = analysis.alt_ratio_from_calt(args.observed)
-        print(f"alt_ratio: {ratio}")
-        if args.agents is not None:
-            pa = analysis.pa_equivalent(ratio, args.agents)
-            print(f"pa_equiv_agents: {pa.pa_equiv_agents}")
-            print(f"pct_of_perfect: {pa.pct_of_perfect}")
+    ratio = analysis.alt_ratio(args.variant, args.observed)
+    values = {
+        "relative_change_pct": record.rel_change_pct,
+        "coordination_score_pct": record.coord_score_pct,
+        "alt_ratio": ratio,
+    }
+    if args.agents is not None:  # checked even where the ratio, and so its equivalent, is undefined
+        pa = analysis.pa_equivalent(ratio or 0.0, args.agents)
+        if ratio is not None:
+            values.update(pa_equiv_agents=pa.pa_equiv_agents, pct_of_perfect=pa.pct_of_perfect)
+    _print_values(values)
     return EXIT_OK
 
 
@@ -317,16 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--overwrite", action="store_true")
     sub.set_defaults(func=cmd_sweep)
 
-    sub = subs.add_parser("analyze", help="compare scores or fit the ratio mapping")
+    sub = subs.add_parser("analyze", help="compare a score with its reference, map it to a ratio")
     sub.add_argument("--observed", type=float, default=None)
     sub.add_argument("--random", type=float, default=None)
-    sub.add_argument("--perfect", type=float, default=None, help="default 1.0")
-    sub.add_argument("--variant", choices=VARIANTS, default=None, help="default calt")
+    sub.add_argument("--perfect", type=float, default=1.0)
+    sub.add_argument("--variant", choices=VARIANTS, default="calt")
     sub.add_argument("--agents", type=int, default=None)
-    sub.add_argument("--fit", choices=VARIANTS, default=None)
-    sub.add_argument("--n-min", type=int, default=None, help="default 2")
-    sub.add_argument("--n-max", type=int, default=None, help="default 10")
-    sub.add_argument("--save", default=None)
     sub.set_defaults(func=cmd_analyze)
 
     sub = subs.add_parser("report", help="build summary tables and figure data")
@@ -345,7 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ComparisonError, FitError) as exc:
+    except (DataError, ComparisonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

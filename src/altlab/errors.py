@@ -22,8 +22,5 @@ class SchemaVersionError(DataError):
 
 
 class ComparisonError(AltlabError, ValueError):
-    """A baseline comparison has a degenerate or undefined reference."""
+    """A comparison has a degenerate reference, or a score outside [0, 1]."""
 
-
-class FitError(AltlabError, ValueError):
-    """A regression fit was requested with insufficient samples."""

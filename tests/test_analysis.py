@@ -1,23 +1,22 @@
-"""Comparison scores, ratio mapping, mixtures, regression, scaling."""
+"""Comparison scores, exact ratio maps, mixtures, scaling."""
 
-import json
 import math
 
 import pytest
 
 from altlab.analysis import (
     CALT_RATIO_OFFSET,
+    alt_ratio,
     alt_ratio_from_calt,
     compare,
     coordination_score,
     episodes_for,
-    fit_alt_ratio_regression,
     pa_equivalent,
     relative_change,
     synth_pa_mixture,
 )
-from altlab.errors import ComparisonError, ConfigError, FitError
-from altlab.metrics import alt_score
+from altlab.errors import ComparisonError, ConfigError
+from altlab.metrics import alt_score, alt_scores
 
 
 def test_relative_change_values():
@@ -104,44 +103,27 @@ def test_mixture_calt_matches_rotation_fraction_squared():
             assert alt_score(log, n, "falt") == pytest.approx(x / n)
 
 
-def test_regression_recovers_square_root_for_calt():
-    fit = fit_alt_ratio_regression("calt")
-    assert fit.exponent == pytest.approx(0.5, abs=1e-9)
-    assert fit.scale == pytest.approx(1.0, abs=1e-9)
-    assert fit.max_fit_error < 1e-9
-    for value in (0.01, 0.0482, 0.25, 0.3222, 0.81, 1.0):
-        assert fit.predict(value) == pytest.approx(math.sqrt(value), abs=1e-3)
-    assert fit.predict(0.0) == 0.0
-    assert fit.predict(-1.0) == 0.0
+def test_alt_ratio_inverts_every_variant_on_fixed_rotations():
+    # every rotation of 1 <= x <= n <= 40 agents
+    for n in range(2, 41):
+        for x in range(1, n + 1):
+            scores = alt_scores(synth_pa_mixture(x, n, 10 * n), n)
+            for variant in ("falt", "ealt", "qfalt", "qealt"):
+                assert alt_ratio(variant, scores[variant]) == x / n, (variant, x, n)
+            assert alt_ratio("calt", scores["calt"]) == alt_ratio_from_calt(scores["calt"])
+            if 2 * x > n:
+                assert abs(alt_ratio("aalt", scores["aalt"]) - x / n) <= 2**-52, (x, n)
+            else:
+                assert alt_ratio("aalt", scores["aalt"]) is None, (x, n)
 
 
-def test_regression_recovers_identity_for_falt():
-    fit = fit_alt_ratio_regression("falt")
-    assert fit.exponent == pytest.approx(1.0, abs=1e-9)
-    assert fit.scale == pytest.approx(1.0, abs=1e-9)
-
-
-def test_regression_accepts_custom_samples_and_validates():
-    fit = fit_alt_ratio_regression(
-        "calt", samples=[(1, 2, 0.25), (2, 2, 1.0), (1, 4, 0.0625)]
-    )
-    assert fit.exponent == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(FitError):
-        fit_alt_ratio_regression("calt", samples=[(1, 2, 0.25), (2, 2, 0.0)])
+def test_alt_ratio_refuses_scores_outside_the_unit_interval():
+    assert alt_ratio("aalt", 1.0) == 1.0 and alt_ratio("falt", 0.0) == 0.0
+    for score in (-0.1, 1.5, math.inf, math.nan):
+        with pytest.raises(ComparisonError, match=r"must be in \[0, 1\]"):
+            alt_ratio("falt", score)
     with pytest.raises(ConfigError):
-        fit_alt_ratio_regression("calt", n_range=(1, 10))
-    with pytest.raises(ConfigError):
-        fit_alt_ratio_regression("calt", n_range=(2, 41))
-    with pytest.raises(ConfigError):
-        fit_alt_ratio_regression("nope")
-
-
-def test_regression_json_payload():
-    fit = fit_alt_ratio_regression("calt", n_range=(2, 4))
-    payload = json.loads(fit.to_json())
-    assert payload["variant"] == "calt"
-    assert payload["n_min"] == 2 and payload["n_max"] == 4
-    assert payload["exponent"] == pytest.approx(0.5, abs=1e-9)
+        alt_ratio("bogus", 0.5)
 
 
 def test_episodes_for_reference_budgets():

@@ -114,27 +114,33 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
     assert build_parser().parse_args(["sweep"]).agents == [2, 3, 5, 8, 10]
 
 
+# analyze has no --fit, --n-min, --n-max or --save: argparse refuses them before any work.
 @pytest.mark.parametrize(
     "flags",
-    [
-        ["--fit", "calt", "--observed", "0.3", "--random", "0.5", "--n-min", "2", "--n-max", "4"],
-        ["--fit", "calt", "--perfect", "1.0"],
-        ["--fit", "calt", "--variant", "calt"],
-        ["--fit", "calt", "--agents", "2"],
-        ["--observed", "0.3", "--random", "0.5", "--n-min", "3", "--save", "{out}"],
-        ["--observed", "0.3", "--random", "0.5", "--n-max", "4"],
-        ["--observed", "0.3", "--random", "0.5", "--save", "{out}"],
-        ["--observed", "0.3", "--random", "0.5", "--variant", "falt", "--agents", "3"],
-    ],
-    ids=["fit-with-compare-flags", "fit-perfect", "fit-variant", "fit-agents", "compare-with-fit-flags",
-         "compare-n-max", "compare-save", "agents-without-calt"],
+    [["--fit", "calt", "--observed", "0.3", "--random", "0.5", "--n-min", "2", "--n-max", "4"]],
+    ids=["fit-with-compare-flags"],
 )
-def test_analyze_refuses_the_other_modes_flags(tmp_path, capsys, flags):
-    out = tmp_path / "x.json"
-    assert main(["analyze", *(f.format(out=out) for f in flags)]) == 2
+def test_analyze_refuses_the_other_modes_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *flags])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "takes no" in captured.err
-    assert not out.exists()
+    assert captured.out == ""
+    assert "unrecognized arguments: --fit calt --n-min 2 --n-max 4" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--observed", "0.3", "--random", "0.5", "--agents", "1"], 2),
+     (["--variant", "aalt", "--observed", "0.0", "--random", "0.1", "--agents", "1"], 2),
+     (["--observed", "1.5", "--random", "0.5", "--agents", "2"], 3)],
+    ids=["one-agent", "one-agent-undefined-ratio", "score-above-1"],
+)
+def test_analyze_refuses_before_printing(capsys, flags, code):
+    assert main(["analyze", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_baseline_and_metrics_agree_byte_for_byte(tmp_path, capsys):
@@ -269,13 +275,12 @@ def test_metrics_rejects_r_high_other_than_the_logs(tmp_path, capsys, r_high):
     [
         lambda tmp, f: ["metrics", "--log", str(tmp / "log.jsonl"), "--agents", "2",
                         "--csv", f"{f}/x.csv"],
-        lambda tmp, f: ["analyze", "--fit", "calt", "--save", f"{f}/f.json"],
         lambda tmp, f: ["baseline", "--agents", "2", "--episodes", "50", "--out", f"{f}/x"],
         lambda tmp, f: ["sweep", "--agents", "2", "--base", "5", "--baseline-episodes", "20",
                         "--out", f"{f}/s"],
         lambda tmp, f: ["report", "--sweep-dir", str(tmp), "--out", f"{f}/r"],
     ],
-    ids=["metrics-csv", "analyze-save", "baseline-out", "sweep-out", "report-out"],
+    ids=["metrics-csv", "baseline-out", "sweep-out", "report-out"],
 )
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     log = tmp_path / "log.jsonl"
@@ -803,23 +808,28 @@ def test_sweep_completes_when_a_baseline_scores_zero(tmp_path, capsys):
 
 
 def test_analyze_compare_and_fit(tmp_path, capsys):
-    code = main(
-        [
-            "analyze",
-            "--observed",
-            "0.322",
-            "--random",
-            "0.486",
-            "--agents",
-            "2",
-        ]
-    )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "relative_change_pct: -33.74" in printed
-    assert "coordination_score_pct: -31.9" in printed
-    assert "alt_ratio:" in printed
-    assert "pa_equiv_agents:" in printed
+    cases = [
+        (["--variant", "calt", "--observed", "0.322", "--random", "0.486", "--agents", "2"],
+         "relative_change_pct: -33.74485596707819\n"
+         "coordination_score_pct: -31.906614785992215\n"
+         "alt_ratio: 0.5674504381988792\n"
+         "pa_equiv_agents: 1.1349008763977584\n"
+         "pct_of_perfect: 56.74504381988792\n"),
+        (["--variant", "falt", "--observed", "0.4", "--random", "0.3", "--agents", "5"],
+         "relative_change_pct: 33.33333333333335\n"
+         "coordination_score_pct: 14.28571428571429\n"
+         "alt_ratio: 0.4\n"
+         "pa_equiv_agents: 2.0\n"
+         "pct_of_perfect: 40.0\n"),
+        # every x <= n / 2 scores aalt 0: no ratio, so no agent equivalent
+        (["--variant", "aalt", "--observed", "0.0", "--random", "0.1", "--agents", "5"],
+         "relative_change_pct: -100.0\n"
+         "coordination_score_pct: -11.111111111111112\n"
+         "alt_ratio: undefined\n"),
+    ]
+    for flags, printed in cases:
+        assert main(["analyze", *flags]) == 0
+        assert capsys.readouterr().out == printed
 
     assert main(["analyze", "--observed", "0.5", "--random", "0.0"]) == 3
     for observed, reference in (("inf", "0.2"), ("nan", "0.2"), ("0.5", "inf"), ("0.5", "nan")):
@@ -828,6 +838,7 @@ def test_analyze_compare_and_fit(tmp_path, capsys):
     assert main(["analyze"]) == 2
 
     saved = tmp_path / "fit.json"
-    assert main(["analyze", "--fit", "calt", "--save", str(saved)]) == 0
-    payload = json.loads(saved.read_text())
-    assert payload["exponent"] == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fit", "calt", "--save", str(saved)])
+    assert exc.value.code == 2
+    assert not saved.exists()
