@@ -17,10 +17,10 @@ Random play never looks at the state: :func:`_play_random` reads the
 coins of at least ``_CHUNK`` steps at once, bits 31 and 63 of each word.
 A cumulative sum over the block and a gather from each agent's moves give
 the step at which an agent starting at any step would arrive, so the
-episode ends follow with one Python walk over the episode starts.  Body
-ids are per block too: each episode's arrival row packs into one key, and
-a key not met before gets the next id, in order of first appearance, from
-one :func:`assign_rewards` call.
+episode starts follow by pointer doubling (:func:`_episode_starts`).  Body
+ids are per block too: each episode's arrival row packs into one key of
+whole 64-bit words, and a key not met before gets the next id, in order of
+first appearance, from one :func:`assign_rewards` call.
 
 Epsilon-greedy training and frozen greedy evaluation go step by step.  The
 Q-agents share one store, a dict from observation key (the positions
@@ -31,7 +31,9 @@ reads as all zeros.  Training inserts a key's zeros when it first meets
 the key, and the step from that key updates them unless the step raises;
 greedy play inserts none.  Before each step, the kernel tops its unread
 words up to the 2n a step can use.  Exploration follows a linear epsilon
-schedule that is shared by all agents within an episode.
+schedule that is shared by all agents within an episode; its coin
+thresholds are computed ``_CHUNK`` episodes at a time
+(:func:`_coin_thresholds`).
 
 The Q-play kernel is Python source generated for each (n, state type,
 learning) shape by :func:`_q_kernel`, which writes every per-agent loop
@@ -48,7 +50,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -188,10 +190,16 @@ class _Words:
         self.bg.state = self.bg.state | {"has_uint32": self.has_uint32, "uinteger": self.uinteger}
 
 
-def _coin_threshold(eps: float) -> int:
-    """The raw words ``w < threshold`` are those whose ``random()`` is below
-    ``eps``; 0 when ``eps`` is not above 0 (or is NaN), which draws no coin."""
-    return math.ceil(min(eps, 1.0) * 2.0**53) << 11 if eps > 0.0 else 0
+def _coin_thresholds(epsilons: Sequence[float] | None, episodes: int) -> Iterator[list[int]]:
+    """Each episode's coin threshold, one list per ``_CHUNK`` episodes: the raw
+    words ``w < threshold`` are those whose ``random()`` is below its epsilon;
+    0 when that is not above 0 (or is NaN, or there are no ``epsilons``),
+    which draws no coin.  Scaling by 2**53 and ``ceil`` are exact in floats."""
+    for first in range(0, episodes, _CHUNK):
+        size = min(_CHUNK, episodes - first)
+        eps = np.zeros(size) if epsilons is None else np.asarray(epsilons[first : first + size], dtype=float)
+        scaled = np.where(eps > 0.0, np.ceil(np.minimum(eps, 1.0) * 2.0**53), 0.0)  # no NaN reaches the int cast
+        yield [t << 11 for t in scaled.astype(np.int64).tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,7 +209,12 @@ def _q_kernel(n: int, type_b: bool, learn: bool):
     its action ``a{i}`` and its position ``p{i}``.  A step makes one lookup
     in ``store``: the row at the next key serves both the update's bootstrap
     and the next step.  The kernel reads ``assign_rewards`` and ``_CHUNK``
-    from this module when it runs."""
+    from this module when it runs.
+
+    Agent i's update writes its new value from ``s{i}`` or ``m{i}``, not from
+    the row, which is exact: only agent i's own update writes agent i's pair,
+    and every pair of ``next_row`` is read before the first update, so the
+    pair still holds ``s{i}, m{i}`` also when ``next_row`` is ``row``."""
 
     def each(text, sep=", "):  # text per agent: {i} its index, {k} its pair's first slot
         return sep.join(text.format(i=i, k=2 * i) for i in range(n))
@@ -209,26 +222,29 @@ def _q_kernel(n: int, type_b: bool, learn: bool):
     # A tie or explore bit is the buffered half if there is one (numpy keeps
     # the spent half in uinteger), else bit 31 of a fresh word, whose high
     # half is then buffered.
-    decide = each("""
-                if not (thr and draw() < thr or s{i} == m{i}): a{i} = m{i} > s{i}
-                elif has: has, a{i} = 0, half >> 31
-                else: w = draw(); has, half, a{i} = 1, w >> 32, w >> 31 & 1""", "")
+    draw_bit = """
+                    elif has: has, a{i} = 0, half >> 31
+                    else: w = draw(); has, half, a{i} = 1, w >> 32, w >> 31 & 1"""
+    explore = each("""
+                    if not (draw() < thr or s{i} == m{i}): a{i} = 1 if m{i} > s{i} else 0""" + draw_bit, "")
+    greedy = each("""
+                    if s{i} != m{i}: a{i} = 1 if m{i} > s{i} else 0""" + draw_bit, "")
     fetch = "fetch(key) or insert(key, [0.0] * need)" if learn else "fetch(key, zeros)"
     key = f"key = ({each('p{i}')},{each('b{i}') if type_b else ''})"
     unpack = f"\n            {each('b{i}')}, = bits" if type_b else ""
     terminal = bootstrap = ""
     if learn:
-        update = "row[{k} + a{i}] += alpha * (%s - row[{k} + a{i}])"
+        update = """
+%(pad)sif a{i}: row[{k} + 1] = m{i} + alpha * (%(x)s - m{i})
+%(pad)selse: row[{k}] = s{i} + alpha * (%(x)s - s{i})"""
         terminal = f"""
-                    {each('r{i}')}, = rewards
-                    {each(update % 'r{i}', '; ')}"""
+                    {each('r{i}')}, = rewards""" + each(update % {"pad": " " * 20, "x": "r{i}"}, "")
         # The target leaves out the zero reward: 0.0 + x and x differ only
-        # in the sign of a zero, which no update keeps.  Every pair of
-        # next_row is read before the first update: when next_row is row,
-        # agent i's pair is one that only agent i's own update writes.
+        # in the sign of a zero, which no update keeps.
         bootstrap = f"""
-                {each('t{i}, u{i}')}, = next_row
-                {each(update % 'gamma * (u{i} if u{i} > t{i} else t{i})', '; ')}"""
+                {each('t{i}, u{i}')}, = next_row""" + each(
+            update % {"pad": " " * 16, "x": "gamma * (u{i} if u{i} > t{i} else t{i})"}, ""
+        )
     src = f"""
 def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
     length, cap, need, fetch, insert = cfg.path_length, cfg.step_cap, {2 * n}, store.get, store.setdefault
@@ -237,7 +253,7 @@ def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
     rest, has, half, hint = words._rest, words.has_uint32, words.uinteger, operator.length_hint
     draw = rest.__next__
     try:
-        for thr in map(_coin_threshold, itertools.repeat(0.0, episodes) if epsilons is None else epsilons):
+        for thr in itertools.chain.from_iterable(_coin_thresholds(epsilons, episodes)):
             {each('p{i}', ' = ')} = steps = 0{unpack}
             {key}
             row = {fetch}
@@ -245,16 +261,19 @@ def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
                 if hint(rest) < need:
                     rest = iter([*rest, *words.bg.random_raw(max(_CHUNK, need)).tolist()])
                     draw = rest.__next__
-                {each('s{i}, m{i}')}, = row{decide}
+                {each('s{i}, m{i}')}, = row
+                if thr:{explore}
+                else:{greedy}
                 {each('p{i} += a{i}', '; ')}
                 steps += 1
                 if {each('p{i} == length', ' or ')} or steps >= cap:
                     arrived = ({each('p{i} == length')},)
-                    if arrived not in kinds:
+                    known = kinds.get(arrived)
+                    if known is None:
                         won = frozenset(i for i, hit in enumerate(arrived) if hit)
-                        kinds[arrived] = (len(bodies), assign_rewards(won, cfg), tuple(map(int, arrived)))
-                        bodies.append((tuple(sorted(won)), kinds[arrived][1]))
-                    body, rewards, bits = kinds[arrived]{terminal}
+                        known = kinds[arrived] = (len(bodies), assign_rewards(won, cfg), tuple(map(int, arrived)))
+                        bodies.append((tuple(sorted(won)), known[1]))
+                    body, rewards, bits = known{terminal}
                     break
                 {key}
                 next_row = {fetch}{bootstrap}
@@ -271,11 +290,29 @@ def _play_q(cfg, episodes, words, bits, store, epsilons, qcfg):
     return namespace["_play_q"]
 
 
+def _episode_starts(ends: np.ndarray, need: int) -> tuple[np.ndarray, int]:
+    """The first ``need`` or fewer episode starts of a block of ``rows =
+    len(ends)`` steps, from step 0, and the next start.  An episode from step
+    s ends at ``ends[s] > s``; the starts stop at the block's end or before
+    an episode that ends past it.  Pointer doubling: ``jump`` goes 2**k
+    episodes on, and ``chain`` holds the first 2**k starts."""
+    rows = len(ends)
+    jump = np.full(rows + 2, rows + 1, dtype=np.intp)  # rows + 1: past the last start
+    jump[:rows] = np.where(ends <= rows, ends, rows + 1)
+    chain = np.zeros(1, dtype=np.intp)
+    while len(chain) <= need and chain[-1] <= rows:
+        chain = np.concatenate((chain, jump[chain]))
+        jump = jump[jump]
+    chain = chain[chain <= rows]
+    k = min(need, len(chain) - 1)
+    return chain[:k], int(chain[k])
+
+
 def _play_random(cfg, episodes, words):
     """Random play.  An episode that runs past a block carries its coins into
     the next, so memory stays at one block plus at most ``step_cap`` steps."""
     n, length, cap = cfg.n_agents, cfg.path_length, cfg.step_cap
-    kinds: dict[bytes, int] = {}  # packed arrival row -> body id
+    kinds: dict = {}  # packed arrival row (an int, or bytes past 64 agents) -> body id
     bodies, ids, steps_column, count = [], [], [], 0
     pending = np.array([words.uinteger >> 31] if words.has_uint32 else [], dtype=np.uint8)
     while True:
@@ -303,18 +340,15 @@ def _play_random(cfg, episodes, words):
         # ends[s]: where an episode starting at s ends, rows + 1 or more
         # when the block is too short to tell.
         ends = np.minimum(reach.min(axis=0), np.arange(rows) + min(cap, rows + 1))
-        starts, s, stop = [], 0, ends.tolist()
-        need = episodes - count
-        while len(starts) < need and s < rows and stop[s] <= rows:
-            starts.append(s)
-            s = stop[s]
-        first = np.array(starts, dtype=np.intp)
+        first, s = _episode_starts(ends, episodes - count)
         last = ends[first]
         hits = (reach[:, first] == last).T  # hits[e, i]: agent i arrived in episode e
-        keys = np.packbits(hits, axis=1)
-        keys, seen, inverse = np.unique(
-            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True, return_inverse=True
-        )
+        # Each arrival row packs into whole 64-bit words: one uint64 up to
+        # 64 agents, which np.unique sorts faster than void bytes.
+        keys = np.zeros((len(first), -(-n // 64) * 8), dtype=np.uint8)
+        keys[:, : (n + 7) // 8] = np.packbits(hits, axis=1)
+        keys = keys.view(np.uint64 if n <= 64 else (np.void, keys.shape[1])).ravel()
+        keys, seen, inverse = np.unique(keys, return_index=True, return_inverse=True)
         # A key not met before gets the next id, in order of first appearance.
         code = [*map(kinds.get, keys := keys.tolist())]
         for k in np.argsort(seen).tolist():
@@ -329,7 +363,7 @@ def _play_random(cfg, episodes, words):
                 bodies.append((won, rewards))
         ids.append(np.array(code, dtype=np.int32)[inverse])
         steps_column.append(last - first)
-        count += len(starts)
+        count += len(first)
         if count == episodes:
             words.read_coins(block, int(last[-1]) * n - len(pending))
             won = bodies[ids[-1][-1]][0]

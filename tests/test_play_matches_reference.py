@@ -7,6 +7,7 @@ Play draws its words in blocks of ``policies._CHUNK``, so the cases that
 shrink it also cover episodes and runs that cross block boundaries.
 """
 
+import itertools
 import tempfile
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_play as ref
+from conftest import STAY_ROW, forced_tables
 from altlab import harness, policies
 from altlab.game import GameConfig, RewardScheme, StateType
 from altlab.policies import QLearningConfig, play, run_random, train_run
@@ -104,12 +106,18 @@ def test_random_play_matches_reference_at_seven_to_twelve_agents(cfg, chunk, epi
         assert_same_random_play(cfg, episodes, seed, buffered)
 
 
-@pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("chunk", [1, 2, 7, policies._CHUNK])
-@pytest.mark.parametrize("n", [40, 70])
+@pytest.mark.parametrize(
+    "n, chunk, buffered",
+    [
+        *itertools.product([40, 70], [1, 2, 7, policies._CHUNK], [False, True]),
+        *itertools.product([63, 64, 65], [1, 7, policies._CHUNK], [False, True]),
+    ],
+)
 def test_forty_and_seventy_agent_random_play_matches_reference(n, chunk, buffered):
-    # Keys of 5 and 9 bytes, the last one partly filled.  Sole wins recur
-    # within and across blocks, and most ties are first met in a later block.
+    # Arrival rows of 40, 63, 64, 65 and 70 bits: keys of one 64-bit word,
+    # partly filled but at n = 64, and of two words past 64 agents.  Sole
+    # wins recur within and across blocks, and most ties are first met in a
+    # later block.
     cfg = GameConfig(n_agents=n, path_length=5, step_cap=6)
     with mock.patch.object(policies, "_CHUNK", chunk):
         assert_same_random_play(cfg, 150, n + chunk, buffered)
@@ -227,3 +235,27 @@ def test_forty_agent_training_matches_reference():
     for state_type in StateType:
         cfg = GameConfig(n_agents=40, state_type=state_type, path_length=3, step_cap=6)
         assert_same_q_play(cfg, QLearningConfig(), 50, 5, 40)
+
+
+@pytest.mark.parametrize("state_type", StateType)
+def test_a_step_that_stays_on_its_key_updates_as_the_reference_does(state_type):
+    # Every agent's row says STAY, so a step in which no agent explores into
+    # a move leads back to its own key: the bootstrap reads next_row is row,
+    # and each agent's update must still see its pair as the step read it.
+    # The first five episodes are greedy, so every one of their steps does.
+    cfg = GameConfig(n_agents=3, state_type=state_type, path_length=3, step_cap=4)
+    qcfg, epsilons = QLearningConfig(), [0.0] * 5 + [0.2] * 35
+    store = forced_tables(cfg, STAY_ROW, STAY_ROW, STAY_ROW)
+    old_tables = [ref.QTable() for _ in range(3)]
+    for i, table in enumerate(old_tables):
+        table._rows = {key: list(pair) for key, pair in policies.agent_table(store, i).items()}
+    new_rng, old_rng = np.random.default_rng(6), np.random.default_rng(6)
+    log, bits = play(cfg, len(epsilons), new_rng, (0, 0, 0), store, epsilons, qcfg)
+    agents, old_log, old_bits = [ref.QLearningPolicy(qcfg, table) for table in old_tables], [], (0, 0, 0)
+    for e, eps in enumerate(epsilons):
+        old_log.append(ref.run_episode(agents, old_bits, cfg, old_rng, epsilon=eps, episode_index=e))
+        old_bits = ref.next_prev_winners(old_log[-1], cfg)
+    assert log == old_log and bits == old_bits
+    assert [policies.agent_table(store, i) for i in range(3)] == [rows(table) for table in old_tables]
+    assert list(store) == list(old_tables[0]._rows)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state

@@ -121,11 +121,17 @@ def coin_below(word, eps):
     return (word >> 11) * 2.0**-53 < eps
 
 
+def coin_threshold(eps):
+    """The threshold of a one-episode schedule at ``eps``."""
+    [[threshold]] = policies._coin_thresholds([eps], 1)
+    return threshold
+
+
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_coin_threshold_at_its_edges(eps):
     # The words either side of the threshold fall either side of eps; at
     # eps 0 and NaN the threshold is 0, so every word is at or above it.
-    threshold = policies._coin_threshold(eps)
+    threshold = coin_threshold(eps)
     for word in (threshold - 2, threshold - 1, threshold, threshold + 1, 0, 2**64 - 1):
         if 0 <= word < 2**64:
             assert (word < threshold) == coin_below(word, eps), word
@@ -134,7 +140,28 @@ def test_coin_threshold_at_its_edges(eps):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EPSILONS), st.integers(0, 2**64 - 1))
 def test_coin_threshold_equals_the_float_comparison(eps, word):
-    assert (word < policies._coin_threshold(eps)) == coin_below(word, eps)
+    assert (word < coin_threshold(eps)) == coin_below(word, eps)
+
+
+@pytest.mark.parametrize("total", [4095, 4096, 4097])
+@pytest.mark.parametrize("kind", ["decay", "edges"])
+def test_coin_thresholds_of_a_schedule_equal_the_float_comparison(total, kind):
+    # Thresholds come a slice of _CHUNK episodes at a time; episode by
+    # episode, the word below each threshold is a coin below its epsilon
+    # and the threshold itself is not.
+    if kind == "decay":
+        epsilons = policies._epsilon_schedule(total, QLearningConfig())
+    else:
+        epsilons = [EPSILONS[e % len(EPSILONS)] for e in range(total)]
+    slices = list(policies._coin_thresholds(epsilons, total))
+    chunk = policies._CHUNK
+    assert [len(s) for s in slices] == [min(chunk, total - first) for first in range(0, total, chunk)]
+    thresholds = [threshold for s in slices for threshold in s]
+    assert all(type(threshold) is int for threshold in thresholds)
+    for eps, threshold in zip(epsilons, thresholds):
+        for word in (threshold - 1, threshold):
+            if 0 <= word < 2**64:
+                assert (word < threshold) == coin_below(word, eps), (eps, word)
 
 
 @pytest.mark.parametrize("eps", [0.0, math.nan])
@@ -142,11 +169,42 @@ def test_no_coin_is_drawn_at_epsilon_zero_or_nan(eps):
     # Greedy rows with no ties draw nothing, so the generator stays put.
     cfg, rng = GameConfig(n_agents=3, path_length=3), np.random.default_rng(8)
     before = rng.bit_generator.state
-    assert policies._coin_threshold(eps) == 0
+    assert coin_threshold(eps) == 0
     tables = forced_tables(cfg, MOVE_ROW, STAY_ROW, MOVE_ROW)
     log, _ = play(cfg, 4, rng, (0, 0, 0), tables, [eps] * 4)
     assert [ep.arrivals for ep in log] == [frozenset({0, 2})] * 4
     assert rng.bit_generator.state == before
+
+
+def walk_starts(ends, need):
+    """The Python walk over a block's episode starts that random play ran
+    before ``_episode_starts``, kept as its oracle."""
+    starts, s, stop, rows = [], 0, ends.tolist(), len(ends)
+    while len(starts) < need and s < rows and stop[s] <= rows:
+        starts.append(s)
+        s = stop[s]
+    return starts, s
+
+
+@st.composite
+def block_ends(draw):
+    """A block's episode ends: ``ends[s] > s``, short hops, the block's end
+    itself, and ends past it; and a start count from 1 to past the chain."""
+    rows = draw(st.integers(1, 60))
+    ends = [
+        draw(st.integers(s + 1, s + 3) | st.integers(s + 1, 2 * rows + 2) | st.just(rows))
+        for s in range(rows)
+    ]
+    return np.array(ends, dtype=np.int64), draw(st.integers(1, rows + 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_ends())
+def test_episode_starts_equal_the_walk_they_replace(block):
+    ends, need = block
+    starts, after = policies._episode_starts(ends, need)
+    assert (starts.tolist(), after) == walk_starts(ends, need)
+    assert starts.dtype == np.intp and type(after) is int
 
 
 def test_play_refuses_a_non_pcg64_generator():
