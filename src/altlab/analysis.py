@@ -1,13 +1,14 @@
 """Baseline comparisons, alternation-ratio mapping, and sample-size scaling.
 
-Observed scores are judged against a random-policy reference two ways:
-relative change (percent above or below the reference) and a
-coordination score that normalizes the gap to the headroom between the
-reference and a perfect score.  Any variant's score also maps exactly to
-an alternation ratio, the fraction of agents in a fixed rotation that
-scores the same (:func:`alt_ratio`: identity for falt and ealt, square
-root for qfalt, qealt and calt, (score + 1) / 2 for aalt, undefined at
-aalt 0), restated as agents in a perfect rotation by :func:`pa_equivalent`.
+Observed scores are judged against a random-policy reference two ways
+(:func:`compare`): relative change (percent above or below the reference)
+and a coordination score that normalizes the gap to the headroom between
+the reference and 1, the score of perfect alternation.  Any variant's
+score also maps exactly to an alternation ratio, the fraction of agents in
+a fixed rotation that scores the same (:func:`alt_ratio`: identity for
+falt and ealt, square root for qfalt, qealt and calt, (score + 1) / 2 for
+aalt, undefined at aalt 0), restated as agents in a perfect rotation by
+:func:`pa_equivalent`.
 """
 
 from __future__ import annotations
@@ -42,46 +43,21 @@ def relative_change(observed: float, random_ref: float) -> float:
     return (observed - random_ref) / random_ref * 100.0
 
 
-def coordination_score(observed: float, random_ref: float, perfect: float = 1.0) -> float:
-    """Percent of the headroom between random and perfect that was achieved.
+def coordination_score(observed: float, random_ref: float) -> float:
+    """Percent of the headroom between random and 1, the score of perfect
+    alternation on every metric, that was achieved.
 
-    100 means the perfect score was reached, 0 means no better than
-    random, negative means below random.
+    100 means a perfect score, 0 no better than random, negative below it.
     """
-    _require_finite(observed=observed, reference=random_ref, perfect=perfect)
-    if not random_ref >= 0:
-        raise ComparisonError(f"reference must be non-negative, got {random_ref}")
-    if not perfect > random_ref:
-        raise ComparisonError(
-            f"perfect score {perfect} must exceed the reference {random_ref}"
-        )
-    return (observed - random_ref) / (perfect - random_ref) * 100.0
+    _require_finite(observed=observed, reference=random_ref)
+    if not 0.0 <= random_ref < 1.0:
+        raise ComparisonError(f"reference must be in [0, 1), got {random_ref}")
+    return (observed - random_ref) / (1.0 - random_ref) * 100.0
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One score compared against its random baseline."""
-
-    variant: str
-    observed: float
-    random_ref: float
-    rel_change_pct: float
-    coord_score_pct: float
-
-
-def compare(
-    variant: str, observed: float, random_ref: float, perfect: float = 1.0
-) -> ComparisonRecord:
-    """Bundle both comparison views of one observed score."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    return ComparisonRecord(
-        variant=variant,
-        observed=observed,
-        random_ref=random_ref,
-        rel_change_pct=relative_change(observed, random_ref),
-        coord_score_pct=coordination_score(observed, random_ref, perfect),
-    )
+def compare(observed: float, random_ref: float) -> tuple[float, float]:
+    """Both views of one observed score: ``(relative_change, coordination_score)``."""
+    return relative_change(observed, random_ref), coordination_score(observed, random_ref)
 
 
 def alt_ratio_from_calt(calt: float) -> float:
@@ -119,7 +95,6 @@ def alt_ratio(variant: str, score: float) -> float | None:
 class PAEquivalent:
     """Alternation ratio restated as agents-in-rotation and percent of perfect."""
 
-    alt_ratio: float
     pa_equiv_agents: float
     pct_of_perfect: float
 
@@ -130,11 +105,7 @@ def pa_equivalent(alt_ratio: float, n: int) -> PAEquivalent:
         raise ConfigError(f"need at least 2 agents, got {n}")
     if not 0.0 <= alt_ratio <= 1.0:
         raise ConfigError(f"alt_ratio must be in [0, 1], got {alt_ratio}")
-    return PAEquivalent(
-        alt_ratio=alt_ratio,
-        pa_equiv_agents=n * alt_ratio,
-        pct_of_perfect=100.0 * alt_ratio,
-    )
+    return PAEquivalent(pa_equiv_agents=n * alt_ratio, pct_of_perfect=100.0 * alt_ratio)
 
 
 def synth_pa_mixture(

@@ -92,9 +92,10 @@ def _run_single(args) -> int:
 def cmd_metrics(args) -> int:
     outcomes = harness.read_episode_log(Path(args.log))
     panel = compute_panel(outcomes, args.agents, args.r_high)
+    if args.csv:  # written first, so an unwritable path fails before anything is printed
+        harness.write_panel_csv([("full", panel)], Path(args.csv))
     _print_values(panel.as_dict())
     if args.csv:
-        harness.write_panel_csv([("full", panel)], Path(args.csv))
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -139,11 +140,11 @@ def cmd_analyze(args) -> int:
     """Compare a score with its random reference and map it to an alternation ratio."""
     if args.observed is None or args.random is None:
         raise ConfigError("analyze needs both --observed and --random")
-    record = analysis.compare(args.variant, args.observed, args.random, args.perfect)
+    rel_change, coord_score = analysis.compare(args.observed, args.random)
     ratio = analysis.alt_ratio(args.variant, args.observed)
     values = {
-        "relative_change_pct": record.rel_change_pct,
-        "coordination_score_pct": record.coord_score_pct,
+        "relative_change_pct": rel_change,
+        "coordination_score_pct": coord_score,
         "alt_ratio": ratio,
     }
     if args.agents is not None:  # checked even where the ratio, and so its equivalent, is undefined
@@ -178,10 +179,9 @@ def _report_tables(summary: list[harness.SummaryRow], out_dir: Path, sweep_root:
         if q is None or b is None:
             return q, b, None, None, "missing_run" if q is None else "missing_baseline"
         try:
-            record = analysis.compare(metric, q, b)
+            return q, b, *analysis.compare(q, b), ""
         except ComparisonError:
             return q, b, None, None, "degenerate_baseline"
-        return q, b, record.rel_change_pct, record.coord_score_pct, ""
 
     def equivalents(n, scheme):
         trained, status = rows(n, "qlearning", reward_scheme=scheme, state_type="B"), ""
@@ -190,8 +190,9 @@ def _report_tables(summary: list[harness.SummaryRow], out_dir: Path, sweep_root:
         if not trained:
             return []
         calt = _stats(r.calt for r in trained)[0]
-        pa = analysis.pa_equivalent(analysis.alt_ratio_from_calt(calt), n)
-        return [(n, scheme, calt, pa.alt_ratio, pa.pa_equiv_agents, pa.pct_of_perfect, status)]
+        ratio = analysis.alt_ratio_from_calt(calt)
+        pa = analysis.pa_equivalent(ratio, n)
+        return [(n, scheme, calt, ratio, pa.pa_equiv_agents, pa.pct_of_perfect, status)]
 
     calt_stats = {(n, p): _stats(r.calt for r in rows(n, p)) for n in ns for p in policies}
     pct_stats = {(n, p): _stats(100.0 * r.alt_ratio for r in rows(n, p)) for n in ns for p in policies}
@@ -297,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("analyze", help="compare a score with its reference, map it to a ratio")
     sub.add_argument("--observed", type=float, default=None)
     sub.add_argument("--random", type=float, default=None)
-    sub.add_argument("--perfect", type=float, default=1.0)
     sub.add_argument("--variant", choices=VARIANTS, default="calt")
     sub.add_argument("--agents", type=int, default=None)
     sub.set_defaults(func=cmd_analyze)

@@ -32,10 +32,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -60,6 +61,24 @@ class RewardScheme(str, Enum):
     IQF = "iqf"
 
 
+def settle_fields(config) -> None:
+    """Set each int, float and enum field of the frozen dataclass ``config``
+    to its plain value, so that a config of strings or numpy numbers equals
+    its twin and its snapshot reads back as itself.  A bool, a string in a
+    numeric field or a fraction in an int one is a :class:`ConfigError`."""
+    readers = {"int": operator.index, "float": float, "StateType": StateType,
+               "RewardScheme": RewardScheme}
+    for field in fields(config):
+        if (read := readers.get(field.type)) is not None:
+            value = getattr(config, field.name)
+            try:  # refused before reading: a bool, and a string that float() would parse
+                if isinstance(value, bool) or read is float and not isinstance(value, numbers.Real):
+                    raise TypeError
+                object.__setattr__(config, field.name, read(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{field.name} cannot be {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Immutable parameters of one game instance.
@@ -81,14 +100,7 @@ class GameConfig:
     step_cap: int = 1000
 
     def __post_init__(self) -> None:
-        # Enum members and plain ints, not bools: a config of strings or numpy ints equals its twin.
-        for name, read in (("state_type", StateType), ("reward_scheme", RewardScheme),
-                           *((k, operator.index) for k in ("n_agents", "path_length", "step_cap"))):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, read(None if isinstance(value, bool) else value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} cannot be {value!r}") from None
+        settle_fields(self)
         if self.n_agents < 2:
             raise ConfigError(f"n_agents must be >= 2, got {self.n_agents}")
         if not 1 <= self.path_length < 2**31:  # no episode is shorter: steps must fit int32

@@ -57,7 +57,7 @@ from . import analysis
 from .errors import ComparisonError, ConfigError, DataError, SchemaVersionError
 from .game import (
     EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, assign_rewards,
-    read_episode_log, write_episode_log,
+    read_episode_log, settle_fields, write_episode_log,
 )
 from .metrics import MAX_AGENTS, MetricPanel, compute_panel, trailing_windows
 from .policies import QLearningConfig, epsilon_at, play, run_random, train_run
@@ -85,6 +85,7 @@ class ExperimentSpec:
         return "random" if self.qcfg is None else "qlearning"
 
     def __post_init__(self) -> None:
+        settle_fields(self)
         if (n := self.game.n_agents) > MAX_AGENTS:
             raise ConfigError(f"batch counts of {n} agents overflow int64: n is at most {MAX_AGENTS}")
         if self.episodes < self.game.n_agents:
@@ -171,14 +172,12 @@ def _fmt(value) -> str:
 
 
 # Field annotations (as written, under postponed evaluation) to parsers of
-# a CSV cell or a JSON value.
+# a CSV cell or a JSON value.  Any other field is read as text: a str, or an
+# enum that its dataclass reads from its value (:func:`settle_fields`).
 _PARSERS = {
-    "str": str,
     "int": int,
     "float": float,
     "float | None": lambda v: None if v in ("", None) else float(v),
-    "StateType": StateType,
-    "RewardScheme": RewardScheme,
 }
 
 
@@ -188,7 +187,7 @@ def parse_fields(cls, values):
     try:
         if unknown := set(values).difference(names):
             raise ValueError(f"unknown fields {sorted(unknown)}")
-        return cls(**{f.name: _PARSERS[f.type](values[f.name]) for f in fields(cls)})
+        return cls(**{f.name: _PARSERS.get(f.type, str)(values[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad {cls.__name__}: {exc}") from exc
 
@@ -407,13 +406,16 @@ class SweepResult:
 
 
 def _execute_task(
-    spec: ExperimentSpec, runs_root: Path, overwrite: bool
-) -> tuple[RunResult | None, str | None]:
-    """:func:`run` of one spec; a failure comes back as its traceback."""
-    try:
-        return run(spec, runs_root, overwrite), None
-    except Exception:
-        return None, traceback.format_exc()
+    specs: Sequence[ExperimentSpec], runs_root: Path, overwrite: bool
+) -> list[tuple[RunResult | None, str | None]]:
+    """:func:`run` of each spec, back to back; a failure comes back as its traceback."""
+    executed = []
+    for spec in specs:
+        try:
+            executed.append((run(spec, runs_root, overwrite), None))
+        except Exception:
+            executed.append((None, traceback.format_exc()))
+    return executed
 
 
 def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[SummaryRow]:
@@ -421,17 +423,17 @@ def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[Summar
     trailing metadata column.  A trained run's calt is compared with the
     baseline of its game in ``results``: with none, or with a degenerate
     one, both comparison cells are empty."""
-    baselines = {r.spec.game: r.panel for r in results if r.spec.policy == "random"}
+    baselines = {r.spec.game: r.panel.calt for r in results if r.spec.policy == "random"}
     rows = []
     for result in results:
         spec = result.spec
         panel = result.panel.as_dict()
         del panel["batches"]
         ratio = analysis.alt_ratio_from_calt(result.panel.calt)
-        calt_cmp = None
+        rel_change = coord_score = None
         if spec.policy == "qlearning" and spec.game in baselines:
             try:
-                calt_cmp = analysis.compare("calt", result.panel.calt, baselines[spec.game].calt)
+                rel_change, coord_score = analysis.compare(result.panel.calt, baselines[spec.game])
             except ComparisonError:
                 pass
         rows.append(
@@ -442,8 +444,8 @@ def summary_rows(results: Sequence[RunResult], generated_at: str) -> list[Summar
                 reward_scheme=spec.game.reward_scheme.value,
                 policy=spec.policy,
                 **panel,
-                calt_rel_change_pct=None if calt_cmp is None else calt_cmp.rel_change_pct,
-                calt_coord_score_pct=None if calt_cmp is None else calt_cmp.coord_score_pct,
+                calt_rel_change_pct=rel_change,
+                calt_coord_score_pct=coord_score,
                 alt_ratio=ratio,
                 pa_equiv_agents=analysis.pa_equivalent(ratio, spec.game.n_agents).pa_equiv_agents,
                 generated_at=generated_at,
@@ -477,11 +479,12 @@ def sweep(
     Every run's spec is built, and so checked, before anything is written:
     a bad argument raises :class:`ConfigError` and leaves no directory
     behind.  Trained runs use the default :class:`QLearningConfig` and a
-    budget of :func:`analysis.episodes_for` at the given ``base``.  Each run
+    budget of :func:`analysis.episodes_for` at the given ``base``.  Each
+    (n, state type)'s baselines make one task and each trained run another;
+    ``workers`` above 1 start ``min(workers, tasks)`` processes.  Each run
     follows :func:`run`'s rule for an existing directory, so rerunning a
-    killed sweep finishes it.  Identical arguments (including
-    ``seed_root``) reproduce summary.csv exactly, except for the trailing
-    timestamp column.
+    killed sweep finishes it.  Identical arguments (including ``seed_root``)
+    reproduce summary.csv exactly, except for the trailing timestamp column.
     """
     cells = list(itertools.product(agent_counts, state_types, reward_schemes))
     if not cells or len(set(cells)) != len(cells):
@@ -519,14 +522,14 @@ def sweep(
     out_root = Path(out_root)
     runs_root = out_root / "runs"
     runs_root.mkdir(parents=True, exist_ok=True)
+    k = len(reward_schemes)
+    tasks = [specs[i : i + k] for i in range(0, len(cells), k)] + [[s] for s in specs[len(cells) :]]
     task = partial(_execute_task, runs_root=runs_root, overwrite=overwrite)
-    if workers > 1:
-        # A chunk of one (n, state type)'s baselines runs in one worker, where
-        # _random_log plays their trajectory once.
+    if (workers := min(workers, len(tasks))) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            executed = list(pool.map(task, specs, chunksize=len(reward_schemes)))
+            executed = list(itertools.chain.from_iterable(pool.map(task, tasks)))
     else:
-        executed = list(map(task, specs))
+        executed = list(itertools.chain.from_iterable(map(task, tasks)))
     results = [result for result, _ in executed if result is not None]
     failures = [
         (spec.run_id, error) for spec, (_, error) in zip(specs, executed) if error is not None

@@ -48,14 +48,13 @@ import functools
 import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .game import EpisodeLog, GameConfig, StateType, assign_rewards
+from .game import EpisodeLog, GameConfig, StateType, assign_rewards, settle_fields
 
 _CHUNK = 4096  # words per generator call; random play reads at least this many steps
 _BOUND_SLICE = 1 << 16  # Q-values per slice of train_run's bound check
@@ -76,6 +75,7 @@ class QLearningConfig:
     decay_end_fraction: float = 0.75
 
     def __post_init__(self) -> None:
+        settle_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         if not 0.0 < self.alpha <= 1.0:
@@ -111,17 +111,16 @@ def epsilon_at(episode_index: int, total_episodes: int, cfg: QLearningConfig | N
     return cfg.epsilon_initial + (cfg.epsilon_min - cfg.epsilon_initial) * frac
 
 
-def _epsilon_schedule(total_episodes: int, cfg: QLearningConfig) -> array:
+def _epsilon_schedule(total_episodes: int, cfg: QLearningConfig) -> np.ndarray:
     """``epsilon_at(e, total_episodes, cfg)`` for every episode e of a run,
-    bit for bit: numpy makes the same float operations in the same order.
-    An ``array("d")``, so the kernel reads Python floats."""
+    bit for bit: numpy makes the same float operations in the same order."""
     if total_episodes < 1:
         raise ConfigError(f"total_episodes must be >= 1, got {total_episodes}")
     decay_end = math.floor(cfg.decay_end_fraction * total_episodes)
     schedule = np.full(total_episodes, cfg.epsilon_min, dtype=float)
     frac = np.arange(decay_end) / decay_end
     schedule[:decay_end] = cfg.epsilon_initial + (cfg.epsilon_min - cfg.epsilon_initial) * frac
-    return array("d", schedule.tobytes())
+    return schedule
 
 
 def play(

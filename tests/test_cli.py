@@ -114,19 +114,22 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
     assert build_parser().parse_args(["sweep"]).agents == [2, 3, 5, 8, 10]
 
 
-# analyze has no --fit, --n-min, --n-max or --save: argparse refuses them before any work.
+# analyze has no --fit, --n-min, --n-max, --save or --perfect (the perfect
+# score is 1): argparse refuses them before any work.
 @pytest.mark.parametrize(
-    "flags",
-    [["--fit", "calt", "--observed", "0.3", "--random", "0.5", "--n-min", "2", "--n-max", "4"]],
-    ids=["fit-with-compare-flags"],
+    "flags, unknown",
+    [(["--fit", "calt", "--observed", "0.3", "--random", "0.5", "--n-min", "2", "--n-max", "4"],
+      "--fit calt --n-min 2 --n-max 4"),
+     (["--observed", "0.5", "--random", "0.2", "--perfect", "inf"], "--perfect inf")],
+    ids=["fit-with-compare-flags", "perfect"],
 )
-def test_analyze_refuses_the_other_modes_flags(capsys, flags):
+def test_analyze_refuses_the_other_modes_flags(capsys, flags, unknown):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", *flags])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --fit calt --n-min 2 --n-max 4" in captured.err
+    assert f"unrecognized arguments: {unknown}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -291,8 +294,9 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     regular.write_text("")
     capsys.readouterr()
     assert main(argv(tmp_path, regular)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def _report_with_edited_row(edit):
@@ -834,7 +838,6 @@ def test_analyze_compare_and_fit(tmp_path, capsys):
     assert main(["analyze", "--observed", "0.5", "--random", "0.0"]) == 3
     for observed, reference in (("inf", "0.2"), ("nan", "0.2"), ("0.5", "inf"), ("0.5", "nan")):
         assert main(["analyze", "--observed", observed, "--random", reference]) == 3
-    assert main(["analyze", "--observed", "0.5", "--random", "0.2", "--perfect", "inf"]) == 3
     assert main(["analyze"]) == 2
 
     saved = tmp_path / "fit.json"

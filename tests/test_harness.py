@@ -5,6 +5,7 @@ import shutil
 from dataclasses import asdict, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from altlab import harness
@@ -255,6 +256,47 @@ def test_run_baseline_persists_and_recomputes_bit_identically(tmp_path):
     assert again.panel == result.panel
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(game=GameConfig(2, r_high=100)),
+        dict(game=GameConfig(2, r_high=np.float32(100))),
+        dict(qcfg=QLearningConfig(alpha=1)),
+        dict(qcfg=QLearningConfig(epsilon_min=0)),
+        dict(episodes=np.int64(20), seed=np.uint64(3)),
+    ],
+    ids=["int-r_high", "float32-r_high", "int-alpha", "int-epsilon_min", "numpy-ints"],
+)
+def test_a_spec_of_other_numbers_reads_back_from_its_snapshot(tmp_path, fields):
+    # Numeric fields hold plain ints and floats, so the snapshot states
+    # each value as the spec it reads back as writes it.
+    spec = ExperimentSpec(**{"game": GameConfig(2), "episodes": 20, "seed": 0, "run_id": "r",
+                             **fields})
+    first = run(spec, tmp_path)
+    assert run(spec, tmp_path) == first
+    assert read_snapshot(tmp_path / "r" / "spec.snapshot") == spec
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExperimentSpec(GameConfig(2, r_high=True), 20, 0, "r"),
+        lambda: ExperimentSpec(GameConfig(2, r_high="100"), 20, 0, "r"),
+        lambda: ExperimentSpec(GameConfig(2), 20, 0, "r", QLearningConfig(alpha=True)),
+        lambda: ExperimentSpec(GameConfig(2), 20, 0, "r", QLearningConfig(gamma="0.9")),
+        lambda: ExperimentSpec(GameConfig(2), 20, 1.5, "r"),
+        lambda: ExperimentSpec(GameConfig(2), 20.0, 0, "r"),
+        lambda: ExperimentSpec(GameConfig(2), 20, True, "r"),
+    ],
+    ids=["bool-r_high", "str-r_high", "bool-alpha", "str-gamma", "float-seed", "float-episodes",
+         "bool-seed"],
+)
+def test_a_bool_string_or_fraction_in_a_numeric_field_is_refused(tmp_path, make):
+    with pytest.raises(ConfigError, match="cannot be"):
+        run(make(), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_leaves_no_directory_and_rerun_succeeds(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -462,6 +504,42 @@ def test_sweep_plays_each_baseline_trajectory_once(tmp_path, workers):
         f"{n} {st.value}" for n in (2, 3) for st in StateType
     ]
     assert len(result.results) == 16
+
+
+@pytest.mark.parametrize("workers, processes", [(1, None), (3, 3), (16, 12)])
+def test_sweep_tasks_keep_baseline_pairs_together_and_trained_runs_apart(
+    tmp_path, workers, processes
+):
+    # An in-process stand-in for the pool records what the sweep asks of it
+    # and starts no process.
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, None
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    with mock.patch.object(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool):
+        result = _tiny_sweep(tmp_path / "s", workers=workers)
+    assert not result.failures and len(result.results) == 16
+    if processes is None:
+        assert pools == []
+        return
+    (pool,) = pools
+    assert pool.max_workers == processes
+    assert [[spec.run_id for spec in task] for task in pool.tasks] == [
+        [f"rand-n{n}-{st}-ilf", f"rand-n{n}-{st}-iqf"] for n in (2, 3) for st in "AB"
+    ] + [[f"ql-n{n}-{st}-{r}-s0"] for n in (2, 3) for st in "AB" for r in ("ilf", "iqf")]
 
 
 def test_sweep_reuses_cached_baselines_and_reports_collisions(tmp_path):

@@ -2,7 +2,6 @@
 
 import copy
 import math
-from array import array
 from unittest import mock
 
 import numpy as np
@@ -68,10 +67,9 @@ def test_epsilon_schedule_monotone_and_bounded():
     ids=["default", "decay-to-the-end", "no-decay", "integer-epsilons"],
 )
 def test_train_runs_epsilon_schedule_is_epsilon_at_bit_for_bit(total, qcfg):
-    want = array("d", [epsilon_at(e, total, qcfg) for e in range(total)])
+    want = np.array([epsilon_at(e, total, qcfg) for e in range(total)], dtype=np.float64)
     got = policies._epsilon_schedule(total, qcfg)
-    assert type(got) is array and got.tobytes() == want.tobytes()
-    assert all(type(eps) is float for eps in got[:5])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     with pytest.raises(ConfigError):
         policies._epsilon_schedule(0, qcfg)
 
