@@ -21,10 +21,11 @@ body id and step count per episode.
 
 The same log on disk is ``log.jsonl``, one :meth:`EpisodeOutcome.to_record`
 object per line.  Its writer formats each body's text once, and the text after
-the episode number once per distinct (body, steps) pair.  Its reader looks up
-blocks of lines in that layout by the text after the episode number and checks
-each block's new body texts together; any other block is validated line by
-line, through :meth:`EpisodeOutcome.from_record`.
+the episode head once per distinct (body, steps) pair; both directions build
+each head ``{"episode":E,`` from a table of the 1,000 values of E mod 1000.
+Its reader looks up blocks of lines in that layout by the text after the
+episode head and checks each block's new body texts together; any other block
+is validated line by line, through :meth:`EpisodeOutcome.from_record`.
 """
 
 from __future__ import annotations
@@ -309,7 +310,13 @@ _CANONICAL_TAIL = re.compile(
     r',"steps":([1-9][0-9]{0,8}),"capped":(true|false)\}\n?'
 )
 _BLOCK = 1 << 18  # characters of whole lines the reader holds at once
-_WRITE_SLICE = 1 << 12  # lines the writer joins into one string
+_LOWC = [f"{j}," for j in range(1000)]
+_PADC = [f"{j:03}," for j in range(1000)]
+
+
+def _heads(k: int) -> tuple[str, list[str]]:
+    """Episode E = 1000 * k + j has the head '{"episode":E,' = prefix + table[j]."""
+    return '{"episode":' + (str(k) if k else ""), _PADC if k else _LOWC
 
 
 def _body_texts(bodies: Sequence[tuple]) -> list[str]:
@@ -328,21 +335,22 @@ def _body_texts(bodies: Sequence[tuple]) -> list[str]:
 def write_episode_log(outcomes: Sequence[EpisodeOutcome], path: Path) -> None:
     log = EpisodeLog.from_outcomes(outcomes)
     bodies = _body_texts(log.bodies)
-    # The text after the episode number for each distinct (body id, steps)
-    # pair, in the order of its code; each slice of lines is one format.
+    # The text after the episode head for each distinct (body id, steps)
+    # pair, in the order of its code.  Lines 1000 * k .. 1000 * k + 999 are one
+    # join of k's head prefix, the table entry of each line and its tail.
     codes, pairs = np.unique(log.ids.astype(np.int64) << 32 | log.steps.view(np.uint32),
                              return_inverse=True)
     tails = [
-        f',{bodies[b]},"steps":{steps},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
+        f'{bodies[b]},"steps":{steps},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
         for b, steps in zip((codes >> 32).tolist(), codes.astype(np.uint32).view(np.int32).tolist())
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(log), _WRITE_SLICE):
-            chosen = pairs[start : start + _WRITE_SLICE].tolist()
-            args = [0] * (2 * len(chosen))
-            args[::2] = range(start, start + len(chosen))
-            args[1::2] = map(tails.__getitem__, chosen)
-            fh.write('{"episode":%d%s' * len(chosen) % tuple(args))
+        for k, start in enumerate(range(0, len(log), 1000)):
+            chosen, (pre, table) = pairs[start : start + 1000].tolist(), _heads(k)
+            parts = [pre] * (3 * len(chosen))
+            parts[1::3] = table[: len(chosen)]
+            parts[2::3] = map(tails.__getitem__, chosen)
+            fh.write("".join(parts))
 
 
 def read_episode_log(path: Path) -> EpisodeLog:
@@ -391,12 +399,16 @@ def read_episode_log(path: Path) -> EpisodeLog:
 
 def _cut_heads(lines: list[str], first: int) -> list[str] | None:
     """The text after '{"episode":E,' of each line, with E counting up from
-    ``first``; None if a line starts otherwise."""
+    ``first``; None if a line starts otherwise.  Runs end at each power of ten
+    below 1,000 and at each multiple of 1,000, so a run's heads have one width
+    and one prefix, and are compared at once with one join of the table."""
     tails, end = [], first + len(lines)
-    while first < end:  # one comparison per run of episode numbers of one width
-        stop, width = min(end, 10 ** len(str(first))), len('{"episode":%d,' % first)
-        run = lines[len(tails) : len(tails) + stop - first]
-        heads = '{"episode":%d,' * len(run) % tuple(range(first, stop))
+    while first < end:
+        k, j = divmod(first, 1000)
+        stop = min(end, 1000 * k + 1000 if k else 10 ** len(str(j)))
+        pre, table = _heads(k)
+        width, run = len(pre) + len(table[j]), lines[len(tails) : len(tails) + stop - first]
+        heads = pre + pre.join(table[j : stop - 1000 * k])
         if "".join(map(operator.itemgetter(slice(width)), run)) != heads:
             return None
         tails += map(operator.itemgetter(slice(width, None)), run)

@@ -31,10 +31,11 @@ w, g) into one int64 code (so n is at most ``MAX_AGENTS``, 6,207), and each
 formula runs once per distinct code.  A log's scores are summed exactly from
 the histogram of its codes and rounded once, like efficiency's total.
 Per-batch scores (:func:`window_betas`) are gathered from the per-code values;
-the training curve's window calt (:func:`trailing_windows`) is their mean over
-the batches wholly inside the window.  The columns are gathered from the
-:class:`~altlab.game.EpisodeLog` body table by body id; a plain list of
-outcomes is first made a log with ``EpisodeLog.from_outcomes``.
+the training curve (:func:`trailing_windows`) gathers calt alone, and a
+window's calt is its mean over the batches wholly inside the window.  The
+columns are gathered from the :class:`~altlab.game.EpisodeLog` body table by
+body id; a plain list of outcomes is first made a log with
+``EpisodeLog.from_outcomes``.
 
 Traditional metrics summarize whole logs: reward efficiency and three
 fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -115,10 +116,14 @@ def _batch_codes(arrived: np.ndarray, n: int) -> np.ndarray:
     return packed
 
 
+def _distinct_batches(log: EpisodeLog, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct :func:`_batch_codes` of a log, sorted, and each batch's index among them."""
+    return np.unique(_batch_codes(log.columns(n)[0][log.ids], n), return_inverse=True)
+
+
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
-    log = EpisodeLog.from_outcomes(episodes)
-    tuples, batch = np.unique(_batch_codes(log.columns(n)[0][log.ids], n), return_inverse=True)
+    tuples, batch = _distinct_batches(EpisodeLog.from_outcomes(episodes), n)
     return {v: x[batch] for v, x in _formulas(tuples, n).items()}
 
 
@@ -224,7 +229,8 @@ def trailing_windows(
     for each end in ``ends``, each equal to the score of that slice of the
     log; ``(None, None)`` for a window of fewer than n episodes."""
     log = EpisodeLog.from_outcomes(episodes)
-    batch_calt = window_betas(log, n)["calt"]
+    tuples, batch = _distinct_batches(log, n)
+    batch_calt = _formulas(tuples, n)["calt"][batch]
     values, paid = _paid(log)
     paid, ends = _prefix_sums(paid[log.ids]), np.asarray(ends, dtype=np.intp)
     starts = np.maximum(0, ends - width)
@@ -254,7 +260,7 @@ class MetricPanel:
     aalt: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def _payoff_sums(rewards: np.ndarray, ids: np.ndarray, size: int = _SUM_SLICE) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The columnar episode log: the EpisodeLog type, and the log.jsonl reader
 against a line-by-line ``json.loads`` + ``from_record`` oracle."""
 
+import itertools
 import json
 import math
 import re
@@ -540,20 +541,17 @@ def writer_logs(draw, max_agents=12):
     return [EpisodeOutcome(e, frozenset(a), tuple(r), k) for e, ((a, r), k) in enumerate(picks)]
 
 
-def assert_writer_matches_oracle(outcomes, sizes):
-    want = oracle_log_text(outcomes)
+def assert_writer_matches_oracle(outcomes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
-        for size in sizes:
-            with mock.patch.object(game, "_WRITE_SLICE", size):
-                write_episode_log(outcomes, path)
-            assert path.read_text(encoding="utf-8") == want, size
+        write_episode_log(outcomes, path)
+        assert path.read_text(encoding="utf-8") == oracle_log_text(outcomes)
 
 
 @given(writer_logs())
 @settings(max_examples=300, deadline=None)
 def test_writer_bytes_equal_the_record_by_record_oracle(outcomes):
-    assert_writer_matches_oracle(outcomes, (1, 7, game._WRITE_SLICE))
+    assert_writer_matches_oracle(outcomes)
 
 
 @given(writer_logs(max_agents=70))
@@ -567,7 +565,7 @@ def test_body_texts_are_one_per_body_up_to_seventy_agents(outcomes):
         body = {k: record[k] for k in ("arrivals", "exclusive_winner", "rewards")}
         want.append(game._encode(body)[1:-1])
     assert game._body_texts(log.bodies) == want
-    assert_writer_matches_oracle(outcomes, (7, game._WRITE_SLICE))
+    assert_writer_matches_oracle(outcomes)
 
 
 @pytest.mark.parametrize(
@@ -583,13 +581,91 @@ def test_body_texts_are_one_per_body_up_to_seventy_agents(outcomes):
 def test_writer_bytes_equal_the_oracle_at_the_edges(outcomes):
     assert len(game._body_texts(EpisodeLog.from_outcomes(outcomes).bodies)) == len(
         {(o.arrivals, o.rewards) for o in outcomes})
-    assert_writer_matches_oracle(outcomes, (1, 7, game._WRITE_SLICE))
+    assert_writer_matches_oracle(outcomes)
 
 
 def test_writer_bytes_equal_the_oracle_over_several_slices():
-    log = run_random(GameConfig(n_agents=4, step_cap=3), 3 * game._WRITE_SLICE + 5, seed_or_rng=9)
+    log = run_random(GameConfig(n_agents=4, step_cap=3), 3005, seed_or_rng=9)
     assert set(log.steps.tolist()) == {2, 3} and any(not arrivals for arrivals, _ in log.bodies)
-    assert_writer_matches_oracle(log, (game._WRITE_SLICE,))
+    assert_writer_matches_oracle(log)
+
+
+# -- Episode heads from the tables, at every boundary of their width --------
+
+
+def percent_writer_text(log):
+    """The writer's text as the %-format writer that the head tables replaced made it."""
+    bodies = game._body_texts(log.bodies)
+    tails = [f',{bodies[b]},"steps":{k},"capped":{"false" if log.bodies[b][0] else "true"}}}\n'
+             for b, k in zip(log.ids.tolist(), log.steps.tolist())]
+    return '{"episode":%d%s' * len(log) % tuple(itertools.chain(*zip(range(len(log)), tails)))
+
+
+def percent_cut_heads(lines, first):
+    """``game._cut_heads`` as it was with %-formatted heads: one run per width."""
+    tails, end = [], first + len(lines)
+    while first < end:
+        stop, width = min(end, 10 ** len(str(first))), len('{"episode":%d,' % first)
+        run = lines[len(tails) : len(tails) + stop - first]
+        if "".join(line[:width] for line in run) != '{"episode":%d,' * len(run) % tuple(
+                range(first, stop)):
+            return None
+        tails += (line[width:] for line in run)
+        first = stop
+    return tails
+
+
+def test_writer_bytes_equal_the_percent_writer_at_every_width_boundary(tmp_path):
+    log = run_random(GameConfig(n_agents=3, step_cap=3), 10_001, seed_or_rng=4)
+    path = tmp_path / "log.jsonl"
+    for size in (1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000, 9999, 10_000, 10_001):
+        head = EpisodeLog(log.bodies, log.ids[:size], log.steps[:size])
+        write_episode_log(head, path)
+        assert path.read_text(encoding="utf-8") == percent_writer_text(head), size
+
+
+@pytest.mark.parametrize("first", [0, 7, 95, 998, 999, 1000, 9998, 99999, 10**9 - 1, 10**9, 10**12])
+def test_cut_heads_equals_the_percent_format_across_each_boundary(first):
+    tail = '"arrivals":[0],"exclusive_winner":0,"rewards":[100.0,0.0],"steps":2,"capped":false}\n'
+    for size in (1, 2, 3, 6, 1002, 2003):
+        lines = ['{"episode":%d,' % e + tail for e in range(first, first + size)]
+        assert game._cut_heads(lines, first) == percent_cut_heads(lines, first) == [tail] * size
+        # A head off by one either way, at either end of the run and on both
+        # sides of each crossing of a width or a thousand, is refused.
+        crossings = [e - first for e in range(first + 1, first + size)
+                     if e in (10, 100) or e % 1000 == 0]
+        for at in {0, size - 1, *crossings, *(c - 1 for c in crossings)}:
+            for wrong in (first + at - 1, first + at + 1):
+                bad = [*lines[:at], '{"episode":%d,' % wrong + tail, *lines[at + 1 :]]
+                assert game._cut_heads(bad, first) is percent_cut_heads(bad, first) is None
+        padded = [*lines[:-1], '{"episode":0%d,' % (first + size - 1) + tail]
+        assert game._cut_heads(padded, first) is percent_cut_heads(padded, first) is None
+
+
+@pytest.mark.parametrize(
+    "episode, head, error",
+    [
+        (999, '{"episode":998,', "line 1000: episode 998 out of sequence, expected 999"),
+        (999, '{"episode":1000,', "line 1000: episode 1000 out of sequence, expected 999"),
+        (1000, '{"episode":999,', "line 1001: episode 999 out of sequence, expected 1000"),
+        (1000, '{"episode":1001,', "line 1001: episode 1001 out of sequence, expected 1000"),
+        (1001, '{"episode":1000,', "line 1002: episode 1000 out of sequence, expected 1001"),
+        (999, '{"episode":0999,', "line 1000: invalid JSON"),
+        (1000, '{"episode":1e3,', "line 1001: malformed episode record"),
+    ],
+    ids=["998-at-999", "1000-at-999", "999-at-1000", "1001-at-1000", "1000-at-1001",
+         "zero-padded-0999", "1e3"],
+)
+def test_a_wrong_head_at_a_thousand_is_refused_on_its_line(tmp_path, episode, head, error):
+    log = run_random(GameConfig(n_agents=2), 1002, seed_or_rng=6)
+    path = tmp_path / "log.jsonl"
+    write_episode_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[episode] = head + lines[episode].split(",", 1)[1]
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: {error}")):
+        read_episode_log(path)
+    assert _agree_with_the_oracle(path) is None
 
 
 @st.composite
