@@ -25,7 +25,8 @@ the episode head once per distinct (body, steps) pair; both directions build
 each head ``{"episode":E,`` from a table of the 1,000 values of E mod 1000.
 Its reader looks up blocks of lines in that layout by the text after the
 episode head and checks each block's new body texts together; any other block
-is validated line by line, through :meth:`EpisodeOutcome.from_record`.
+is validated line by line, through :meth:`EpisodeOutcome.from_record`.  Either
+way a body is keyed by its arrivals and the IEEE-754 bytes of its rewards.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import math
 import numbers
 import operator
 import re
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -220,12 +222,12 @@ class EpisodeOutcome:
         return outcome
 
 
-def _body_id(index: dict, arrivals, rewards: tuple[float, ...]) -> int:
-    """Id of the body (sorted ``arrivals``, ``rewards``) in ``index`` (key ->
-    (id, body)), added if new.  Rewards are keyed by ``repr``, which keeps
-    -0.0 apart from 0.0."""
-    body = (tuple(sorted(arrivals)), rewards)
-    return index.setdefault((body[0], repr(rewards)), (len(index), body))[0]
+def _body_id(index: dict, arrivals: tuple[int, ...], rewards: tuple[float, ...], key=None) -> int:
+    """Id of the body (sorted ``arrivals``, ``rewards``) in ``index``, added if new, keyed by
+    its arrivals and ``key``, by default its rewards' IEEE-754 bytes: for finite floats, as
+    the reader's are, equal bytes are equal reprs, and -0.0 stays apart from 0.0."""
+    key = struct.pack(f"{len(rewards)}d", *rewards) if key is None else key
+    return index.setdefault((arrivals, key), (len(index), (arrivals, rewards)))[0]
 
 
 class EpisodeLog(Sequence):
@@ -249,13 +251,13 @@ class EpisodeLog(Sequence):
 
     @classmethod
     def from_outcomes(cls, outcomes) -> "EpisodeLog":
-        """The log of ``outcomes``, indexed by position; a log is returned as is."""
+        """The log of ``outcomes`` by position, rewards keyed by ``repr``; a log is returned as is."""
         if isinstance(outcomes, EpisodeLog):
             return outcomes
         index: dict = {}
         ids, steps = [], []
         for ep in outcomes:
-            ids.append(_body_id(index, ep.arrivals, ep.rewards))
+            ids.append(_body_id(index, tuple(sorted(ep.arrivals)), ep.rewards, repr(ep.rewards)))
             steps.append(ep.steps_used)
         return cls([body for _, body in index.values()], ids, steps)
 
@@ -385,7 +387,7 @@ def read_episode_log(path: Path) -> EpisodeLog:
                                 f"{path}: line {at}: episode {outcome.episode_index} out of "
                                 f"sequence, expected {count + len(block)}"
                             )
-                        body = _body_id(codes.index, outcome.arrivals, outcome.rewards)
+                        body = _body_id(codes.index, tuple(sorted(outcome.arrivals)), outcome.rewards)
                         block.append(body << 32 | outcome.steps_used)
                 blocks.append(np.asarray(block, dtype="<i8"))
                 count, lineno = count + len(block), lineno + len(lines)
@@ -433,26 +435,27 @@ def _accept_bodies(texts: list[str], capped: list[bool]) -> list[tuple] | None:
             return None
         arrivals, winners, rewards = zip(*map(dict.values, records))
         flat, stated = [*itertools.chain(*arrivals)], [*itertools.chain(*rewards)]
-        ids, paid = np.fromiter(flat, np.int64, len(flat)), np.array(stated, float)
+        k, n = (np.fromiter(map(len, x), np.intp, len(x)) for x in (arrivals, rewards))
+        ids, paid, sole = np.fromiter(flat, np.int64, len(flat)), np.array(stated, float), k == 1
+        won = np.fromiter(itertools.compress(winners, sole), np.int64, np.count_nonzero(sole))
     except (TypeError, ValueError, OverflowError, RecursionError):
         return None
+    body, start, first = np.repeat(np.arange(len(k)), k), np.cumsum(n) - n, np.cumsum(k) - k
     if ({*map(type, arrivals), *map(type, rewards)} != {list} or {*map(type, flat)} - {int}
             or (kinds := {*map(type, stated)}) - {int, float}
             or {*map(type, winners)} - {int, type(None)}
-            or winners != tuple(a[0] if len(a) == 1 else None for a in arrivals)):
+            or winners.count(None) != len(k) - len(won) or not np.array_equal(won, ids[first[sole]])):
         return None
-    k, n = (np.fromiter(map(len, x), np.intp, len(x)) for x in (arrivals, rewards))
-    body, start = np.repeat(np.arange(len(k)), k), np.cumsum(n) - n
     if not (np.all((0 <= ids) & (ids < n[body])) and np.all(np.diff(ids)[np.diff(body) == 0] > 0)
             and np.array_equal(capped, k == 0) and np.all(np.isfinite(paid))):
         return None
     # A sole win or partial tie pays its arrivers the first one's share (> 0), no one else.
     pays, share, due = (0 < k) & (k < n), np.zeros(len(k)), np.zeros(len(paid))
-    share[pays] = paid[start[pays] + ids[(np.cumsum(k) - k)[pays]]]
+    share[pays] = paid[start[pays] + ids[first[pays]]]
     due[start[body] + ids] = share[body]
     if np.all(share[pays] > 0.0) and np.array_equal(paid, due):
         if int in kinds:  # read as from_record reads them, as floats
-            rewards = [[*map(float, r)] for r in rewards]
+            rewards = map(paid.tolist().__getitem__, map(slice, start.tolist(), (start + n).tolist()))
         return list(zip(map(tuple, arrivals), map(tuple, rewards)))
     return None
 
@@ -463,7 +466,7 @@ class _Codes(dict):
 
     def __init__(self) -> None:
         super().__init__()
-        self.index: dict = {}  # body key -> (id, body), as in EpisodeLog.from_outcomes
+        self.index: dict = {}  # (arrivals, packed rewards) -> (id, body)
         self.known: dict[tuple[str, str], int] = {}  # (body text, capped) -> body id
 
     def add(self, tails: list[str]) -> bool:
@@ -472,12 +475,14 @@ class _Codes(dict):
         new = [*dict.fromkeys(itertools.filterfalse(self.__contains__, tails))]
         if not all(matches := [*map(_CANONICAL_TAIL.fullmatch, new)]):
             return False
-        fresh = [*dict.fromkeys(k for m in matches if (k := m.group(1, 3)) not in self.known)]
-        if fresh:
+        keys = [*map(operator.methodcaller("group", 1, 3), matches)]  # (body text, capped)
+        if fresh := [*dict.fromkeys(itertools.filterfalse(self.known.__contains__, keys))]:
             texts, capped = zip(*fresh)
-            if (bodies := _accept_bodies(texts, [c == "true" for c in capped])) is None:
+            if (bodies := _accept_bodies(texts, [*map("true".__eq__, capped)])) is None:
                 return False
             for key, body in zip(fresh, bodies):
                 self.known[key] = _body_id(self.index, *body)
-        self.update((t, self.known[m.group(1, 3)] << 32 | int(m[2])) for t, m in zip(new, matches))
+        ids = np.fromiter(map(self.known.__getitem__, keys), np.int64, len(keys))
+        steps = np.fromiter(map(int, map(operator.itemgetter(2), matches)), np.int64, len(keys))
+        self.update(zip(new, (ids << 32 | steps).tolist()))
         return True

@@ -30,12 +30,12 @@ columns.  One pass, a slice of batches at a time, packs each batch's (f, tau,
 w, g) into one int64 code (so n is at most ``MAX_AGENTS``, 6,207), and each
 formula runs once per distinct code.  A log's scores are summed exactly from
 the histogram of its codes and rounded once, like efficiency's total.
-Per-batch scores (:func:`window_betas`) are gathered from the per-code values;
-the training curve (:func:`trailing_windows`) gathers calt alone, and a
-window's calt is its mean over the batches wholly inside the window.  The
-columns are gathered from the :class:`~altlab.game.EpisodeLog` body table by
-body id; a plain list of outcomes is first made a log with
-``EpisodeLog.from_outcomes``.
+Per-batch scores (:func:`window_betas`) apply the formulas to each slice of
+batch codes; the training curve (:func:`trailing_windows`) takes calt alone,
+and a window's calt is its mean over the batches wholly inside the window.
+The columns, and the payoff table (one ``np.unique`` and one ``bincount``),
+come from the :class:`~altlab.game.EpisodeLog` body table; a plain list of
+outcomes is first made a log with ``EpisodeLog.from_outcomes``.
 
 Traditional metrics summarize whole logs: reward efficiency and three
 fairness ratios min_i x_i / max_i x_i over per-agent exclusive wins
@@ -116,15 +116,20 @@ def _batch_codes(arrived: np.ndarray, n: int) -> np.ndarray:
     return packed
 
 
-def _distinct_batches(log: EpisodeLog, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct :func:`_batch_codes` of a log, sorted, and each batch's index among them."""
-    return np.unique(_batch_codes(log.columns(n)[0][log.ids], n), return_inverse=True)
+def _per_batch(codes: np.ndarray, n: int, variants: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each :func:`_batch_codes` code's score of each of ``variants``, ``_SUM_SLICE`` at a time."""
+    per_batch = {v: np.empty(len(codes)) for v in variants}
+    for start in range(0, len(codes), _SUM_SLICE):
+        scores = _formulas(codes[start : start + _SUM_SLICE], n)
+        for v, x in per_batch.items():
+            x[start : start + _SUM_SLICE] = scores[v]
+    return per_batch
 
 
 def window_betas(episodes: Sequence[EpisodeOutcome], n: int) -> dict[str, np.ndarray]:
     """Per-batch score of every variant; entry i scores episodes i .. i + n - 1."""
-    tuples, batch = _distinct_batches(EpisodeLog.from_outcomes(episodes), n)
-    return {v: x[batch] for v, x in _formulas(tuples, n).items()}
+    log = EpisodeLog.from_outcomes(episodes)
+    return _per_batch(_batch_codes(log.columns(n)[0][log.ids], n), n, VARIANTS)
 
 
 def _shifted_mean(values: np.ndarray) -> float:
@@ -176,15 +181,21 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     ``r_high`` in one episode, was played at another ``r_high`` and
     raises DataError.
     """
+    log = EpisodeLog.from_outcomes(episodes)
+    rewards = [r for _, r in log.bodies]
+    return _efficiency(log, np.fromiter(itertools.chain(*rewards), float), [*map(len, rewards)], r_high)
+
+
+def _efficiency(log: EpisodeLog, flat: np.ndarray, sizes: Sequence[int], r_high: float) -> float:
+    """:func:`efficiency` of ``log``, whose body b pays the next ``sizes[b]`` rewards of ``flat``."""
     if not r_high > 0:
         raise ConfigError(f"r_high must be positive, got {r_high}")
-    log = EpisodeLog.from_outcomes(episodes)
     if not log:
         raise InsufficientDataError("efficiency needs at least one episode")
     optimum = len(log) * r_high
     if not math.isfinite(optimum):
         raise ConfigError(f"{len(log)} episodes at r_high {r_high} overflow the optimum")
-    values, paid = _paid(log)
+    values, paid = _paid(flat, sizes)
     total = _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid)
     for arrivals, rewards in log.bodies:
         if math.fsum(rewards) > r_high or (len(arrivals) == 1 and rewards[arrivals[0]] != r_high):
@@ -194,14 +205,13 @@ def efficiency(episodes: Sequence[EpisodeOutcome], r_high: float) -> float:
     return total / optimum
 
 
-def _paid(log: EpisodeLog) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rewards of a log, and how many of each every body pays."""
-    sizes = [len(rewards) for _, rewards in log.bodies]
-    flat = np.fromiter(itertools.chain.from_iterable(r for _, r in log.bodies), float, sum(sizes))
-    values, column = np.unique(flat, return_inverse=True)  # a zero adds nothing to a total
-    counts = np.zeros((len(sizes), len(values)), dtype=np.int32)
-    np.add.at(counts, (np.repeat(np.arange(len(sizes)), sizes), column), 1)
-    return values, counts
+def _paid(rewards: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the flat ``rewards``, body b's the next ``sizes[b]``, and
+    how many of each every body pays: int32[bodies, values], by one bincount."""
+    values, column = np.unique(rewards, return_inverse=True)  # a zero adds nothing to a total
+    cells = np.repeat(np.arange(len(sizes)) * len(values), sizes) + column
+    counts = np.bincount(cells, minlength=len(sizes) * len(values))
+    return values, counts.astype(np.int32).reshape(len(sizes), len(values))
 
 
 def _exact_total(values: Sequence[float], counts: Sequence) -> float | list[float]:
@@ -229,9 +239,9 @@ def trailing_windows(
     for each end in ``ends``, each equal to the score of that slice of the
     log; ``(None, None)`` for a window of fewer than n episodes."""
     log = EpisodeLog.from_outcomes(episodes)
-    tuples, batch = _distinct_batches(log, n)
-    batch_calt = _formulas(tuples, n)["calt"][batch]
-    values, paid = _paid(log)
+    arrived, rewards = log.columns(n)
+    batch_calt = _per_batch(_batch_codes(arrived[log.ids], n), n, ["calt"])["calt"]
+    values, paid = _paid(rewards.ravel(), [n] * len(rewards))
     paid, ends = _prefix_sums(paid[log.ids]), np.asarray(ends, dtype=np.intp)
     starts = np.maximum(0, ends - width)
     totals = _exact_total(values, paid[ends] - paid[starts])
@@ -290,7 +300,7 @@ def compute_panel(episodes: Sequence[EpisodeOutcome], n: int, r_high: float) -> 
         nu=len(log),
         batches=len(log) - n + 1,
         fairness=_min_max_ratio(uses[sole] @ arrived[sole]),
-        efficiency=efficiency(log, r_high),
+        efficiency=_efficiency(log, rewards.ravel(), [n] * len(rewards), r_high),
         tt_fairness=_min_max_ratio(uses @ arrived),
         reward_fairness=_min_max_ratio(_payoff_sums(rewards, log.ids)),
         **means,

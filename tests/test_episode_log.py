@@ -706,3 +706,72 @@ def test_body_table_sums_equal_per_episode_sums(case):
     per_agent = np.array([ep.rewards for ep in outcomes]).sum(axis=0)
     top = per_agent.max()
     assert repr(panel.reward_fairness) == repr(None if top == 0 else float(per_agent.min() / top))
+
+
+# -- Body keys: the reader keeps each body that the repr-keyed rule keeps ---
+
+
+def repr_keyed_log(outcomes):
+    """``(bodies, ids, steps)`` of ``outcomes`` under the rule that keys a body by
+    its sorted arrivals and the ``repr`` of its rewards."""
+    index, ids = {}, []
+    for ep in outcomes:
+        arrivals = tuple(sorted(ep.arrivals))
+        body = index.setdefault((arrivals, repr(ep.rewards)), (len(index), (arrivals, ep.rewards)))
+        ids.append(body[0])
+    return [body for _, body in index.values()], ids, [ep.steps_used for ep in outcomes]
+
+
+def assert_bodies_match_the_repr_rule(path):
+    log = read_episode_log(path)
+    bodies, ids, steps = repr_keyed_log(read_log_oracle(path))
+    assert repr(log.bodies) == repr(tuple(bodies))
+    assert log.ids.tolist() == ids and log.steps.tolist() == steps
+
+
+def _spelled(e, winner, reward, zero):
+    """A writer-layout line of a two-agent sole win, its rewards spelled as given."""
+    rewards = [reward, zero] if winner == 0 else [zero, reward]
+    return (f'{{"episode":{e},"arrivals":[{winner}],"exclusive_winner":{winner},'
+            f'"rewards":[{",".join(rewards)}],"steps":2,"capped":false}}\n')
+
+
+@pytest.mark.parametrize("block", [game._BLOCK, 120])
+@pytest.mark.parametrize("refused", [None, 3, 9])
+def test_signed_zeros_and_integer_rewards_keep_the_bodies_of_the_repr_rule(
+        tmp_path, monkeypatch, block, refused):
+    # Every spelling of each winner's reward and the other agent's zero, in
+    # blocks the bulk filter takes; a padded line sends its block line by line.
+    spellings = [(w, r, z) for w in (0, 1) for r in ("100.0", "100") for z in ("0.0", "-0.0")]
+    lines = [_spelled(e, *spellings[(3 * e) % len(spellings)]) for e in range(16)]
+    if refused is not None:
+        lines[refused] = lines[refused].replace('"steps":2', '"steps": 2')
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(game, "_BLOCK", block)
+    assert_bodies_match_the_repr_rule(path)
+    log = read_episode_log(path)
+    assert len(log.bodies) == 4  # two winners, each with 0.0 and with -0.0
+    assert {repr(r) for _, r in log.bodies} == {
+        "(100.0, 0.0)", "(100.0, -0.0)", "(0.0, 100.0)", "(-0.0, 100.0)"}
+
+
+@given(
+    n=st.integers(2, 12),
+    episodes=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+    respell=st.sets(st.integers(0, 299), max_size=20),
+    block=st.sampled_from([game._BLOCK, 400]),
+)
+@settings(max_examples=100, deadline=None)
+def test_reader_bodies_and_ids_equal_the_repr_rule(n, episodes, seed, respell, block):
+    # Random play, with some lines' zeros written -0.0 and their shares as integers.
+    text = oracle_log_text(run_random(GameConfig(n_agents=n), episodes, seed_or_rng=seed))
+    lines = text.splitlines(keepends=True)
+    for e in respell & set(range(episodes)):
+        for value, spelling in (("0.0", "-0.0"), ("100.0", "100")):
+            lines[e] = re.sub(rf"(?<=[\[,]){re.escape(value)}(?=[,\]])", spelling, lines[e])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(game, "_BLOCK", block):
+        path = Path(tmp) / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert_bodies_match_the_repr_rule(path)

@@ -1,6 +1,7 @@
 """Alternation and traditional metrics against independent oracles."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -19,7 +20,9 @@ from conftest import (
 
 from altlab.analysis import synth_pa_mixture
 from altlab.errors import ConfigError, DataError, InsufficientDataError
-from altlab.game import EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType
+from altlab.game import (
+    EpisodeLog, EpisodeOutcome, GameConfig, RewardScheme, StateType, _encode, write_episode_log,
+)
 from altlab.harness import ExperimentSpec, run
 from altlab import metrics
 from altlab.metrics import (
@@ -658,3 +661,87 @@ def test_payoff_sums_in_slices_keep_the_one_pass_bits(seed):
     assert whole.tobytes() == rewards[ids].sum(axis=0).tobytes()
     for size in (1, 2, 7):
         assert _payoff_sums(rewards, ids, size).tobytes() == whole.tobytes(), size
+
+
+# -- The payoff table against the flat-rewards oracle ------------------------
+
+
+def oracle_paid(log):
+    """The distinct rewards of a log, and how many of each every body pays, as
+    one ``np.add.at`` over the rewards chained body by body."""
+    sizes = [len(rewards) for _, rewards in log.bodies]
+    flat = np.fromiter(itertools.chain.from_iterable(r for _, r in log.bodies), float, sum(sizes))
+    values, column = np.unique(flat, return_inverse=True)
+    counts = np.zeros((len(sizes), len(values)), dtype=np.int32)
+    np.add.at(counts, (np.repeat(np.arange(len(sizes)), sizes), column), 1)
+    return values, counts
+
+
+def oracle_efficiency(episodes, r_high):
+    log = EpisodeLog.from_outcomes(episodes)
+    values, paid = oracle_paid(log)
+    total = _exact_total(values, np.bincount(log.ids, minlength=len(log.bodies)) @ paid)
+    return total / (len(log) * r_high)
+
+
+def oracle_trailing_windows(episodes, n, r_high, ends, width):
+    """Each batch's calt from the sorted distinct batch codes, and the payoffs
+    from ``oracle_paid``."""
+    log = EpisodeLog.from_outcomes(episodes)
+    tuples, batch = np.unique(metrics._batch_codes(log.columns(n)[0][log.ids], n),
+                              return_inverse=True)
+    batch_calt = metrics._formulas(tuples, n)["calt"][batch]
+    values, paid = oracle_paid(log)
+    paid, ends = metrics._prefix_sums(paid[log.ids]), np.asarray(ends, dtype=np.intp)
+    starts = np.maximum(0, ends - width)
+    totals = _exact_total(values, paid[ends] - paid[starts])
+    return [
+        (None, None) if end - start < n
+        else (_shifted_mean(batch_calt[start : end - n + 1]), total / ((end - start) * r_high))
+        for start, end, total in zip(starts.tolist(), ends.tolist(), totals)
+    ]
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def test_scores_of_a_thousand_bodies_equal_the_flat_rewards_oracle():
+    # Random play at n = 10 under both schemes: over a thousand distinct bodies.
+    outcomes = [ep for scheme in RewardScheme
+                for ep in run_random(GameConfig(10, reward_scheme=scheme), 10_000, 5)]
+    log = EpisodeLog.from_outcomes(outcomes)
+    assert len(log.bodies) >= 1000
+    panel = compute_panel(log, 10, 100.0)
+    assert _hex(panel.efficiency) == _hex(oracle_efficiency(log, 100.0))
+    assert _hex(efficiency(log, 100.0)) == _hex(panel.efficiency)
+    ends = [1, 9, 10, 11, 500, 9_999, 10_000, 10_001, 19_999, 20_000]
+    for width in (10, 1000, 20_000):
+        got = trailing_windows(log, 10, 100.0, ends, width)
+        want = oracle_trailing_windows(log, 10, 100.0, ends, width)
+        assert [tuple(map(_hex, w)) for w in got] == [tuple(map(_hex, w)) for w in want]
+
+
+@pytest.mark.parametrize(
+    "rewards",
+    [
+        [(100, 0), (0, 100), (100.0, 0.0), (50, 50)],
+        [(np.float64(100.0), 0.0), (100.0, 0.0), (0.0, np.float64(100.0))],
+        [(100.0, -0.0), (100.0, 0.0), (-0.0, 100.0), (-0.0, -0.0)],
+        [(100, -0.0), (np.float64(50.0), np.float64(50.0)), (0, 0), (0.0, 0.0), (100.0, 0.0)],
+    ],
+    ids=["int", "np.float64", "negative-zero", "mixed"],
+)
+def test_efficiency_and_the_writer_of_library_rewards_equal_the_oracles(tmp_path, rewards):
+    # Each body a sole win of agent 0 or 1 (or a tie), its rewards built by hand.
+    outcomes = [
+        EpisodeOutcome(e, frozenset(i for i in (0, 1) if r[i]) or frozenset(), r, 2)
+        for e, r in enumerate(rewards * 3)
+    ]
+    assert _hex(efficiency(outcomes, 100.0)) == _hex(oracle_efficiency(outcomes, 100.0))
+    path = tmp_path / "log.jsonl"
+    write_episode_log(outcomes, path)
+    assert path.read_text(encoding="utf-8") == "".join(
+        _encode(o.to_record()) + "\n" for o in outcomes)
+    log = EpisodeLog.from_outcomes(outcomes)
+    assert [repr(r) for _, r in log.bodies] == list(dict.fromkeys(map(repr, rewards)))
